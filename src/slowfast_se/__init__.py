@@ -15,19 +15,17 @@ from .engine import (
     enhance_offline,
     init_model_weights,
     init_single_branch_weights,
-    modulation_index,
     sample_level_config,
     single_branch_forward,
     slow_frame_span,
     two_ms_config,
 )
-from .signal_io import AudioBuffer, FrameGeometry, read_wav, write_wav
+from .signal_io import AudioBuffer, read_wav, write_wav
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AudioBuffer",
-    "FrameGeometry",
     "ModelWeights",
     "PAPER_DELTAS",
     "SlowFastConfig",
@@ -35,7 +33,6 @@ __all__ = [
     "enhance_offline",
     "init_model_weights",
     "init_single_branch_weights",
-    "modulation_index",
     "read_wav",
     "sample_level_config",
     "single_branch_forward",

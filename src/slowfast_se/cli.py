@@ -24,7 +24,7 @@ from .engine import (
     two_ms_config,
 )
 from .fast_branch import VARIANTS
-from .persistence import load_model, save_model
+from .persistence import CONFIG_KEYS, load_model, save_model
 from .signal_io import AudioBuffer, read_wav, write_wav
 from .training import (
     EVAL_SNRS_DB,
@@ -40,8 +40,7 @@ from .training import (
 USAGE_ERROR = 1
 VERIFICATION_FAILURE = 2
 
-_CONFIG_INT_KEYS = ("l_f", "delta_f", "reuse", "h", "delta_s", "l_s",
-                    "gru_width", "gru_layers")
+_CONFIG_INT_KEYS = tuple(key for key in CONFIG_KEYS if key != "variant")
 _SCHEDULE_INT_KEYS = ("stage1_epochs", "stage2_epochs", "batch_size",
                       "train_pairs", "eval_pairs", "seed")
 

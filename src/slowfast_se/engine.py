@@ -23,7 +23,7 @@ that trivially.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,8 +36,9 @@ from .fast_branch import (
     init_fast_branch_weights,
     packet_size,
 )
-from .signal_io import AudioBuffer, FrameGeometry, make_window
+from .signal_io import SAMPLE_RATE, AudioBuffer, as_mono, frame_signal, make_window, overlap_add
 from .slow_branch import (
+    GRU_FIELDS,
     SlowBranchWeights,
     SlowState,
     init_slow_branch_weights,
@@ -45,7 +46,6 @@ from .slow_branch import (
     warmup_packet,
 )
 
-SAMPLE_RATE = 16000
 PAPER_DELTAS = (1, 2, 3, 4, 5, 10)
 
 
@@ -89,9 +89,6 @@ class SlowFastConfig:
     def fast_pad(self) -> int:
         """Left zero-padding that completes window-square coverage at n=0."""
         return self.l_f - self.delta_f
-
-    def fast_geometry(self) -> FrameGeometry:
-        return FrameGeometry(self.l_f, self.delta_f, self.fast_pad)
 
     def num_fast_frames(self, n: int) -> int:
         """Frames needed so every one of n input samples is fully covered."""
@@ -147,7 +144,7 @@ def named_arrays(weights: ModelWeights) -> list[tuple[str, np.ndarray]]:
         ("slow.fc_in.b", weights.slow.fc_in_b),
     ]
     for k, layer in enumerate(weights.slow.gru):
-        for fname in ("w_z", "w_r", "w_n", "u_z", "u_r", "u_n", "b_z", "b_r", "b_n"):
+        for fname in GRU_FIELDS:
             out.append((f"slow.gru{k}.{fname}", getattr(layer, fname)))
     out += [
         ("slow.fc_head.w", weights.slow.fc_head_w),
@@ -159,15 +156,6 @@ def named_arrays(weights: ModelWeights) -> list[tuple[str, np.ndarray]]:
         ("fast.f_out.b", weights.fast.f_out_b),
     ]
     return out
-
-
-def set_named_array(weights: ModelWeights, name: str, value: np.ndarray) -> None:
-    """Replace one array in-place by canonical name (used by optimizers)."""
-    for existing_name, arr in named_arrays(weights):
-        if existing_name == name:
-            arr[...] = value
-            return
-    raise KeyError(name)
 
 
 def expected_shapes(config: SlowFastConfig) -> dict[str, tuple[int, ...]]:
@@ -186,10 +174,8 @@ def expected_shapes(config: SlowFastConfig) -> dict[str, tuple[int, ...]]:
         "fast.f_out.b": (config.l_f,),
     }
     for k in range(config.gru_layers):
-        for fname in ("w_z", "w_r", "w_n", "u_z", "u_r", "u_n"):
-            shapes[f"slow.gru{k}.{fname}"] = (d, d)
-        for fname in ("b_z", "b_r", "b_n"):
-            shapes[f"slow.gru{k}.{fname}"] = (d,)
+        for fname in GRU_FIELDS:
+            shapes[f"slow.gru{k}.{fname}"] = (d,) if fname.startswith("b_") else (d, d)
     return shapes
 
 
@@ -199,8 +185,7 @@ def model_weights_from_arrays(
     """Assemble ModelWeights from canonically named arrays (see named_arrays)."""
     gru = [
         slow_branch.GruLayerWeights(
-            **{f: arrays[f"slow.gru{k}.{f}"] for f in
-               ("w_z", "w_r", "w_n", "u_z", "u_r", "u_n", "b_z", "b_r", "b_n")}
+            **{f: arrays[f"slow.gru{k}.{f}"] for f in GRU_FIELDS}
         )
         for k in range(config.gru_layers)
     ]
@@ -221,15 +206,6 @@ def model_weights_from_arrays(
     weights = ModelWeights(slow=slow, fast=fast)
     _check_weight_shapes(weights, config)
     return weights
-
-
-def modulation_index(i: int, reuse: int) -> int:
-    """Slow packet index for fast frame i: floor(i/reuse) - 1 (-1 = warm-up)."""
-    if i < 0:
-        raise ValueError(f"fast frame index must be >= 0, got {i}")
-    if reuse < 1:
-        raise ValueError(f"reuse factor must be >= 1, got {reuse}")
-    return i // reuse - 1
 
 
 def slow_frame_span(j: int, delta_s: int, l_s: int) -> tuple[int, int]:
@@ -304,8 +280,7 @@ class StreamSession:
         self.config = config
         self.weights = weights
         self.stats = SessionStats()
-        self._w_analysis = make_window("sqrt_hann_periodic", config.l_f)
-        self._w_synthesis = make_window("sqrt_hann_periodic", config.l_f)
+        self._window = make_window("sqrt_hann_periodic", config.l_f)  # analysis and synthesis
         self._input = _GrowBuffer()
         self._ola = _GrowBuffer()
         self._next_fast = 0
@@ -346,7 +321,7 @@ class StreamSession:
         packet = self._warm if k == 0 else self._packet
 
         t0 = time.perf_counter()
-        x_f = self._input_padded(i * cfg.delta_f, cfg.l_f) * self._w_analysis
+        x_f = self._input_padded(i * cfg.delta_f, cfg.l_f) * self._window
         if cfg.variant == "ssmm":
             self._ssm_state, y = fast_branch.ssmm_step(
                 self._ssm_state, x_f, packet, self.weights.fast
@@ -355,7 +330,7 @@ class StreamSession:
             y = fast_branch.film_step(x_f, packet, self.weights.fast)
         else:
             y = fast_branch.ec_step(x_f, packet, self.weights.fast)
-        self._ola.add_at(i * cfg.delta_f, y * self._w_synthesis)
+        self._ola.add_at(i * cfg.delta_f, y * self._window)
         self.stats.fast_frames += 1
         self.stats.fast_seconds += time.perf_counter() - t0
 
@@ -365,10 +340,7 @@ class StreamSession:
         """Feed samples; returns how many output samples are now pullable."""
         if self._closed:
             raise RuntimeError("push_samples after close")
-        samples = chunk.samples if isinstance(chunk, AudioBuffer) else np.asarray(
-            chunk, dtype=np.float64
-        )
-        self._input.append(samples)
+        self._input.append(as_mono(chunk))
         cfg = self.config
         while (
             self._next_fast * cfg.delta_f - cfg.fast_pad + cfg.l_f <= self._input.size
@@ -416,26 +388,21 @@ class StreamSession:
         return self.available_output()
 
 
-def enhance_offline(x, weights: ModelWeights, config: SlowFastConfig) -> AudioBuffer:
-    """Whole-utterance enhancement; equals any chunked streaming run bit for bit."""
+def enhance_offline(
+    x, weights: ModelWeights, config: SlowFastConfig, stats: SessionStats | None = None
+) -> AudioBuffer:
+    """Whole-utterance enhancement; equals any chunked streaming run bit for bit.
+
+    A ``stats`` object passed in becomes the session's counters, so the
+    caller can read its per-branch frame counts and timings afterwards.
+    """
     _check_weight_shapes(weights, config)
-    samples = x.samples if isinstance(x, AudioBuffer) else np.asarray(x, dtype=np.float64)
     session = StreamSession(weights, config)
-    session.push_samples(samples)
+    if stats is not None:
+        session.stats = stats
+    session.push_samples(x)
     session.close()
     return AudioBuffer(session.pull_output())
-
-
-def enhance_offline_timed(
-    x, weights: ModelWeights, config: SlowFastConfig
-) -> tuple[AudioBuffer, SessionStats]:
-    """enhance_offline plus the session's per-branch timing counters."""
-    _check_weight_shapes(weights, config)
-    samples = x.samples if isinstance(x, AudioBuffer) else np.asarray(x, dtype=np.float64)
-    session = StreamSession(weights, config)
-    session.push_samples(samples)
-    session.close()
-    return AudioBuffer(session.pull_output()), session.stats
 
 
 def _check_weight_shapes(weights: ModelWeights, config: SlowFastConfig) -> None:
@@ -460,24 +427,15 @@ def single_branch_forward(
             f"single-branch weights map {weights.fc_in_w.shape[0]} -> "
             f"{weights.fc_head_w.shape[1]}, config wants {config.l_f} -> {config.l_f}"
         )
-    samples = x.samples if isinstance(x, AudioBuffer) else np.asarray(x, dtype=np.float64)
-    n = len(samples)
-    w_a = make_window("sqrt_hann_periodic", config.l_f)
-    w_s = w_a
-    out = _GrowBuffer()
-    state = SlowState.initial(config.gru_layers, config.gru_width)
-    pad = config.fast_pad
-    buf = _GrowBuffer()
-    buf.append(samples)
-    for i in range(config.num_fast_frames(n)):
-        x_f = buf.slice_padded(i * config.delta_f - pad, config.l_f) * w_a
-        u = x_f @ weights.fc_in_w + weights.fc_in_b
-        new_hidden = []
-        for layer, h_prev in zip(weights.gru, state.hidden):
-            u = slow_branch.gru_cell_step(u, h_prev, layer)
-            new_hidden.append(u)
-        state = SlowState(hidden=new_hidden)
-        y = u @ weights.fc_head_w + weights.fc_head_b
-        out.add_at(i * config.delta_f, y * w_s)
-    out._reserve(pad + n)
-    return AudioBuffer(out.view(pad, pad + n).copy())
+    samples = as_mono(x)
+    n, pad = len(samples), config.fast_pad
+    if n == 0:
+        return AudioBuffer(samples)
+    window = make_window("sqrt_hann_periodic", config.l_f)
+    frames = frame_signal(samples, config.l_f, config.delta_f, pad, config.num_fast_frames(n))
+    hidden = SlowState.initial(config.gru_layers, config.gru_width).hidden
+    y = np.empty(frames.shape)
+    for i, x_f in enumerate(frames * window):
+        top, hidden = slow_branch.trunk_step(x_f, hidden, weights)
+        y[i] = top @ weights.fc_head_w + weights.fc_head_b
+    return AudioBuffer(overlap_add(y * window, config.delta_f)[pad : pad + n])

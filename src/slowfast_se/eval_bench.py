@@ -18,9 +18,9 @@ import numpy as np
 from .engine import (
     ModelWeights,
     SAMPLE_RATE,
+    SessionStats,
     SlowFastConfig,
     enhance_offline,
-    enhance_offline_timed,
 )
 from .fast_branch import packet_size
 
@@ -166,8 +166,9 @@ def benchmark_rtf(
     rng = np.random.default_rng(seed)
     n = int(round(seconds * SAMPLE_RATE))
     x = rng.standard_normal(n) * 0.3
+    stats = SessionStats()
     t0 = time.perf_counter()
-    out, stats = enhance_offline_timed(x, weights, config)
+    out = enhance_offline(x, weights, config, stats)
     wall = time.perf_counter() - t0
     return RtfReport(
         rtf=wall / seconds,

@@ -70,9 +70,6 @@ class FastBranchWeights:
     f_out_w: np.ndarray
     f_out_b: np.ndarray
 
-    def head_in(self) -> int:
-        return self.f_out_w.shape[0]
-
 
 @dataclass
 class SsmState:
@@ -85,6 +82,11 @@ class SsmState:
         return cls(h=np.zeros(h_dim))
 
 
+def _uniform(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
+    bound = np.sqrt(1.0 / fan_in)
+    return rng.uniform(-bound, bound, size=shape)
+
+
 def init_fast_branch_weights(l_f: int, h: int, variant: str, rng: np.random.Generator) -> FastBranchWeights:
     """Uniform +-sqrt(1/fan_in) matrices, zero biases."""
     check_variant(variant)
@@ -95,11 +97,6 @@ def init_fast_branch_weights(l_f: int, h: int, variant: str, rng: np.random.Gene
         f_out_w=_uniform(rng, (h_out, l_f), h_out),
         f_out_b=np.zeros(l_f),
     )
-
-
-def _uniform(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
-    bound = np.sqrt(1.0 / fan_in)
-    return rng.uniform(-bound, bound, size=shape)
 
 
 def ssmm_step(

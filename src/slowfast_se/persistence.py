@@ -31,8 +31,9 @@ CONFIG_KEYS = (
 )
 
 
-class ModelFileError(Exception):
-    """Base for all model-file problems."""
+class ModelFileError(ValueError):
+    """Base for all model-file problems; a ValueError, so callers that reject
+    bad input treat a bad model file the same way."""
 
 
 class ModelVersionError(ModelFileError):
@@ -128,15 +129,7 @@ def load_model(path) -> tuple[ModelWeights, SlowFastConfig]:
 
     try:
         config = SlowFastConfig(
-            variant=fields["variant"],
-            l_f=int(fields["l_f"]),
-            delta_f=int(fields["delta_f"]),
-            reuse=int(fields["reuse"]),
-            h=int(fields["h"]),
-            delta_s=int(fields["delta_s"]),
-            l_s=int(fields["l_s"]),
-            gru_width=int(fields["gru_width"]),
-            gru_layers=int(fields["gru_layers"]),
+            **{key: fields[key] if key == "variant" else int(fields[key]) for key in CONFIG_KEYS}
         )
         payload_bytes = int(fields["payload_bytes"])
         payload_crc = int(fields["payload_crc32"])

@@ -1,4 +1,9 @@
-"""WAV I/O, dual-rate framing, analysis/synthesis windows, and overlap-add.
+"""WAV I/O, framing, analysis/synthesis windows, and overlap-add.
+
+``frame_signal`` and its adjoint ``overlap_add`` are the package's one
+batched framing and overlap-add: the training forward and backward passes,
+the spectral loss and the single-branch baseline all go through them. Only
+the streaming engine frames incrementally, one frame per step.
 
 Everything here is a pure function: identical inputs give bit-identical
 outputs, so any number of threads may call into this module concurrently.
@@ -8,6 +13,7 @@ silently resampling or downmixing.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 
@@ -31,11 +37,7 @@ class AudioBuffer:
     sample_rate: int = SAMPLE_RATE
 
     def __post_init__(self):
-        self.samples = np.asarray(self.samples, dtype=np.float64)
-        if self.samples.ndim != 1:
-            raise ValueError(f"expected 1-D mono samples, got shape {self.samples.shape}")
-        if not np.all(np.isfinite(self.samples)):
-            raise ValueError("samples contain non-finite values")
+        self.samples = as_mono(self.samples)
         if self.sample_rate != SAMPLE_RATE:
             raise WavFormatError(
                 f"unsupported sample rate {self.sample_rate}, expected {SAMPLE_RATE}"
@@ -45,52 +47,51 @@ class AudioBuffer:
         return len(self.samples)
 
 
-@dataclass(frozen=True)
-class FrameGeometry:
-    """Window length, hop, and left zero-padding for one framing scheme."""
+def as_mono(x) -> np.ndarray:
+    """1-D float64 samples of an AudioBuffer or array-like.
 
-    window_len: int
-    hop: int
-    left_pad: int = 0
-
-    def __post_init__(self):
-        if not (1 <= self.hop <= self.window_len):
-            raise ValueError(
-                f"need 1 <= hop <= window_len, got hop={self.hop}, "
-                f"window_len={self.window_len}"
-            )
-        if self.left_pad < 0:
-            raise ValueError(f"left_pad must be >= 0, got {self.left_pad}")
-
-
-def _as_samples(x) -> np.ndarray:
-    if isinstance(x, AudioBuffer):
-        return x.samples
-    return np.asarray(x, dtype=np.float64)
-
-
-def frame_signal(x, g: FrameGeometry, num_frames: int | None = None) -> np.ndarray:
-    """Slice a signal into overlapping frames.
-
-    Frame i is the zero-padded slice x[i*hop - left_pad : i*hop - left_pad + window_len];
-    reads outside the signal are zeros. By default the frame count is
-    ceil(len(x) / hop), which covers every input sample; callers that need
-    extra tail frames (e.g. to complete overlap-add coverage) may pass
-    ``num_frames`` explicitly.
+    Raises ValueError, before anything else happens, for input that is not
+    1-D or holds non-finite samples. The dot product x.x sums squares, so it
+    is finite exactly when every sample is, unless it overflows; the exact
+    per-sample test runs only when it is not finite.
     """
-    samples = _as_samples(x)
-    n = len(samples)
+    samples = x.samples if isinstance(x, AudioBuffer) else np.asarray(x, dtype=np.float64)
+    if samples.ndim != 1:
+        raise ValueError(f"expected 1-D mono samples, got shape {samples.shape}")
+    if not math.isfinite(samples.dot(samples)) and not np.isfinite(samples).all():
+        raise ValueError("samples contain non-finite values")
+    return samples
+
+
+def frame_signal(
+    x, window_len: int, hop: int, left_pad: int = 0, num_frames: int | None = None
+) -> np.ndarray:
+    """Slice the last axis of x into overlapping frames: (..., num_frames, window_len).
+
+    Frame i is x[..., i*hop - left_pad : i*hop - left_pad + window_len]; reads
+    outside the signal are zeros. By default the frame count is
+    ceil(len / hop), which covers every input sample. The result is a
+    read-only view whose values are the samples bit for bit; ``overlap_add``
+    is its adjoint.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    n = x.shape[-1]
     if n < 1:
         raise ValueError("cannot frame an empty signal")
+    if window_len < 1 or hop < 1:
+        raise ValueError(f"need window_len, hop >= 1, got {window_len}, {hop}")
     if num_frames is None:
-        num_frames = -(-n // g.hop)  # ceil division
-    span = (num_frames - 1) * g.hop + g.window_len
-    right_pad = max(0, span - g.left_pad - n)
-    padded = np.concatenate(
-        [np.zeros(g.left_pad), samples, np.zeros(right_pad)]
-    )
-    windows = np.lib.stride_tricks.sliding_window_view(padded, g.window_len)
-    return windows[:: g.hop][:num_frames].copy()
+        num_frames = -(-n // hop)  # ceil division
+    span = (num_frames - 1) * hop + window_len
+    if left_pad <= 0 and n + left_pad >= span:
+        padded = x[..., -left_pad : span - left_pad]
+    else:
+        padded = np.zeros(x.shape[:-1] + (span,))
+        lo, hi = max(left_pad, 0), min(left_pad + n, span)
+        if hi > lo:
+            padded[..., lo:hi] = x[..., lo - left_pad : hi - left_pad]
+    windows = np.lib.stride_tricks.sliding_window_view(padded, window_len, axis=-1)
+    return windows[..., ::hop, :]
 
 
 def make_window(kind: str, length: int) -> np.ndarray:
@@ -112,38 +113,28 @@ def make_window(kind: str, length: int) -> np.ndarray:
 
 
 def overlap_add(frames, hop: int) -> np.ndarray:
-    """Sum hop-shifted frames: out[n] = sum_i frames[i][n - i*hop].
+    """Sum hop-shifted frames over (..., num_frames, window_len) arrays.
 
-    Output length is (num_frames - 1) * hop + window_len; truncating back to
-    the original input length is the caller's job. Frames must all share one
-    length.
+    out[..., n] = sum_i frames[..., i, n - i*hop], length
+    (num_frames - 1) * hop + window_len; truncating back to the input length
+    is the caller's job. Each sample sums its frames in frame order, as the
+    streaming engine's per-frame accumulation does.
     """
     if hop < 1:
         raise ValueError(f"hop must be >= 1, got {hop}")
-    arr = [np.asarray(f, dtype=np.float64) for f in frames]
-    if not arr:
-        raise ValueError("no frames to overlap-add")
-    length = arr[0].shape[-1]
-    if any(f.shape != (length,) for f in arr):
-        raise ValueError("ragged frame lengths in overlap_add")
-    stacked = np.stack(arr)
-    out = _ola_accumulate(stacked, hop)
-    return out
-
-
-def _ola_accumulate(frames: np.ndarray, hop: int) -> np.ndarray:
-    """Vectorized OLA core for frames shaped (..., num_frames, window_len)."""
+    frames = np.asarray(frames, dtype=np.float64)
+    if frames.ndim < 2 or frames.shape[-2] < 1:
+        raise ValueError(f"need frames shaped (..., num_frames, window_len), got {frames.shape}")
     *batch, num, length = frames.shape
-    out_len = (num - 1) * hop + length
     # Scratch is padded to num*hop + length so every offset chunk reshapes
     # cleanly to (num, hop); chunks at one offset never overlap each other.
+    # The highest offset belongs to the earliest frame, so it goes first.
     scratch = np.zeros((*batch, num * hop + length))
-    for offset in range(0, length, hop):
+    for offset in reversed(range(0, length, hop)):
         width = min(hop, length - offset)
-        chunk = frames[..., :, offset : offset + width]
         view = scratch[..., offset : offset + num * hop].reshape(*batch, num, hop)
-        view[..., :width] += chunk
-    return scratch[..., :out_len].copy()
+        view[..., :width] += frames[..., :, offset : offset + width]
+    return scratch[..., : (num - 1) * hop + length]
 
 
 # --- RIFF/WAVE (mono, 16 kHz, PCM16 or IEEE float32) ---------------------
@@ -198,7 +189,7 @@ def read_wav(path) -> AudioBuffer:
 
 def write_wav(path, audio: AudioBuffer | np.ndarray) -> None:
     """Write mono 16 kHz PCM 16-bit, clipping to [-1, 1 - 2**-15]."""
-    samples = _as_samples(audio)
+    samples = as_mono(audio)
     clipped = np.clip(samples, -1.0, _FLOAT_CEIL)
     ints = np.round(clipped * _INT16_SCALE).astype("<i2")
     payload = ints.tobytes()

@@ -12,11 +12,12 @@ serve the streaming engine (1-D) and batched training (2-D).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 import numpy as np
 
-from .fast_branch import ModulationPacket, check_variant, packet_size
+from .fast_branch import ModulationPacket, _uniform, check_variant, packet_size
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -40,6 +41,21 @@ class GruLayerWeights:
     b_z: np.ndarray
     b_r: np.ndarray
     b_n: np.ndarray
+
+
+# canonical order of a layer's arrays, used for names in the model file
+GRU_FIELDS = tuple(f.name for f in fields(GruLayerWeights))
+
+
+class GruCache(NamedTuple):
+    """One cell's input, previous state and gate values, kept for backprop."""
+
+    x: np.ndarray
+    h_prev: np.ndarray
+    z: np.ndarray
+    r: np.ndarray
+    n: np.ndarray
+    uh_n: np.ndarray  # U_n h_prev, before the reset gate scales it
 
 
 @dataclass
@@ -67,11 +83,6 @@ class SlowState:
     @classmethod
     def initial(cls, layers: int, width: int) -> "SlowState":
         return cls(hidden=[np.zeros(width) for _ in range(layers)])
-
-
-def _uniform(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
-    bound = np.sqrt(1.0 / fan_in)
-    return rng.uniform(-bound, bound, size=shape)
 
 
 def init_gru_layer(in_dim: int, h_dim: int, rng: np.random.Generator) -> GruLayerWeights:
@@ -114,17 +125,23 @@ def init_slow_branch_weights(
     )
 
 
-def gru_cell_step(x: np.ndarray, h: np.ndarray, w: GruLayerWeights) -> np.ndarray:
+def _gru_cell(x: np.ndarray, h: np.ndarray, w: GruLayerWeights) -> tuple[np.ndarray, GruCache]:
     """z = sig(..), r = sig(..), n = tanh(W x + r*(U h) + b), h' = (1-z)n + z h."""
+    z = _sigmoid(x @ w.w_z + h @ w.u_z + w.b_z)
+    r = _sigmoid(x @ w.w_r + h @ w.u_r + w.b_r)
+    uh_n = h @ w.u_n
+    n = np.tanh(x @ w.w_n + r * uh_n + w.b_n)
+    return (1.0 - z) * n + z * h, GruCache(x, h, z, r, n, uh_n)
+
+
+def gru_cell_step(x: np.ndarray, h: np.ndarray, w: GruLayerWeights) -> np.ndarray:
+    """One shape-checked GRU step; returns the new hidden state."""
     if x.shape[-1] != w.w_z.shape[0] or h.shape[-1] != w.u_z.shape[0]:
         raise ValueError(
             f"gru shape mismatch: x has {x.shape[-1]} features (want {w.w_z.shape[0]}), "
             f"h has {h.shape[-1]} (want {w.u_z.shape[0]})"
         )
-    z = _sigmoid(x @ w.w_z + h @ w.u_z + w.b_z)
-    r = _sigmoid(x @ w.w_r + h @ w.u_r + w.b_r)
-    n = np.tanh(x @ w.w_n + r * (h @ w.u_n) + w.b_n)
-    return (1.0 - z) * n + z * h
+    return _gru_cell(x, h, w)[0]
 
 
 def activate_head(raw: np.ndarray, variant: str) -> ModulationPacket:
@@ -148,17 +165,37 @@ def activate_head(raw: np.ndarray, variant: str) -> ModulationPacket:
     return ModulationPacket(variant="film", alpha=1.0 + raw[:h], beta=raw[h:].copy())
 
 
+def trunk_step(
+    x: np.ndarray,
+    hidden: list[np.ndarray],
+    w: SlowBranchWeights,
+    caches: list[GruCache] | None = None,
+) -> tuple[np.ndarray, list[np.ndarray]]:
+    """One frame through FC in and the GRU stack: (top output, new hidden list).
+
+    Each layer runs through ``gru_cell_step``. Given a ``caches`` list, the
+    training path, each layer instead calls the cell directly and appends
+    its GruCache.
+    """
+    u = x @ w.fc_in_w + w.fc_in_b
+    new_hidden = []
+    for layer, h_prev in zip(w.gru, hidden):
+        if caches is None:
+            u = gru_cell_step(u, h_prev, layer)
+        else:
+            u, cache = _gru_cell(u, h_prev, layer)
+            caches.append(cache)
+        new_hidden.append(u)
+    return u, new_hidden
+
+
 def slow_forward(
     x_s: np.ndarray, state: SlowState, w: SlowBranchWeights, variant: str
 ) -> tuple[ModulationPacket, SlowState]:
     """Run one slow frame through FC -> GRU stack -> FC head -> activation."""
-    u = x_s @ w.fc_in_w + w.fc_in_b
-    new_hidden = []
-    for layer, h_prev in zip(w.gru, state.hidden):
-        u = gru_cell_step(u, h_prev, layer)
-        new_hidden.append(u)
-    raw = u @ w.fc_head_w + w.fc_head_b
-    return activate_head(raw, variant), SlowState(hidden=new_hidden)
+    top, hidden = trunk_step(x_s, state.hidden, w)
+    raw = top @ w.fc_head_w + w.fc_head_b
+    return activate_head(raw, variant), SlowState(hidden=hidden)
 
 
 def warmup_packet(w: SlowBranchWeights, variant: str) -> ModulationPacket:

@@ -2,12 +2,15 @@
 
 The forward pass here mirrors the streaming engine but runs batched over
 clips and fully vectorized where the math allows (framing, FC layers,
-overlap-add); only the state recurrences stay sequential. The backward pass
-is written by hand and retraces every step: overlap-add, the fast-branch
-recurrence, packet reuse (gradients from all frames sharing a packet
-accumulate into its slow frame), the GRU stack across slow frames, and the
-learned warm-up packet. Correctness is pinned by central-difference checks
-in the test suite.
+overlap-add); only the state recurrences stay sequential. Framing and
+overlap-add are signal_io's ``frame_signal`` and ``overlap_add``, shared with
+the losses, and the slow trunk is slow_branch's ``trunk_step``, the same FC
+and GRU cell the streaming engine runs, here keeping each cell's gate values.
+The backward pass is written by hand and retraces every step: overlap-add
+(whose adjoint is framing), the fast-branch recurrence, packet reuse
+(gradients from all frames sharing a packet accumulate into its slow frame),
+the GRU stack across slow frames, and the learned warm-up packet.
+Correctness is pinned by central-difference checks in the test suite.
 
 Gradients are keyed by the canonical array names from engine.named_arrays.
 """
@@ -19,8 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..engine import ModelWeights, SlowFastConfig, named_arrays
-from ..signal_io import _ola_accumulate, make_window
-from ..slow_branch import GruLayerWeights, _sigmoid
+from ..signal_io import frame_signal, make_window, overlap_add
+from ..slow_branch import GruCache, GruLayerWeights, _sigmoid, trunk_step
 from .losses import LossWeights, StftParams, total_loss_grad
 
 GradientSet = dict[str, np.ndarray]
@@ -35,26 +38,14 @@ class NonFiniteLossError(ValueError):
 
 
 @dataclass
-class _GruCache:
-    x: np.ndarray
-    h_prev: np.ndarray
-    z: np.ndarray
-    r: np.ndarray
-    n: np.ndarray
-    uh_n: np.ndarray
-
-
-@dataclass
 class _Cache:
     frames: np.ndarray          # (B, NF, L) windowed fast frames
     u: np.ndarray               # (B, NF, H) f_in outputs
     groups: np.ndarray          # (NF,) packet-table index per fast frame
     n_fast: int
     n_slow: int
-    pad: int
-    ola_len: int
     xs: np.ndarray | None       # (B, J, LS) slow frames
-    gru: list[list[_GruCache]]  # [j][layer]
+    gru: list[list[GruCache]]   # [j][layer]
     top: np.ndarray | None      # (B, J, d) trunk outputs feeding the head
     raw_table: np.ndarray       # (B, J+1, P); row 0 is the warm-up raw
     # variant payloads over the packet table
@@ -68,19 +59,8 @@ class _Cache:
     cat: np.ndarray | None = None    # (B, NF, 2H) ec concatenated features
 
 
-def _gru_forward_cached(
-    x: np.ndarray, h_prev: np.ndarray, w: GruLayerWeights
-) -> tuple[np.ndarray, _GruCache]:
-    z = _sigmoid(x @ w.w_z + h_prev @ w.u_z + w.b_z)
-    r = _sigmoid(x @ w.w_r + h_prev @ w.u_r + w.b_r)
-    uh_n = h_prev @ w.u_n
-    n = np.tanh(x @ w.w_n + r * uh_n + w.b_n)
-    h = (1.0 - z) * n + z * h_prev
-    return h, _GruCache(x=x, h_prev=h_prev, z=z, r=r, n=n, uh_n=uh_n)
-
-
 def _gru_backward(
-    cache: _GruCache, dh: np.ndarray, w: GruLayerWeights, grads: GradientSet, prefix: str
+    cache: GruCache, dh: np.ndarray, w: GruLayerWeights, grads: GradientSet, prefix: str
 ) -> tuple[np.ndarray, np.ndarray]:
     """Returns (dx, dh_prev) and accumulates the layer's weight gradients."""
     dz = dh * (cache.h_prev - cache.n)
@@ -119,41 +99,21 @@ def forward_batch(
     cfg = config
     pad = cfg.fast_pad
     n_fast = cfg.num_fast_frames(n)
-    ola_len = (n_fast - 1) * cfg.delta_f + cfg.l_f
-
-    x_pad = np.zeros((b, ola_len))
-    x_pad[:, pad : pad + n] = noisy
-
-    w_a = make_window("sqrt_hann_periodic", cfg.l_f)
-    frames = (
-        np.lib.stride_tricks.sliding_window_view(x_pad, cfg.l_f, axis=1)[
-            :, :: cfg.delta_f, :
-        ][:, :n_fast, :]
-        * w_a
-    )
+    window = make_window("sqrt_hann_periodic", cfg.l_f)
+    frames = frame_signal(noisy, cfg.l_f, cfg.delta_f, pad, n_fast) * window
     u = frames @ weights.fast.f_in_w + weights.fast.f_in_b
 
-    # slow branch over its own zero-extended timeline
+    # slow frame j spans [(j+1)*delta_s - l_s, (j+1)*delta_s) of the padded timeline
     n_slow = (n_fast - 1) // cfg.reuse
     sw = weights.slow
-    gru_caches: list[list[_GruCache]] = []
+    gru_caches: list[list[GruCache]] = []
     if n_slow > 0:
-        x_slow_pad = np.zeros((b, cfg.l_s + ola_len))
-        x_slow_pad[:, cfg.l_s :] = x_pad
-        xs = np.lib.stride_tricks.sliding_window_view(x_slow_pad, cfg.l_s, axis=1)[
-            :, cfg.delta_s :: cfg.delta_s, :
-        ][:, :n_slow, :].copy()
-        h_layers = [np.zeros((b, cfg.gru_width)) for _ in range(cfg.gru_layers)]
+        xs = frame_signal(noisy, cfg.l_s, cfg.delta_s, pad + cfg.l_s - cfg.delta_s, n_slow)
+        hidden = [np.zeros((b, cfg.gru_width)) for _ in range(cfg.gru_layers)]
         tops = np.empty((b, n_slow, cfg.gru_width))
         for j in range(n_slow):
-            layer_caches = []
-            act = xs[:, j] @ sw.fc_in_w + sw.fc_in_b
-            for k, layer in enumerate(sw.gru):
-                act, cache = _gru_forward_cached(act, h_layers[k], layer)
-                h_layers[k] = act
-                layer_caches.append(cache)
-            gru_caches.append(layer_caches)
-            tops[:, j] = act
+            gru_caches.append([])
+            tops[:, j], hidden = trunk_step(xs[:, j], hidden, sw, gru_caches[-1])
         raws = tops @ sw.fc_head_w + sw.fc_head_b
     else:
         xs = None
@@ -168,8 +128,7 @@ def forward_batch(
 
     cache = _Cache(
         frames=frames, u=u, groups=groups, n_fast=n_fast, n_slow=n_slow,
-        pad=pad, ola_len=ola_len, xs=xs, gru=gru_caches, top=tops,
-        raw_table=raw_table,
+        xs=xs, gru=gru_caches, top=tops, raw_table=raw_table,
     )
 
     fw = weights.fast
@@ -194,9 +153,7 @@ def forward_batch(
         cache.cat = np.concatenate([u, cache.e[:, groups]], axis=-1)
         y = cache.cat @ fw.f_out_w + fw.f_out_b
 
-    w_s = make_window("sqrt_hann_periodic", cfg.l_f)
-    s_hat_pad = _ola_accumulate(y * w_s, cfg.delta_f)
-    return s_hat_pad[:, pad : pad + n], cache
+    return overlap_add(y * window, cfg.delta_f)[:, pad : pad + n], cache
 
 
 def backward(
@@ -224,19 +181,12 @@ def backward(
         )
 
     cfg = config
-    b, n = noisy.shape
+    b = noisy.shape[0]
     grads: GradientSet = {name: np.zeros_like(arr) for name, arr in named_arrays(weights)}
 
-    # ---- loss -> OLA -> per-frame outputs
-    d_pad = np.zeros((b, cache.ola_len))
-    d_pad[:, cache.pad : cache.pad + n] = d_s_hat
-    w_s = make_window("sqrt_hann_periodic", cfg.l_f)
-    dy = (
-        np.lib.stride_tricks.sliding_window_view(d_pad, cfg.l_f, axis=1)[
-            :, :: cfg.delta_f, :
-        ][:, : cache.n_fast, :]
-        * w_s
-    )
+    # ---- loss -> OLA -> per-frame outputs: framing is the adjoint of OLA
+    window = make_window("sqrt_hann_periodic", cfg.l_f)
+    dy = frame_signal(d_s_hat, cfg.l_f, cfg.delta_f, cfg.fast_pad, cache.n_fast) * window
 
     # ---- fast branch
     fw = weights.fast

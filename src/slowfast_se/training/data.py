@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import numpy as np
 
-SAMPLE_RATE = 16000
+from ..signal_io import SAMPLE_RATE
+
 PAIR_SECONDS = 1.0
 
 TRAIN_SNRS_DB = (0.0, 5.0, 10.0, 15.0)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..signal_io import make_window
+from ..signal_io import frame_signal, make_window, overlap_add
 
 SISNR_CAP_DB = 60.0
 SISNR_EPS = 1e-8
@@ -62,9 +62,7 @@ def _segments(x: np.ndarray, p: StftParams) -> np.ndarray:
     if n < p.fft_size:
         raise ValueError(f"signal length {n} shorter than fft_size {p.fft_size}")
     n_frames = 1 + (n - p.fft_size) // p.hop
-    segs = np.lib.stride_tricks.sliding_window_view(x, p.fft_size, axis=-1)
-    segs = segs[..., :: p.hop, :][..., :n_frames, :]
-    return segs * _stft_window(p)
+    return frame_signal(x, p.fft_size, p.hop, 0, n_frames) * _stft_window(p)
 
 
 def stft(x, p: StftParams) -> np.ndarray:
@@ -73,17 +71,18 @@ def stft(x, p: StftParams) -> np.ndarray:
     return np.fft.rfft(_segments(x, p), axis=-1)
 
 
+def _spectral_errors(s_hat, s, p: StftParams):
+    """STFT of s_hat, its magnitude, and its magnitude/real/imaginary errors against s."""
+    if np.shape(s_hat) != np.shape(s):
+        raise ValueError(f"length mismatch: {np.shape(s_hat)} vs {np.shape(s)}")
+    x_hat, x_ref = stft(s_hat, p), stft(s, p)
+    mag = np.abs(x_hat)
+    return x_hat, mag, mag - np.abs(x_ref), x_hat.real - x_ref.real, x_hat.imag - x_ref.imag
+
+
 def spec_mse_loss(s_hat, s, p: StftParams) -> float:
     """Mean over (frame, bin) of squared magnitude + real + imaginary errors."""
-    s_hat = np.asarray(s_hat, dtype=np.float64)
-    s = np.asarray(s, dtype=np.float64)
-    if s_hat.shape != s.shape:
-        raise ValueError(f"length mismatch: {s_hat.shape} vs {s.shape}")
-    x_hat = stft(s_hat, p)
-    x_ref = stft(s, p)
-    d_mag = np.abs(x_hat) - np.abs(x_ref)
-    d_re = x_hat.real - x_ref.real
-    d_im = x_hat.imag - x_ref.imag
+    _, _, d_mag, d_re, d_im = _spectral_errors(s_hat, s, p)
     per_bin = d_mag**2 + d_re**2 + d_im**2
     return float(np.mean(per_bin.reshape(*per_bin.shape[:-2], -1), axis=-1).mean())
 
@@ -94,19 +93,7 @@ def spec_mse_loss_grad(s_hat: np.ndarray, s: np.ndarray, p: StftParams) -> tuple
     The per-clip loss averages over frames*bins; for a batch the returned
     scalar additionally averages over the batch and the gradient matches it.
     """
-    s_hat = np.asarray(s_hat, dtype=np.float64)
-    s = np.asarray(s, dtype=np.float64)
-    if s_hat.shape != s.shape:
-        raise ValueError(f"length mismatch: {s_hat.shape} vs {s.shape}")
-    segs = _segments(s_hat, p)
-    x_hat = np.fft.rfft(segs, axis=-1)
-    x_ref = stft(s, p)
-
-    mag = np.abs(x_hat)
-    d_mag = mag - np.abs(x_ref)
-    d_re = x_hat.real - x_ref.real
-    d_im = x_hat.imag - x_ref.imag
-
+    x_hat, mag, d_mag, d_re, d_im = _spectral_errors(s_hat, s, p)
     n_frames, n_bins = x_hat.shape[-2], x_hat.shape[-1]
     batch = int(np.prod(x_hat.shape[:-2], dtype=int)) if x_hat.ndim > 2 else 1
     scale = 1.0 / (n_frames * n_bins * batch)
@@ -121,11 +108,10 @@ def spec_mse_loss_grad(s_hat: np.ndarray, s: np.ndarray, p: StftParams) -> tuple
     g_full = np.zeros(x_hat.shape[:-1] + (p.fft_size,), dtype=np.complex128)
     g_full[..., :n_bins] = g_re + 1j * g_im
     seg_grad = np.fft.ifft(g_full, axis=-1).real * p.fft_size
-    seg_grad = seg_grad * _stft_window(p)
-
-    grad = np.zeros_like(s_hat)
-    for f in range(n_frames):
-        grad[..., f * p.hop : f * p.hop + p.fft_size] += seg_grad[..., f, :]
+    # adjoint of the framing: overlap-add, zero past the last frame
+    ola = overlap_add(seg_grad * _stft_window(p), p.hop)
+    grad = np.zeros(np.shape(s_hat))
+    grad[..., : ola.shape[-1]] = ola
     return loss, grad
 
 

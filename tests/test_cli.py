@@ -12,7 +12,14 @@ from slowfast_se.engine import (
     init_model_weights,
     two_ms_config,
 )
-from slowfast_se.persistence import save_model
+from slowfast_se.persistence import (
+    ModelChecksumError,
+    ModelParseError,
+    ModelShapeError,
+    ModelVersionError,
+    load_model,
+    save_model,
+)
 from slowfast_se.signal_io import AudioBuffer, read_wav, write_wav
 
 
@@ -56,6 +63,36 @@ class TestExitCodes:
                     "--in", wav_path, "--out", str(tmp_path / "o.wav")])
         assert code == 1
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("damage, error", [
+        ("garbage bytes", ModelVersionError),
+        ("malformed header", ModelParseError),
+        ("flipped payload byte", ModelChecksumError),
+        ("truncated payload", ModelChecksumError),
+        ("wrong manifest shape", ModelShapeError),
+    ])
+    def test_damaged_model_file_reported(self, damage, error, capsys, model_path, wav_path, tmp_path):
+        with open(model_path, "rb") as fh:
+            data = bytearray(fh.read())
+        payload_start = data.index(b"\nend\n") + len(b"\nend\n")
+        if damage == "garbage bytes":
+            data = bytearray(np.random.default_rng(0).integers(0, 256, 512, dtype=np.uint8))
+        elif damage == "malformed header":
+            data = data.replace(b"\nh = 32\n", b"\nh: 32\n")
+        elif damage == "flipped payload byte":
+            data[payload_start + 10] ^= 0xFF
+        elif damage == "truncated payload":
+            data = data[:-8]
+        else:
+            data = data.replace(b"slow.fc_in.w 0 96 64", b"slow.fc_in.w 0 64 96")
+        with open(model_path, "wb") as fh:
+            fh.write(data)
+        with pytest.raises(error):
+            load_model(model_path)
+        code = run(["enhance", "--model", model_path, "--in", wav_path,
+                    "--out", str(tmp_path / "o.wav")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error:")
 
 
 class TestBenchMac:

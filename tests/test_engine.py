@@ -10,7 +10,6 @@ from slowfast_se.engine import (
     enhance_offline,
     init_model_weights,
     init_single_branch_weights,
-    modulation_index,
     sample_level_config,
     single_branch_forward,
     slow_frame_span,
@@ -60,21 +59,22 @@ class TestConfig:
             SlowFastConfig(variant="nope", l_f=32, delta_f=16, reuse=1, h=4)
 
 
-class TestModulationIndex:
-    def test_floor_division(self):
-        assert modulation_index(5, 3) == 0
-        assert modulation_index(7, 2) == 2
-
-    def test_warmup_region(self):
-        for delta in (1, 2, 5):
-            for i in range(delta):
-                assert modulation_index(i, delta) == -1
-
-    def test_invalid(self):
-        with pytest.raises(ValueError):
-            modulation_index(-1, 2)
-        with pytest.raises(ValueError):
-            modulation_index(0, 0)
+class TestWarmupPacket:
+    def test_warmup_packet_reaches_only_the_first_group(self):
+        # film is stateless: the first `reuse` fast frames use the warm-up
+        # packet and end at padded sample reuse * delta_f + fast_pad, so
+        # outputs from reuse * delta_f on never see it
+        cfg = two_ms_config(3, "film")
+        w = init_model_weights(cfg, seed=4)
+        x = np.random.default_rng(6).standard_normal(1000) * 0.2
+        before = enhance_offline(x, w, cfg).samples
+        w.slow.warmup_packet_raw[...] += 0.5
+        after = enhance_offline(x, w, cfg).samples
+        edge = cfg.reuse * cfg.delta_f
+        for start in range(0, edge, cfg.delta_f):
+            assert not np.array_equal(before[start : start + cfg.delta_f],
+                                      after[start : start + cfg.delta_f])
+        assert np.array_equal(before[edge:], after[edge:])
 
 
 class TestSlowFrameSpan:
@@ -177,6 +177,33 @@ class TestStreaming:
         a = enhance_offline(x, w, cfg).samples
         b = enhance_offline(x, w, cfg).samples
         assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("bad", [np.zeros((2, 16)), np.zeros(()), [[0.0], [1.0]]])
+    def test_non_mono_push_rejected_with_its_shape(self, bad):
+        cfg = two_ms_config(3)
+        session = StreamSession(init_model_weights(cfg, seed=0), cfg)
+        with pytest.raises(ValueError, match=r"expected 1-D .*shape \("):
+            session.push_samples(bad)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_rejected_non_finite_chunk_leaves_session_untouched(self, value):
+        cfg = two_ms_config(3)
+        w = init_model_weights(cfg, seed=0)
+        x = np.random.default_rng(8).standard_normal(2000) * 0.2
+        bad = x[100:300].copy()
+        bad[0] = value
+        outputs = []
+        for reject in (False, True):
+            session = StreamSession(w, cfg)
+            session.push_samples(x[:100])
+            if reject:
+                with pytest.raises(ValueError, match="non-finite"):
+                    session.push_samples(bad)
+            session.push_samples(x[100:])
+            session.close()
+            outputs.append(session.pull_output())
+        assert np.array_equal(outputs[0], outputs[1])
+        assert np.all(np.isfinite(outputs[1]))
 
     def test_wrong_shape_weights_rejected(self):
         cfg_a = two_ms_config(3)

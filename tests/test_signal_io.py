@@ -5,7 +5,6 @@ import pytest
 
 from slowfast_se.signal_io import (
     AudioBuffer,
-    FrameGeometry,
     WavFormatError,
     frame_signal,
     make_window,
@@ -17,34 +16,44 @@ from slowfast_se.signal_io import (
 
 class TestFrameSignal:
     def test_non_overlapping_partition(self):
-        frames = frame_signal([1, 2, 3, 4], FrameGeometry(2, 2, 0))
+        frames = frame_signal([1, 2, 3, 4], 2, 2)
         assert frames.tolist() == [[1, 2], [3, 4]]
 
     def test_one_second_frame_count(self):
         # frame starts 0, 16, ..., 15984 -> 1000 frames
         x = np.arange(16000, dtype=float)
-        frames = frame_signal(x, FrameGeometry(32, 16, 0))
+        frames = frame_signal(x, 32, 16)
         assert frames.shape == (1000, 32)
         assert frames[0, 0] == 0 and frames[999, 0] == 15984
         # last frame runs past the signal end and is zero-padded
         assert frames[999, 16] == 0.0
 
     def test_left_pad(self):
-        frames = frame_signal([5.0], FrameGeometry(4, 2, 2))
+        frames = frame_signal([5.0], 4, 2, left_pad=2)
         assert frames.tolist() == [[0, 0, 5, 0]]
 
     def test_explicit_num_frames_extends_tail(self):
-        frames = frame_signal([1.0, 2.0], FrameGeometry(2, 2, 0), num_frames=3)
+        frames = frame_signal([1.0, 2.0], 2, 2, num_frames=3)
         assert frames.tolist() == [[1, 2], [0, 0], [0, 0]]
 
     def test_empty_signal_rejected(self):
         with pytest.raises(ValueError):
-            frame_signal([], FrameGeometry(2, 2, 0))
+            frame_signal([], 2, 2)
 
     def test_pure_function(self):
         x = np.random.default_rng(0).standard_normal(100)
-        g = FrameGeometry(8, 4, 4)
-        assert np.array_equal(frame_signal(x, g), frame_signal(x, g))
+        assert np.array_equal(frame_signal(x, 8, 4, 4), frame_signal(x, 8, 4, 4))
+
+    def test_negative_left_pad_skips_leading_samples(self):
+        frames = frame_signal([1.0, 2.0, 3.0, 4.0, 5.0], 2, 2, left_pad=-1, num_frames=2)
+        assert frames.tolist() == [[2, 3], [4, 5]]
+
+    def test_batch_axis_frames_each_row(self):
+        x = np.random.default_rng(3).standard_normal((3, 50))
+        frames = frame_signal(x, 8, 3, 5, 20)
+        assert frames.shape == (3, 20, 8)
+        for row in range(3):
+            assert np.array_equal(frames[row], frame_signal(x[row], 8, 3, 5, 20))
 
 
 class TestMakeWindow:
@@ -92,7 +101,7 @@ class TestOverlapAdd:
         x = rng.standard_normal(1024)
         length, hop = 32, 16
         w = make_window("sqrt_hann_periodic", length)
-        frames = frame_signal(x, FrameGeometry(length, hop, 0)) * w
+        frames = frame_signal(x, length, hop) * w
         out = overlap_add(frames * w, hop)
         n_frames = len(frames)
         interior = slice(hop, (n_frames - 1) * hop)
@@ -103,9 +112,34 @@ class TestOverlapAdd:
         # hop == window: framing partitions, OLA re-concatenates exactly
         rng = np.random.default_rng(2)
         x = rng.standard_normal(100)
-        g = FrameGeometry(10, 10, 0)
-        out = overlap_add(frame_signal(x, g), 10)
+        out = overlap_add(frame_signal(x, 10, 10), 10)
         assert np.array_equal(out[: len(x)], x)
+
+    def test_sums_in_frame_order(self):
+        # three frames overlap at every sample; the result must equal a
+        # per-frame accumulation in frame order, as the streaming engine does
+        frames = np.random.default_rng(4).standard_normal((2, 40, 48))
+        expected = np.zeros((2, 39 * 16 + 48))
+        for i in range(40):
+            expected[:, i * 16 : i * 16 + 48] += frames[:, i]
+        assert np.array_equal(overlap_add(frames, 16), expected)
+
+
+class TestFramingAdjoint:
+    """overlap_add is the adjoint of frame_signal: the training backward
+    pass frames the output gradient to run OLA in reverse."""
+
+    @pytest.mark.parametrize("window_len, hop", [(32, 16), (1, 1), (256, 128), (8, 3)])
+    @pytest.mark.parametrize("batch", [(), (3,)])
+    def test_inner_products_agree(self, window_len, hop, batch):
+        rng = np.random.default_rng(window_len * 10 + hop)
+        n, left_pad = 1000, window_len - hop
+        x = rng.standard_normal(batch + (n,))
+        num = -(-(left_pad + n) // hop)
+        frames = rng.standard_normal(batch + (num, window_len))
+        lhs = np.sum(frame_signal(x, window_len, hop, left_pad, num) * frames)
+        rhs = np.sum(x * overlap_add(frames, hop)[..., left_pad : left_pad + n])
+        assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
 
 
 class TestWav:
@@ -185,6 +219,11 @@ class TestAudioBuffer:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             AudioBuffer(np.array([0.0, np.nan]))
+
+    def test_finite_samples_whose_energy_overflows_accepted(self):
+        # the sum-of-squares probe overflows; the exact check must decide
+        with np.errstate(over="ignore"):
+            assert len(AudioBuffer(np.array([1e200, -1e200]))) == 2
 
     def test_rejects_wrong_rate(self):
         with pytest.raises(WavFormatError):
