@@ -8,11 +8,19 @@ Gate math follows the convention where the reset gate scales the hidden
 matrix product before the tanh: n = tanh(W_n x + r * (U_n h) + b_n). All
 matrix/vector ops broadcast over leading batch axes, so the same functions
 serve the streaming engine (1-D) and batched training (2-D).
+
+Each GRU layer is stored gate-fused: ``w`` (in, 3d), ``u`` (d, 3d) and
+``b`` (3d,), with the gate blocks in the order z|r|n, so a cell makes two
+matrix products instead of six. The per-gate names ``w_z`` ... ``b_n``
+(``GRU_FIELDS``, the names in the model file) are properties returning
+writable column views of those three arrays. Everything that reads or
+updates a gate array by name (the optimizer, gradient clipping, gradient
+checks, the model file) therefore reads and writes the one storage.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -21,30 +29,52 @@ from .fast_branch import ModulationPacket, _uniform, check_variant, packet_size
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    # 1/(1+e^-x) for x >= 0 and e^x/(1+e^x) below, so exp never overflows;
-    # np.where instead of boolean-mask indexing halves the cost
-    e = np.exp(-np.abs(x))
-    d = 1.0 + e
-    return np.where(x >= 0, 1.0 / d, e / d)
+    # 1/(1+e^-x) for x >= 0 and e^x/(1+e^x) below, so exp never overflows.
+    # With e = exp(-|x|) both branches are num / (e + 1), num being 1 or e;
+    # built in place, this gives the same bits as the two-branch formula with
+    # fewer numpy calls and temporaries (putmask is cheaper than np.where)
+    e = np.abs(x)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    out = e.copy()
+    np.putmask(out, x >= 0, 1.0)
+    e += 1.0
+    out /= e
+    return out
 
 
-@dataclass
+def _gate(fused: str, k: int) -> property:
+    """Property for gate block ``k`` (z|r|n) of the fused array ``fused``."""
+
+    def view(layer: "GruLayerWeights") -> np.ndarray:
+        arr = getattr(layer, fused)
+        d = arr.shape[-1] // 3
+        return arr[..., k * d : (k + 1) * d]
+
+    return property(view, doc=f"Gate {'zrn'[k]} columns of ``{fused}`` (a writable view).")
+
+
 class GruLayerWeights:
-    """One GRU layer: input matrices W_*, hidden matrices U_*, biases b_*."""
+    """One GRU layer, gate-fused: w (in, 3d), u (d, 3d), b (3d,), gates z|r|n.
 
-    w_z: np.ndarray
-    w_r: np.ndarray
-    w_n: np.ndarray
-    u_z: np.ndarray
-    u_r: np.ndarray
-    u_n: np.ndarray
-    b_z: np.ndarray
-    b_r: np.ndarray
-    b_n: np.ndarray
+    Built from the nine per-gate arrays; ``w_z`` ... ``b_n`` are views of the
+    fused arrays, not copies.
+    """
+
+    __slots__ = ("w", "u", "b")
+
+    def __init__(self, w_z, w_r, w_n, u_z, u_r, u_n, b_z, b_r, b_n):
+        self.w = np.concatenate([w_z, w_r, w_n], axis=-1)
+        self.u = np.concatenate([u_z, u_r, u_n], axis=-1)
+        self.b = np.concatenate([b_z, b_r, b_n])
+
+    w_z, w_r, w_n = (_gate("w", k) for k in range(3))
+    u_z, u_r, u_n = (_gate("u", k) for k in range(3))
+    b_z, b_r, b_n = (_gate("b", k) for k in range(3))
 
 
 # canonical order of a layer's arrays, used for names in the model file
-GRU_FIELDS = tuple(f.name for f in fields(GruLayerWeights))
+GRU_FIELDS = ("w_z", "w_r", "w_n", "u_z", "u_r", "u_n", "b_z", "b_r", "b_n")
 
 
 class GruCache(NamedTuple):
@@ -52,8 +82,7 @@ class GruCache(NamedTuple):
 
     x: np.ndarray
     h_prev: np.ndarray
-    z: np.ndarray
-    r: np.ndarray
+    zr: np.ndarray    # update and reset gates side by side, z|r
     n: np.ndarray
     uh_n: np.ndarray  # U_n h_prev, before the reset gate scales it
 
@@ -126,20 +155,24 @@ def init_slow_branch_weights(
 
 
 def _gru_cell(x: np.ndarray, h: np.ndarray, w: GruLayerWeights) -> tuple[np.ndarray, GruCache]:
-    """z = sig(..), r = sig(..), n = tanh(W x + r*(U h) + b), h' = (1-z)n + z h."""
-    z = _sigmoid(x @ w.w_z + h @ w.u_z + w.b_z)
-    r = _sigmoid(x @ w.w_r + h @ w.u_r + w.b_r)
-    uh_n = h @ w.u_n
-    n = np.tanh(x @ w.w_n + r * uh_n + w.b_n)
-    return (1.0 - z) * n + z * h, GruCache(x, h, z, r, n, uh_n)
+    """z|r = sig(..), n = tanh(W_n x + r*(U_n h) + b_n), h' = (1-z)n + z h."""
+    d = h.shape[-1]
+    wx = x @ w.w
+    uh = h @ w.u
+    zr = _sigmoid(wx[..., : 2 * d] + uh[..., : 2 * d] + w.b[: 2 * d])
+    z, r = zr[..., :d], zr[..., d:]
+    # a copy, so the cache does not keep the whole (.., 3d) product alive
+    uh_n = uh[..., 2 * d :].copy()
+    n = np.tanh(wx[..., 2 * d :] + r * uh_n + w.b[2 * d :])
+    return (1.0 - z) * n + z * h, GruCache(x, h, zr, n, uh_n)
 
 
 def gru_cell_step(x: np.ndarray, h: np.ndarray, w: GruLayerWeights) -> np.ndarray:
     """One shape-checked GRU step; returns the new hidden state."""
-    if x.shape[-1] != w.w_z.shape[0] or h.shape[-1] != w.u_z.shape[0]:
+    if x.shape[-1] != w.w.shape[0] or h.shape[-1] != w.u.shape[0]:
         raise ValueError(
-            f"gru shape mismatch: x has {x.shape[-1]} features (want {w.w_z.shape[0]}), "
-            f"h has {h.shape[-1]} (want {w.u_z.shape[0]})"
+            f"gru shape mismatch: x has {x.shape[-1]} features (want {w.w.shape[0]}), "
+            f"h has {h.shape[-1]} (want {w.u.shape[0]})"
         )
     return _gru_cell(x, h, w)[0]
 
@@ -161,7 +194,8 @@ def activate_head(raw: np.ndarray, variant: str) -> ModulationPacket:
         raise ValueError(f"head size {len(raw)} is not 2H")
     h = len(raw) // 2
     if variant == "ssmm":
-        return ModulationPacket(variant="ssmm", a=_sigmoid(raw[:h]), g=_sigmoid(raw[h:]))
+        s = _sigmoid(raw)
+        return ModulationPacket(variant="ssmm", a=s[:h], g=s[h:])
     return ModulationPacket(variant="film", alpha=1.0 + raw[:h], beta=raw[h:].copy())
 
 

@@ -17,6 +17,7 @@ Gradients are keyed by the canonical array names from engine.named_arrays.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,32 +61,26 @@ class _Cache:
 
 
 def _gru_backward(
-    cache: GruCache, dh: np.ndarray, w: GruLayerWeights, grads: GradientSet, prefix: str
+    cache: GruCache, dh: np.ndarray, w: GruLayerWeights, grad: GruLayerWeights
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Returns (dx, dh_prev) and accumulates the layer's weight gradients."""
-    dz = dh * (cache.h_prev - cache.n)
-    dn = dh * (1.0 - cache.z)
-    dh_prev = dh * cache.z
+    """Returns (dx, dh_prev) and accumulates the layer's weight gradients.
 
-    da_n = dn * (1.0 - cache.n**2)
-    dr = da_n * cache.uh_n
-    tmp = da_n * cache.r
-    da_z = dz * cache.z * (1.0 - cache.z)
-    da_r = dr * cache.r * (1.0 - cache.r)
+    The gate pre-activation gradients stay side by side in the fused z|r|n
+    column order, so each fused array takes one product for its gradient
+    and one for the gradient it passes back.
+    """
+    d = dh.shape[-1]
+    z, r = cache.zr[:, :d], cache.zr[:, d:]
+    da_n = dh * (1.0 - z) * (1.0 - cache.n**2)
+    dzr = np.concatenate([dh * (cache.h_prev - cache.n), da_n * cache.uh_n], axis=-1)
+    da = np.concatenate([dzr * cache.zr * (1.0 - cache.zr), da_n], axis=-1)
+    # U_n h enters n through r * (U_n h), so its column block carries da_n * r
+    da_u = np.concatenate([da[:, : 2 * d], da_n * r], axis=-1)
 
-    grads[prefix + "w_n"] += cache.x.T @ da_n
-    grads[prefix + "u_n"] += cache.h_prev.T @ tmp
-    grads[prefix + "b_n"] += da_n.sum(0)
-    grads[prefix + "w_z"] += cache.x.T @ da_z
-    grads[prefix + "u_z"] += cache.h_prev.T @ da_z
-    grads[prefix + "b_z"] += da_z.sum(0)
-    grads[prefix + "w_r"] += cache.x.T @ da_r
-    grads[prefix + "u_r"] += cache.h_prev.T @ da_r
-    grads[prefix + "b_r"] += da_r.sum(0)
-
-    dx = da_n @ w.w_n.T + da_z @ w.w_z.T + da_r @ w.w_r.T
-    dh_prev = dh_prev + tmp @ w.u_n.T + da_z @ w.u_z.T + da_r @ w.u_r.T
-    return dx, dh_prev
+    grad.w += cache.x.T @ da
+    grad.u += cache.h_prev.T @ da_u
+    grad.b += da.sum(0)
+    return da @ w.w.T, dh * z + da_u @ w.u.T
 
 
 def forward_batch(
@@ -182,7 +177,12 @@ def backward(
 
     cfg = config
     b = noisy.shape[0]
-    grads: GradientSet = {name: np.zeros_like(arr) for name, arr in named_arrays(weights)}
+    # gradients keep the weights' layout, so each GRU layer's nine entries
+    # are views of one fused gradient layer that _gru_backward updates whole
+    grad_weights = copy.deepcopy(weights)
+    grads: GradientSet = dict(named_arrays(grad_weights))
+    for g in grads.values():
+        g[...] = 0.0
 
     # ---- loss -> OLA -> per-frame outputs: framing is the adjoint of OLA
     window = make_window("sqrt_hann_periodic", cfg.l_f)
@@ -245,7 +245,7 @@ def backward(
             for k in range(cfg.gru_layers - 1, -1, -1):
                 dh_total = d_act + carries[k]
                 d_act, carries[k] = _gru_backward(
-                    cache.gru[j][k], dh_total, sw.gru[k], grads, f"slow.gru{k}."
+                    cache.gru[j][k], dh_total, sw.gru[k], grad_weights.slow.gru[k]
                 )
             grads["slow.fc_in.w"] += cache.xs[:, j].T @ d_act
             grads["slow.fc_in.b"] += d_act.sum(0)

@@ -1,5 +1,7 @@
 """Model file round trips and typed rejection of invalid files."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -51,6 +53,15 @@ class TestRoundTrip:
         again, _ = load_model(p2)
         for (name, a), (_, b) in zip(named_arrays(loaded), named_arrays(again)):
             assert np.array_equal(a, b), name
+
+    def test_file_of_per_gate_layout_resaves_identically(self, tmp_path):
+        # written before GRU layers were stored gate-fused; the format did not change
+        path = Path(__file__).parent / "data" / "tiny_ssmm.sfse"
+        weights, cfg = load_model(path)
+        assert cfg.gru_layers == 2
+        again = tmp_path / "again.sfse"
+        save_model(weights, cfg, again)
+        assert again.read_bytes() == path.read_bytes()
 
     def test_sample_level_config_roundtrip(self, tmp_path):
         cfg = sample_level_config("ec")

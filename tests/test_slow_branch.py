@@ -1,17 +1,23 @@
-"""GRU cell, slow trunk, head activations, warm-up packet."""
+"""GRU cell, fused gate storage, slow trunk, head activations, warm-up packet."""
+
+import copy
 
 import numpy as np
 import pytest
 
+from slowfast_se.engine import enhance_offline, init_model_weights, named_arrays, two_ms_config
 from slowfast_se.slow_branch import (
+    GRU_FIELDS,
     GruLayerWeights,
     SlowState,
+    _sigmoid,
     activate_head,
     gru_cell_step,
     init_slow_branch_weights,
     slow_forward,
     warmup_packet,
 )
+from slowfast_se.training.backprop import forward_batch
 
 
 def zero_gru(in_dim, h_dim):
@@ -53,6 +59,107 @@ class TestGruCell:
         w = zero_gru(3, 4)
         with pytest.raises(ValueError):
             gru_cell_step(np.zeros(5), np.zeros(4), w)
+
+
+class TestSigmoid:
+    @staticmethod
+    def reference(x):
+        with np.errstate(over="ignore", invalid="ignore"):
+            return np.where(x >= 0, 1.0 / (1.0 + np.exp(-x)), np.exp(x) / (1.0 + np.exp(x)))
+
+    def inputs(self):
+        rng = np.random.default_rng(8)
+        special = np.array([np.nan, np.inf, -np.inf, 0.0, -0.0, 800.0, -800.0, 1e-300, -1e-300])
+        wide = rng.standard_normal((40, 64)) * 20.0
+        return [
+            rng.standard_normal(100_000) * 30.0,
+            wide,
+            wide[::3, 1::2],  # strided view
+            wide.T,
+            special,
+            special.reshape(3, 3),
+        ]
+
+    def test_bit_identical_to_two_branch_formula(self):
+        for x in self.inputs():
+            got = _sigmoid(x)
+            want = self.reference(x)
+            assert got.shape == x.shape
+            # same bits everywhere; a NaN's sign and payload carry nothing
+            nan = np.isnan(want)
+            assert np.array_equal(np.isnan(got), nan)
+            assert np.array_equal(got[~nan].view(np.uint64), want[~nan].view(np.uint64))
+
+    def test_input_left_unchanged(self):
+        for x in self.inputs():
+            before = x.copy()
+            _sigmoid(x)
+            assert np.array_equal(x, before, equal_nan=True)
+
+
+class TestFusedStorage:
+    """Each GRU layer owns w (in, 3d), u (d, 3d), b (3d,); the names are views."""
+
+    def test_constructor_places_gates_in_z_r_n_order(self):
+        rng = np.random.default_rng(9)
+        parts = {f: rng.standard_normal((2, 3) if f[0] == "w" else (3, 3) if f[0] == "u" else 3)
+                 for f in GRU_FIELDS}
+        layer = GruLayerWeights(**parts)
+        assert layer.w.shape == (2, 9) and layer.u.shape == (3, 9) and layer.b.shape == (9,)
+        for f in GRU_FIELDS:
+            assert np.array_equal(getattr(layer, f), parts[f]), f
+            assert not np.shares_memory(getattr(layer, f), parts[f]), f
+
+    def test_named_arrays_share_the_fused_storage(self):
+        weights = init_model_weights(two_ms_config(3), seed=0)
+        entries = dict(named_arrays(weights))
+        for k, layer in enumerate(weights.slow.gru):
+            for f in GRU_FIELDS:
+                fused = {"w": layer.w, "u": layer.u, "b": layer.b}[f[0]]
+                assert np.shares_memory(entries[f"slow.gru{k}.{f}"], fused), f
+
+    def test_gate_names_cannot_be_rebound(self):
+        layer = zero_gru(3, 4)
+        with pytest.raises(AttributeError):
+            layer.w_z = np.ones((3, 4))
+
+    @pytest.mark.parametrize("field", ["w_z", "u_n", "b_r"])
+    def test_writes_through_a_gate_view_reach_every_path(self, field):
+        cfg = two_ms_config(3, "ssmm")
+        weights = init_model_weights(cfg, seed=3)
+        x = np.random.default_rng(4).standard_normal(600) * 0.3
+        offline = enhance_offline(x, weights, cfg).samples
+        batch, _ = forward_batch(x[None], weights, cfg)
+        getattr(weights.slow.gru[1], field)[...] += 0.5
+        assert not np.array_equal(enhance_offline(x, weights, cfg).samples, offline)
+        assert not np.array_equal(forward_batch(x[None], weights, cfg)[0], batch)
+
+    def test_deepcopy_is_independent(self):
+        cfg = two_ms_config(3, "film")
+        weights = init_model_weights(cfg, seed=5)
+        clone = copy.deepcopy(weights)
+        before = [a.copy() for _, a in named_arrays(weights)]
+        for _, arr in named_arrays(clone):
+            arr += 1.0
+        for (name, arr), old in zip(named_arrays(weights), before):
+            assert np.array_equal(arr, old), name
+        for layer, twin in zip(weights.slow.gru, clone.slow.gru):
+            assert not np.shares_memory(layer.w, twin.w)
+            assert np.shares_memory(twin.w_n, twin.w)
+
+    def test_training_caches_hold_no_wider_views(self):
+        # a cached gate array that views a wider product keeps the whole
+        # product alive for every cell of a training step
+        cfg = two_ms_config(3, "ssmm")
+        weights = init_model_weights(cfg, seed=6)
+        x = np.random.default_rng(7).standard_normal((2, 400)) * 0.3
+        _, cache = forward_batch(x, weights, cfg)
+        assert cache.gru
+        for frame in cache.gru:
+            for cell in frame:
+                for name, arr in zip(cell._fields, cell):
+                    base = arr.base
+                    assert base is None or base.nbytes <= arr.nbytes, name
 
 
 class TestActivateHead:
