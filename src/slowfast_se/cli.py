@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import os
 import sys
 
@@ -77,6 +78,18 @@ def schedule_from_kv(values: dict[str, str]) -> TrainSchedule:
         if key in values:
             kwargs[key] = float(values[key])
     return TrainSchedule(**kwargs)
+
+
+def _at_least(cast, low, strict=False):
+    """argparse type: a finite number >= low (> low if strict); else a usage error."""
+    def parse(text: str):
+        value = cast(text)
+        if not (math.isfinite(value) and (value > low if strict else value >= low)):
+            op = ">" if strict else ">="
+            raise argparse.ArgumentTypeError(f"expected a finite value {op} {low}, got {text}")
+        return value
+    parse.__name__ = cast.__name__  # argparse names it in "invalid int value"
+    return parse
 
 
 def _preset_config(name: str, variant: str) -> SlowFastConfig:
@@ -313,8 +326,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", dest="outfile", required=True)
-    p.add_argument("--stream-chunk", type=int, default=0,
-                   help="push N samples at a time through the streaming API")
+    p.add_argument("--stream-chunk", type=_at_least(int, 0), default=0,
+                   help="push N samples at a time through the streaming API (0: offline)")
     p.set_defaults(func=_cmd_enhance)
 
     p = sub.add_parser("train", help="train on the synthetic corpus")
@@ -333,13 +346,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench-rtf", help="measure the real-time factor")
     p.add_argument("--model", required=True)
-    p.add_argument("--seconds", type=float, default=2.0)
+    p.add_argument("--seconds", type=_at_least(float, 0, strict=True), default=2.0)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_bench_rtf)
 
     p = sub.add_parser("verify-latency", help="perturbation-probe the causal horizon")
     p.add_argument("--model", required=True)
-    p.add_argument("--trials", type=int, default=100)
+    p.add_argument("--trials", type=_at_least(int, 1), default=100)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_verify_latency)
 
@@ -354,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("make-corpus", help="write synthetic WAV pairs + manifest")
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--count", type=int, default=20)
+    p.add_argument("--count", type=_at_least(int, 1), default=20)
     p.add_argument("--eval-snrs", action="store_true",
                    help="use the evaluation SNR grid instead of the training grid")
     p.set_defaults(func=_cmd_make_corpus)

@@ -13,6 +13,11 @@ at zero), and it keeps the slow span for packet j ending exactly where the
 first fast frame consuming j begins, so nothing ever reads ahead: output[n]
 depends only on input[0 .. n + L_F - 1].
 
+A StreamSession keeps no history: only the input that pending fast and slow
+frames will still read (about max(L_F, L_S) samples plus the last chunk), the
+L_F - D_F overlap-add sums that are not yet final, and finalized output until
+the caller pulls it. A stream of any length runs in bounded memory.
+
 One StreamSession is single-threaded; sessions are independent and may share
 immutable weights. Running the slow branch on a worker thread is permitted as
 long as packet j is delivered before fast frame (j+1)*reuse starts (a budget
@@ -23,6 +28,7 @@ that trivially.
 from __future__ import annotations
 
 import time
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -220,45 +226,6 @@ def slow_frame_span(j: int, delta_s: int, l_s: int) -> tuple[int, int]:
     return end - l_s, end
 
 
-class _GrowBuffer:
-    """Append-only float64 buffer with amortized growth."""
-
-    def __init__(self, capacity: int = 4096):
-        self._data = np.zeros(capacity)
-        self.size = 0
-
-    def _reserve(self, n: int) -> None:
-        if n > len(self._data):
-            cap = len(self._data)
-            while cap < n:
-                cap *= 2
-            grown = np.zeros(cap)
-            grown[: self.size] = self._data[: self.size]
-            self._data = grown
-
-    def append(self, chunk: np.ndarray) -> None:
-        self._reserve(self.size + len(chunk))
-        self._data[self.size : self.size + len(chunk)] = chunk
-        self.size += len(chunk)
-
-    def add_at(self, start: int, values: np.ndarray) -> None:
-        self._reserve(start + len(values))
-        self.size = max(self.size, start + len(values))
-        self._data[start : start + len(values)] += values
-
-    def slice_padded(self, start: int, length: int) -> np.ndarray:
-        """Read [start, start+length), zero-filling outside [0, size)."""
-        out = np.zeros(length)
-        lo = max(start, 0)
-        hi = min(start + length, self.size)
-        if hi > lo:
-            out[lo - start : hi - start] = self._data[lo:hi]
-        return out
-
-    def view(self, start: int, stop: int) -> np.ndarray:
-        return self._data[start:stop]
-
-
 @dataclass
 class SessionStats:
     fast_frames: int = 0
@@ -274,65 +241,92 @@ class StreamSession:
     fully arrived; pull_output() drains finalized samples exactly once;
     close() flushes the zero-padded tail so total output length equals total
     input length. Equal inputs produce bit-identical outputs for any chunking.
+
+    A session holds only the padded-timeline input from the earliest sample a
+    pending fast or slow frame reads, the fast_pad overlap-add sums that later
+    frames still add to, and finalized output the caller has not pulled yet.
+    So its memory stays bounded for a stream of any length, as long as the
+    caller pulls; unpulled output stays until it is pulled.
     """
 
     def __init__(self, weights: ModelWeights, config: SlowFastConfig):
+        _check_weight_shapes(weights, config)
         self.config = config
         self.weights = weights
         self.stats = SessionStats()
         self._window = make_window("sqrt_hann_periodic", config.l_f)  # analysis and synthesis
-        self._input = _GrowBuffer()
-        self._ola = _GrowBuffer()
+        # padded-timeline input from sample _origin on; the first slow frame
+        # may start left of padded zero, and input sample 0 sits at fast_pad
+        self._origin = min(0, config.delta_s - config.l_s)
+        self._input = np.zeros(config.fast_pad - self._origin)
+        self._n_in = 0
+        self._carry = np.zeros(config.fast_pad)  # OLA sums from _next_fast * delta_f on
+        self._output: deque[np.ndarray] = deque()  # final, not yet pulled, in order
+        self._available = 0
         self._next_fast = 0
         self._slow_done = 0
         self._slow_state = SlowState.initial(config.gru_layers, config.gru_width)
         self._ssm_state = SsmState.initial(config.h)
         self._warm = warmup_packet(weights.slow, config.variant)
         self._packet: ModulationPacket = self._warm
-        self._packet_k = 0
-        self._pulled = 0
         self._closed = False
 
     # frame/packet plumbing ------------------------------------------------
 
-    def _input_padded(self, start: int, length: int) -> np.ndarray:
-        """Read the conceptual zero-padded stream at [start, start+length)."""
-        return self._input.slice_padded(start - self.config.fast_pad, length)
+    def _read(self, start: int, length: int) -> np.ndarray:
+        """The padded-timeline input at [start, start+length)."""
+        return self._input[start - self._origin : start - self._origin + length]
 
     def _run_slow_until(self, k: int) -> None:
         cfg = self.config
         while self._slow_done < k:
-            j = self._slow_done
             t0 = time.perf_counter()
-            lo, hi = slow_frame_span(j, cfg.delta_s, cfg.l_s)
-            x_s = self._input_padded(lo, cfg.l_s)
+            lo, _ = slow_frame_span(self._slow_done, cfg.delta_s, cfg.l_s)
             self._packet, self._slow_state = slow_forward(
-                x_s, self._slow_state, self.weights.slow, cfg.variant
+                self._read(lo, cfg.l_s), self._slow_state, self.weights.slow, cfg.variant
             )
             self._slow_done += 1
             self.stats.slow_frames += 1
             self.stats.slow_seconds += time.perf_counter() - t0
 
-    def _process_frame(self, i: int) -> None:
+    def _run_fast_until(self, frames: int) -> None:
+        """Run fast frames up to `frames`, finalize output, drop spent input."""
         cfg = self.config
-        k = i // cfg.reuse
-        if k > 0:
-            self._run_slow_until(k)
-        packet = self._warm if k == 0 else self._packet
-
-        t0 = time.perf_counter()
-        x_f = self._input_padded(i * cfg.delta_f, cfg.l_f) * self._window
-        if cfg.variant == "ssmm":
-            self._ssm_state, y = fast_branch.ssmm_step(
-                self._ssm_state, x_f, packet, self.weights.fast
-            )
-        elif cfg.variant == "film":
-            y = fast_branch.film_step(x_f, packet, self.weights.fast)
-        else:
-            y = fast_branch.ec_step(x_f, packet, self.weights.fast)
-        self._ola.add_at(i * cfg.delta_f, y * self._window)
-        self.stats.fast_frames += 1
-        self.stats.fast_seconds += time.perf_counter() - t0
+        i0 = self._next_fast
+        if frames <= i0:
+            return
+        base = i0 * cfg.delta_f              # padded-timeline index of ola[0]
+        done = frames * cfg.delta_f - base   # ola below this is final
+        ola = np.zeros(done + cfg.fast_pad)
+        ola[: cfg.fast_pad] = self._carry
+        for i in range(i0, frames):
+            k = i // cfg.reuse
+            if k > 0:
+                self._run_slow_until(k)
+            packet = self._warm if k == 0 else self._packet
+            t0 = time.perf_counter()
+            x_f = self._read(i * cfg.delta_f, cfg.l_f) * self._window
+            if cfg.variant == "ssmm":
+                self._ssm_state, y = fast_branch.ssmm_step(
+                    self._ssm_state, x_f, packet, self.weights.fast
+                )
+            elif cfg.variant == "film":
+                y = fast_branch.film_step(x_f, packet, self.weights.fast)
+            else:
+                y = fast_branch.ec_step(x_f, packet, self.weights.fast)
+            at = i * cfg.delta_f - base
+            ola[at : at + cfg.l_f] += y * self._window
+            self.stats.fast_frames += 1
+            self.stats.fast_seconds += time.perf_counter() - t0
+        self._next_fast = frames
+        self._carry = ola[done:]
+        # padded samples below fast_pad precede the input; output stops at its end
+        final = ola[max(cfg.fast_pad - base, 0) : min(done, cfg.fast_pad + self._n_in - base)]
+        self._output.append(final)
+        self._available += len(final)
+        keep = min(frames * cfg.delta_f, slow_frame_span(self._slow_done, cfg.delta_s, cfg.l_s)[0])
+        self._input = self._input[keep - self._origin :]
+        self._origin = keep
 
     # public streaming API ---------------------------------------------------
 
@@ -340,24 +334,15 @@ class StreamSession:
         """Feed samples; returns how many output samples are now pullable."""
         if self._closed:
             raise RuntimeError("push_samples after close")
-        self._input.append(as_mono(chunk))
-        cfg = self.config
-        while (
-            self._next_fast * cfg.delta_f - cfg.fast_pad + cfg.l_f <= self._input.size
-        ):
-            self._process_frame(self._next_fast)
-            self._next_fast += 1
+        samples = as_mono(chunk)
+        self._input = np.concatenate((self._input, samples))
+        self._n_in += len(samples)
+        # fast frame i ends at input sample (i + 1) * delta_f
+        self._run_fast_until(self._n_in // self.config.delta_f)
         return self.available_output()
 
     def available_output(self) -> int:
-        cfg = self.config
-        n_in = self._input.size
-        if self._closed:
-            finalized = n_in
-        else:
-            # padded samples < next_fast * delta_f have all their frames in
-            finalized = min(max(self._next_fast * cfg.delta_f - cfg.fast_pad, 0), n_in)
-        return finalized - self._pulled
+        return self._available
 
     def pull_output(self, max_n: int | None = None) -> np.ndarray:
         """Return up to max_n finalized samples, each exactly once, in order."""
@@ -366,25 +351,24 @@ class StreamSession:
             n = min(n, max_n)
         if n <= 0:
             return np.zeros(0)
-        start = self.config.fast_pad + self._pulled
-        out = self._ola.view(start, start + n).copy()
-        self._pulled += n
-        return out
+        self._available -= n
+        pieces = []
+        while n > 0:
+            piece = self._output.popleft()
+            if len(piece) > n:
+                self._output.appendleft(piece[n:])
+                piece = piece[:n]
+            pieces.append(piece)
+            n -= len(piece)
+        # pieces are views of arrays the session no longer writes to
+        return pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
 
     def close(self) -> int:
         """Flush tail frames (zero-padded reads); all output becomes final."""
-        if self._closed:
-            return self.available_output()
-        cfg = self.config
-        total_frames = cfg.num_fast_frames(self._input.size)
-        while self._next_fast < total_frames:
-            self._process_frame(self._next_fast)
-            self._next_fast += 1
-        self._closed = True
-        # tail of the OLA buffer may be shorter than the input if the last
-        # frames were all-zero; make the readable region cover it
-        self._ola._reserve(cfg.fast_pad + self._input.size)
-        self._ola.size = max(self._ola.size, cfg.fast_pad + self._input.size)
+        if not self._closed:
+            self._closed = True
+            self._input = np.concatenate((self._input, np.zeros(self.config.l_f)))
+            self._run_fast_until(self.config.num_fast_frames(self._n_in))
         return self.available_output()
 
 
@@ -396,7 +380,6 @@ def enhance_offline(
     A ``stats`` object passed in becomes the session's counters, so the
     caller can read its per-branch frame counts and timings afterwards.
     """
-    _check_weight_shapes(weights, config)
     session = StreamSession(weights, config)
     if stats is not None:
         session.stats = stats

@@ -94,6 +94,23 @@ class TestExitCodes:
         assert code == 1
         assert capsys.readouterr().err.startswith("error:")
 
+    @pytest.mark.parametrize("argv", [
+        ["enhance", "--stream-chunk", "-5"],
+        ["bench-rtf", "--seconds", "0"],
+        ["verify-latency", "--trials", "0"],
+        ["verify-latency", "--trials", "-3"],
+        ["make-corpus", "--count", "-2"],
+    ], ids=" ".join)
+    def test_bad_numeric_flag_rejected(self, argv, capsys, model_path, wav_path, tmp_path):
+        out = tmp_path / "out"
+        paths = {"enhance": ["--model", model_path, "--in", wav_path, "--out", str(out)],
+                 "bench-rtf": ["--model", model_path],
+                 "verify-latency": ["--model", model_path],
+                 "make-corpus": ["--out", str(out)]}
+        assert run(argv + paths[argv[0]]) == 1
+        assert f"argument {argv[1]}" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestBenchMac:
     def test_reuse_three_prints_total_near_39(self, capsys):

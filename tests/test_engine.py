@@ -1,5 +1,8 @@
 """Scheduling, causal alignment, streaming/offline equivalence, baseline."""
 
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -33,6 +36,21 @@ def make_passthrough_weights(cfg):
     w.fast.f_out_w[...] = np.eye(cfg.h, cfg.l_f)
     w.fast.f_out_b[...] = 0.0
     return w
+
+
+def small(cfg):
+    """The same geometry with a tiny fast state and slow trunk."""
+    return dataclasses.replace(cfg, h=4, gru_width=8, gru_layers=2)
+
+
+# each exercises a different corner of the input trim and OLA carry
+CHUNKING_GEOMETRIES = {
+    "2ms-d2": lambda v: two_ms_config(2, v),
+    "sample-level": sample_level_config,
+    "pad-over-hop": lambda v: SlowFastConfig(variant=v, l_f=48, delta_f=16, reuse=2, h=4),
+    "odd-hop": lambda v: SlowFastConfig(variant=v, l_f=8, delta_f=3, reuse=2, h=4, l_s=11),
+    "long-slow": lambda v: SlowFastConfig(variant=v, l_f=7, delta_f=7, reuse=3, h=4, l_s=40),
+}
 
 
 class TestConfig:
@@ -95,22 +113,32 @@ class TestSlowFrameSpan:
 
 
 class TestStreaming:
+    @pytest.mark.parametrize("geometry", list(CHUNKING_GEOMETRIES))
     @pytest.mark.parametrize("variant", ["ssmm", "film", "ec"])
-    def test_chunking_invariance(self, variant):
-        cfg = two_ms_config(2, variant)
+    def test_chunking_invariance(self, variant, geometry):
+        cfg = small(CHUNKING_GEOMETRIES[geometry](variant))
         w = init_model_weights(cfg, seed=3)
         rng = np.random.default_rng(0)
         x = rng.standard_normal(3000) * 0.2
         reference = enhance_offline(x, w, cfg).samples
-        for chunk in (1, 7, 160):
+        # fixed chunk sizes pulled in full, then random ones with empty pushes,
+        # chunks longer than l_s, and empty, partial and full pulls
+        for trial, chunk in enumerate((1, 7, 160, None, None, None)):
             session = StreamSession(w, cfg)
             outs = []
-            for start in range(0, len(x), chunk):
-                session.push_samples(x[start : start + chunk])
-                outs.append(session.pull_output())
+            start = 0
+            while start < len(x):
+                size, max_n = chunk, None
+                if chunk is None:
+                    size = int(rng.integers(0, 3 * cfg.l_s)) * (rng.random() > 0.1)
+                    max_n = (None, 0, int(rng.integers(1, 2 * cfg.l_s)))[rng.integers(3)]
+                session.push_samples(x[start : start + size])
+                start += size
+                outs.append(session.pull_output(max_n))
             session.close()
             outs.append(session.pull_output())
-            assert np.array_equal(np.concatenate(outs), reference), f"chunk={chunk}"
+            assert np.array_equal(np.concatenate(outs), reference), f"trial={trial}"
+            assert session.stats.fast_frames == cfg.num_fast_frames(len(x))
 
     def test_output_length_equals_input_length(self):
         cfg = two_ms_config(3)
@@ -211,6 +239,30 @@ class TestStreaming:
         w = init_model_weights(cfg_a, seed=0)
         with pytest.raises(ValueError, match="shape"):
             enhance_offline(np.zeros(100), w, cfg_b)
+        with pytest.raises(ValueError, match="shape"):
+            StreamSession(w, cfg_b)
+
+    def test_memory_stays_flat_over_a_long_stream(self):
+        # buffering depends on the geometry only, so a tiny trunk keeps it quick
+        cfg = dataclasses.replace(two_ms_config(3), h=4, gru_width=4, gru_layers=1)
+        session = StreamSession(init_model_weights(cfg, seed=0), cfg)
+        rng = np.random.default_rng(0)
+        second = rng.standard_normal(16000) * 0.1
+        tracemalloc.start()
+        try:
+            for sec in range(120):
+                start = 0
+                while start < len(second):
+                    size = int(rng.integers(1, 401))
+                    session.push_samples(second[start : start + size])
+                    session.pull_output()
+                    start += size
+                if sec == 9:
+                    after_10s = tracemalloc.get_traced_memory()[0]
+            after_120s = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert abs(after_120s - after_10s) <= 64 * 1024, (after_10s, after_120s)
 
 
 class TestPacketReuse:
