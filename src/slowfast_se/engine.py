@@ -34,19 +34,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fast_branch, slow_branch
-from .fast_branch import (
-    FastBranchWeights,
-    ModulationPacket,
-    SsmState,
-    check_variant,
-    init_fast_branch_weights,
-    packet_size,
-)
+from .fast_branch import FastBranchWeights, check_variant, init_fast_branch_weights, packet_size
 from .signal_io import SAMPLE_RATE, AudioBuffer, as_mono, frame_signal, make_window, overlap_add
 from .slow_branch import (
     GRU_FIELDS,
     SlowBranchWeights,
-    SlowState,
     init_slow_branch_weights,
     slow_forward,
     warmup_packet,
@@ -228,6 +220,13 @@ def slow_frame_span(j: int, delta_s: int, l_s: int) -> tuple[int, int]:
 
 @dataclass
 class SessionStats:
+    """Per-session counters: frames run and seconds spent per branch.
+
+    Frame counts are exact. ``slow_seconds`` times each slow frame;
+    ``fast_seconds`` is each push's frame loop minus its slow frames, so it
+    covers the fast steps and the per-frame windowing and overlap-add.
+    """
+
     fast_frames: int = 0
     slow_frames: int = 0
     fast_seconds: float = 0.0
@@ -242,11 +241,23 @@ class StreamSession:
     close() flushes the zero-padded tail so total output length equals total
     input length. Equal inputs produce bit-identical outputs for any chunking.
 
-    A session holds only the padded-timeline input from the earliest sample a
-    pending fast or slow frame reads, the fast_pad overlap-add sums that later
-    frames still add to, and finalized output the caller has not pulled yet.
-    So its memory stays bounded for a stream of any length, as long as the
-    caller pulls; unpulled output stays until it is pulled.
+    A session holds the padded-timeline input from the earliest sample a
+    pending fast or slow frame reads, the overlap-add carry, the fast state,
+    the GRU states and the current packet as plain arrays, and finalized
+    output not yet pulled. So its memory stays bounded for a stream of any
+    length, as long as the caller pulls.
+
+    Overlap-add is carried in the frame: the carry is the fast_pad sums that
+    earlier frames left on the next frame's span, then delta_f zeros. Each
+    windowed frame output is added to it; the first delta_f sums are final
+    and the rest is the next carry, so every output sample sums its frames
+    in frame order from +0.0, as ``overlap_add`` does.
+
+    The variant is bound once: the constructor looks the step function up by
+    name in ``fast_branch.VARIANTS``, so a wrapper installed on
+    ``fast_branch`` before the session is built sees every fast frame and one
+    installed later sees none. ``slow_forward`` is looked up in this module
+    on every slow frame.
     """
 
     def __init__(self, weights: ModelWeights, config: SlowFastConfig):
@@ -254,78 +265,72 @@ class StreamSession:
         self.config = config
         self.weights = weights
         self.stats = SessionStats()
+        self._step = getattr(fast_branch, fast_branch.VARIANTS[check_variant(config.variant)][2])
         self._window = make_window("sqrt_hann_periodic", config.l_f)  # analysis and synthesis
         # padded-timeline input from sample _origin on; the first slow frame
         # may start left of padded zero, and input sample 0 sits at fast_pad
         self._origin = min(0, config.delta_s - config.l_s)
         self._input = np.zeros(config.fast_pad - self._origin)
         self._n_in = 0
-        self._carry = np.zeros(config.fast_pad)  # OLA sums from _next_fast * delta_f on
+        # OLA sums over the next fast frame's span, zero past fast_pad
+        self._carry = np.zeros(config.l_f)
         self._output: deque[np.ndarray] = deque()  # final, not yet pulled, in order
         self._available = 0
         self._next_fast = 0
         self._slow_done = 0
-        self._slow_state = SlowState.initial(config.gru_layers, config.gru_width)
-        self._ssm_state = SsmState.initial(config.h)
-        self._warm = warmup_packet(weights.slow, config.variant)
-        self._packet: ModulationPacket = self._warm
+        self._hidden = [np.zeros(config.gru_width) for _ in range(config.gru_layers)]
+        self._h = np.zeros(config.h)
+        self._packet = warmup_packet(weights.slow, config.variant)  # until slow frame 0 runs
         self._closed = False
 
-    # frame/packet plumbing ------------------------------------------------
-
-    def _read(self, start: int, length: int) -> np.ndarray:
-        """The padded-timeline input at [start, start+length)."""
-        return self._input[start - self._origin : start - self._origin + length]
-
-    def _run_slow_until(self, k: int) -> None:
+    def _run_slow(self) -> None:
+        """Slow frame _slow_done: the packet for the next group and new GRU states."""
+        t0 = time.perf_counter()
         cfg = self.config
-        while self._slow_done < k:
-            t0 = time.perf_counter()
-            lo, _ = slow_frame_span(self._slow_done, cfg.delta_s, cfg.l_s)
-            self._packet, self._slow_state = slow_forward(
-                self._read(lo, cfg.l_s), self._slow_state, self.weights.slow, cfg.variant
-            )
-            self._slow_done += 1
-            self.stats.slow_frames += 1
-            self.stats.slow_seconds += time.perf_counter() - t0
+        lo, hi = slow_frame_span(self._slow_done, cfg.delta_s, cfg.l_s)
+        x_s = self._input[lo - self._origin : hi - self._origin]
+        self._packet, self._hidden = slow_forward(x_s, self._hidden, self.weights.slow, cfg.variant)
+        self._slow_done += 1
+        self.stats.slow_frames += 1
+        self.stats.slow_seconds += time.perf_counter() - t0
 
-    def _run_fast_until(self, frames: int) -> None:
-        """Run fast frames up to `frames`, finalize output, drop spent input."""
-        cfg = self.config
+    def _run_frames(self, frames: int) -> None:
+        """Run fast frames up to `frames` and the slow frames they wait for,
+        finalize output, drop spent input."""
         i0 = self._next_fast
         if frames <= i0:
             return
-        base = i0 * cfg.delta_f              # padded-timeline index of ola[0]
-        done = frames * cfg.delta_f - base   # ola below this is final
-        ola = np.zeros(done + cfg.fast_pad)
-        ola[: cfg.fast_pad] = self._carry
+        cfg, stats = self.config, self.stats
+        df, lf, pad, reuse = cfg.delta_f, cfg.l_f, cfg.fast_pad, cfg.reuse
+        step, fast, window = self._step, self.weights.fast, self._window
+        inp, origin = self._input, self._origin
+        h, carry = self._h, self._carry
+        finals = []
+        slow_s = stats.slow_seconds
+        t0 = time.perf_counter()
         for i in range(i0, frames):
-            k = i // cfg.reuse
-            if k > 0:
-                self._run_slow_until(k)
-            packet = self._warm if k == 0 else self._packet
-            t0 = time.perf_counter()
-            x_f = self._read(i * cfg.delta_f, cfg.l_f) * self._window
-            if cfg.variant == "ssmm":
-                self._ssm_state, y = fast_branch.ssmm_step(
-                    self._ssm_state, x_f, packet, self.weights.fast
-                )
-            elif cfg.variant == "film":
-                y = fast_branch.film_step(x_f, packet, self.weights.fast)
-            else:
-                y = fast_branch.ec_step(x_f, packet, self.weights.fast)
-            at = i * cfg.delta_f - base
-            ola[at : at + cfg.l_f] += y * self._window
-            self.stats.fast_frames += 1
-            self.stats.fast_seconds += time.perf_counter() - t0
-        self._next_fast = frames
-        self._carry = ola[done:]
+            # fast frame i takes packet i // reuse - 1, so group k waits for slow frame k - 1
+            if self._slow_done < i // reuse:
+                self._run_slow()
+            at = i * df - origin
+            h, y = step(h, inp[at : at + lf] * window, self._packet, fast)
+            sums = np.zeros(lf + df)  # the tail stays zero for the next carry
+            np.add(carry, y * window, out=sums[:lf])
+            finals.append(sums[:df])
+            carry = sums[df:]
+        stats.fast_seconds += time.perf_counter() - t0 - (stats.slow_seconds - slow_s)
+        stats.fast_frames += frames - i0
+        self._h, self._carry, self._next_fast = h, carry, frames
         # padded samples below fast_pad precede the input; output stops at its end
-        final = ola[max(cfg.fast_pad - base, 0) : min(done, cfg.fast_pad + self._n_in - base)]
-        self._output.append(final)
-        self._available += len(final)
-        keep = min(frames * cfg.delta_f, slow_frame_span(self._slow_done, cfg.delta_s, cfg.l_s)[0])
-        self._input = self._input[keep - self._origin :]
+        base = i0 * df
+        final = finals[0] if len(finals) == 1 else np.concatenate(finals)
+        final = final[max(pad - base, 0) : pad + self._n_in - base]
+        if len(final):
+            self._output.append(final)
+            self._available += len(final)
+        # input before the next fast frame and the next slow frame's span is spent
+        keep = min(frames * df, slow_frame_span(self._slow_done, cfg.delta_s, cfg.l_s)[0])
+        self._input = inp[keep - origin :]
         self._origin = keep
 
     # public streaming API ---------------------------------------------------
@@ -338,15 +343,15 @@ class StreamSession:
         self._input = np.concatenate((self._input, samples))
         self._n_in += len(samples)
         # fast frame i ends at input sample (i + 1) * delta_f
-        self._run_fast_until(self._n_in // self.config.delta_f)
-        return self.available_output()
+        self._run_frames(self._n_in // self.config.delta_f)
+        return self._available
 
     def available_output(self) -> int:
         return self._available
 
     def pull_output(self, max_n: int | None = None) -> np.ndarray:
         """Return up to max_n finalized samples, each exactly once, in order."""
-        n = self.available_output()
+        n = self._available
         if max_n is not None:
             n = min(n, max_n)
         if n <= 0:
@@ -360,7 +365,7 @@ class StreamSession:
                 piece = piece[:n]
             pieces.append(piece)
             n -= len(piece)
-        # pieces are views of arrays the session no longer writes to
+        # pieces are views of frame outputs the session no longer writes to
         return pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
 
     def close(self) -> int:
@@ -368,7 +373,7 @@ class StreamSession:
         if not self._closed:
             self._closed = True
             self._input = np.concatenate((self._input, np.zeros(self.config.l_f)))
-            self._run_fast_until(self.config.num_fast_frames(self._n_in))
+            self._run_frames(self.config.num_fast_frames(self._n_in))
         return self.available_output()
 
 
@@ -416,7 +421,7 @@ def single_branch_forward(
         return AudioBuffer(samples)
     window = make_window("sqrt_hann_periodic", config.l_f)
     frames = frame_signal(samples, config.l_f, config.delta_f, pad, config.num_fast_frames(n))
-    hidden = SlowState.initial(config.gru_layers, config.gru_width).hidden
+    hidden = [np.zeros(config.gru_width) for _ in range(config.gru_layers)]
     y = np.empty(frames.shape)
     for i, x_f in enumerate(frames * window):
         top, hidden = slow_branch.trunk_step(x_f, hidden, weights)

@@ -10,6 +10,7 @@ cost-reduction ratio independent of the counting convention.
 from __future__ import annotations
 
 import hashlib
+import math
 import time
 from dataclasses import dataclass
 
@@ -116,6 +117,8 @@ def verify_latency(
 ) -> LatencyReport:
     """Perturbation probe: flipping input sample m must leave every output
     before m - L_F + 1 bit-identical. Reports the worst observed lookahead."""
+    if trials < 1:
+        raise ValueError(f"need at least one probe, got trials={trials}")
     rng = np.random.default_rng(seed)
     x = rng.standard_normal(signal_len) * 0.3
     y0 = enhance_offline(x, weights, config).samples
@@ -163,6 +166,8 @@ def benchmark_rtf(
     enhance_offline call on the same input. All math runs on a single thread
     (the per-frame matrices are far below any BLAS threading threshold).
     """
+    if not (math.isfinite(seconds) and seconds > 0):
+        raise ValueError(f"seconds must be positive and finite, got {seconds}")
     rng = np.random.default_rng(seed)
     n = int(round(seconds * SAMPLE_RATE))
     x = rng.standard_normal(n) * 0.3

@@ -7,8 +7,9 @@ Three slow/fast integration variants share the FC pair:
 * ``film`` - per-feature affine modulation alpha*f_in(x) + beta, stateless,
 * ``ec``   - the low-rate embedding is concatenated to f_in(x), stateless.
 
-Weights are immutable after creation and shareable across threads; SsmState
-belongs to one stream and is mutated single-threaded.
+Weights are immutable after creation and shareable across threads. A step
+takes the state and the packet as plain arrays and returns a new state, so
+nothing it is given is mutated.
 """
 
 from __future__ import annotations
@@ -17,48 +18,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-VARIANTS = ("ssmm", "film", "ec")
-
 
 def check_variant(variant: str) -> str:
     if variant not in VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}, expected one of {VARIANTS}")
+        raise ValueError(f"unknown variant {variant!r}, expected one of {tuple(VARIANTS)}")
     return variant
 
 
 def packet_size(variant: str, h: int) -> int:
     """Raw head width: 2H for ssmm (A, g) and film (alpha, beta), H for ec."""
-    check_variant(variant)
-    return h if variant == "ec" else 2 * h
-
-
-@dataclass(frozen=True)
-class ModulationPacket:
-    """Per-slow-frame conditioning payload for the fast branch.
-
-    Exactly the fields of the given variant are set: (a, g) for ssmm with
-    entries in (0, 1), (alpha, beta) for film, e for ec.
-    """
-
-    variant: str
-    a: np.ndarray | None = None
-    g: np.ndarray | None = None
-    alpha: np.ndarray | None = None
-    beta: np.ndarray | None = None
-    e: np.ndarray | None = None
-
-    def __post_init__(self):
-        check_variant(self.variant)
-        wanted = {"ssmm": ("a", "g"), "film": ("alpha", "beta"), "ec": ("e",)}[self.variant]
-        for name in ("a", "g", "alpha", "beta", "e"):
-            value = getattr(self, name)
-            if (value is None) == (name in wanted):
-                raise ValueError(f"packet field {name!r} inconsistent with variant {self.variant!r}")
-
-
-def _require_variant(p: ModulationPacket, variant: str) -> None:
-    if p.variant != variant:
-        raise ValueError(f"packet variant {p.variant!r} passed to a {variant!r} step")
+    return h * len(VARIANTS[check_variant(variant)][0])
 
 
 @dataclass
@@ -69,17 +38,6 @@ class FastBranchWeights:
     f_in_b: np.ndarray
     f_out_w: np.ndarray
     f_out_b: np.ndarray
-
-
-@dataclass
-class SsmState:
-    """Fast-branch hidden state h in R^H; zeros at stream start."""
-
-    h: np.ndarray
-
-    @classmethod
-    def initial(cls, h_dim: int) -> "SsmState":
-        return cls(h=np.zeros(h_dim))
 
 
 def _uniform(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
@@ -99,29 +57,71 @@ def init_fast_branch_weights(l_f: int, h: int, variant: str, rng: np.random.Gene
     )
 
 
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    # 1/(1+e^-x) for x >= 0 and e^x/(1+e^x) below, so exp never overflows.
+    # With e = exp(-|x|) both branches are num / (e + 1), num being 1 or e;
+    # built in place, this gives the same bits as the two-branch formula with
+    # fewer numpy calls and temporaries (putmask is cheaper than np.where)
+    e = np.abs(x)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    out = e.copy()
+    np.putmask(out, x >= 0, 1.0)
+    e += 1.0
+    out /= e
+    return out
+
+
+# Every step maps (state, windowed frame, packet arrays, weights) to (state,
+# frame output), so one frame loop runs every variant; stateless variants hand
+# the state back. ``x.dot(w)`` is the BLAS call of ``x @ w`` at half the
+# call overhead on one frame's short vectors.
+
+
 def ssmm_step(
-    h_prev: SsmState, x_f: np.ndarray, p: ModulationPacket, w: FastBranchWeights
-) -> tuple[SsmState, np.ndarray]:
-    """One state-space update: h = a*h_prev + g*f_in(x), output f_out(h).
+    h: np.ndarray, x_f: np.ndarray, p: tuple[np.ndarray, ...], w: FastBranchWeights
+) -> tuple[np.ndarray, np.ndarray]:
+    """One state-space update with p = (a, g): h = a*h + g*f_in(x), output f_out(h).
 
     The transition is diagonal, so applying it is an elementwise multiply.
     """
-    _require_variant(p, "ssmm")
-    u = x_f @ w.f_in_w + w.f_in_b
-    h = p.a * h_prev.h + p.g * u
-    s_hat = h @ w.f_out_w + w.f_out_b
-    return SsmState(h=h), s_hat
+    a, g = p
+    h = a * h + g * (x_f.dot(w.f_in_w) + w.f_in_b)
+    return h, h.dot(w.f_out_w) + w.f_out_b
 
 
-def film_step(x_f: np.ndarray, p: ModulationPacket, w: FastBranchWeights) -> np.ndarray:
-    """Stateless scale-and-shift of the hidden features: f_out(alpha*u + beta)."""
-    _require_variant(p, "film")
-    u = x_f @ w.f_in_w + w.f_in_b
-    return (p.alpha * u + p.beta) @ w.f_out_w + w.f_out_b
+def film_step(
+    h: np.ndarray, x_f: np.ndarray, p: tuple[np.ndarray, ...], w: FastBranchWeights
+) -> tuple[np.ndarray, np.ndarray]:
+    """Scale-and-shift of the hidden features with p = (alpha, beta): f_out(alpha*u + beta)."""
+    alpha, beta = p
+    return h, (alpha * (x_f.dot(w.f_in_w) + w.f_in_b) + beta).dot(w.f_out_w) + w.f_out_b
 
 
-def ec_step(x_f: np.ndarray, p: ModulationPacket, w: FastBranchWeights) -> np.ndarray:
-    """Stateless concatenation of hidden features with the conditioning embedding."""
-    _require_variant(p, "ec")
-    u = x_f @ w.f_in_w + w.f_in_b
-    return np.concatenate([u, p.e]) @ w.f_out_w + w.f_out_b
+def ec_step(
+    h: np.ndarray, x_f: np.ndarray, p: tuple[np.ndarray, ...], w: FastBranchWeights
+) -> tuple[np.ndarray, np.ndarray]:
+    """Concatenation of the hidden features with the embedding, p = (e,)."""
+    return h, np.concatenate([x_f.dot(w.f_in_w) + w.f_in_b, p[0]]).dot(w.f_out_w) + w.f_out_b
+
+
+# head activations over the last axis, which holds the two halves
+def _gates(raw: np.ndarray) -> tuple[np.ndarray, ...]:
+    s, h = _sigmoid(raw), raw.shape[-1] // 2
+    return s[..., :h], s[..., h:]
+
+
+def _affine(raw: np.ndarray) -> tuple[np.ndarray, ...]:
+    return 1.0 + raw[..., : raw.shape[-1] // 2], raw[..., raw.shape[-1] // 2 :]
+
+
+# The variant table. Per variant: the packet's fields in order, the head
+# activation that turns the slow branch's raw output into those arrays, and
+# the name of the step function in this module. Sessions look the step up by
+# name when they are built, so a wrapper installed on this module before
+# that sees every call.
+VARIANTS = {
+    "ssmm": (("a", "g"), _gates, "ssmm_step"),
+    "film": (("alpha", "beta"), _affine, "film_step"),
+    "ec": (("e",), lambda raw: (raw,), "ec_step"),
+}

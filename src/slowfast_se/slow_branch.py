@@ -25,22 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .fast_branch import ModulationPacket, _uniform, check_variant, packet_size
-
-
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    # 1/(1+e^-x) for x >= 0 and e^x/(1+e^x) below, so exp never overflows.
-    # With e = exp(-|x|) both branches are num / (e + 1), num being 1 or e;
-    # built in place, this gives the same bits as the two-branch formula with
-    # fewer numpy calls and temporaries (putmask is cheaper than np.where)
-    e = np.abs(x)
-    np.negative(e, out=e)
-    np.exp(e, out=e)
-    out = e.copy()
-    np.putmask(out, x >= 0, 1.0)
-    e += 1.0
-    out /= e
-    return out
+from .fast_branch import VARIANTS, _sigmoid, _uniform, check_variant, packet_size
 
 
 def _gate(fused: str, k: int) -> property:
@@ -98,21 +83,6 @@ class SlowBranchWeights:
     fc_head_b: np.ndarray  # (P,)
     warmup_packet_raw: np.ndarray  # (P,)
 
-    @property
-    def width(self) -> int:
-        return self.fc_in_w.shape[1]
-
-
-@dataclass
-class SlowState:
-    """Per-layer GRU hidden vectors; zeros at stream start."""
-
-    hidden: list[np.ndarray]
-
-    @classmethod
-    def initial(cls, layers: int, width: int) -> "SlowState":
-        return cls(hidden=[np.zeros(width) for _ in range(layers)])
-
 
 def init_gru_layer(in_dim: int, h_dim: int, rng: np.random.Generator) -> GruLayerWeights:
     return GruLayerWeights(
@@ -154,17 +124,20 @@ def init_slow_branch_weights(
     )
 
 
-def _gru_cell(x: np.ndarray, h: np.ndarray, w: GruLayerWeights) -> tuple[np.ndarray, GruCache]:
-    """z|r = sig(..), n = tanh(W_n x + r*(U_n h) + b_n), h' = (1-z)n + z h."""
+def _gru_cell(
+    x: np.ndarray, h: np.ndarray, w: GruLayerWeights
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """z|r = sig(..), n = tanh(W_n x + r*(U_n h) + b_n), h' = (1-z)n + z h.
+
+    Returns (h', z|r, n, U h); training keeps the last three for backprop.
+    """
     d = h.shape[-1]
-    wx = x @ w.w
-    uh = h @ w.u
+    wx = x.dot(w.w)  # .dot: the BLAS call of @, with less overhead per call
+    uh = h.dot(w.u)
     zr = _sigmoid(wx[..., : 2 * d] + uh[..., : 2 * d] + w.b[: 2 * d])
     z, r = zr[..., :d], zr[..., d:]
-    # a copy, so the cache does not keep the whole (.., 3d) product alive
-    uh_n = uh[..., 2 * d :].copy()
-    n = np.tanh(wx[..., 2 * d :] + r * uh_n + w.b[2 * d :])
-    return (1.0 - z) * n + z * h, GruCache(x, h, zr, n, uh_n)
+    n = np.tanh(wx[..., 2 * d :] + r * uh[..., 2 * d :] + w.b[2 * d :])
+    return (1.0 - z) * n + z * h, zr, n, uh
 
 
 def gru_cell_step(x: np.ndarray, h: np.ndarray, w: GruLayerWeights) -> np.ndarray:
@@ -177,26 +150,18 @@ def gru_cell_step(x: np.ndarray, h: np.ndarray, w: GruLayerWeights) -> np.ndarra
     return _gru_cell(x, h, w)[0]
 
 
-def activate_head(raw: np.ndarray, variant: str) -> ModulationPacket:
-    """Turn raw head outputs into a packet.
+def activate_head(raw: np.ndarray, variant: str) -> tuple[np.ndarray, ...]:
+    """Turn a 1-D raw head output into the packet's arrays, in VARIANTS order.
 
     ssmm squashes both halves with a sigmoid so A in (0,1) keeps the fast
     recurrence stable and g acts as a gate; film maps raw zeros to the
-    identity modulation (alpha=1, beta=0); ec is the identity.
+    identity modulation (alpha=1, beta=0); ec is the identity. The packet
+    may share memory with ``raw`` (ec's e, film's beta).
     """
-    check_variant(variant)
-    raw = np.asarray(raw, dtype=np.float64)
-    if raw.ndim != 1:
-        raise ValueError(f"head output must be 1-D, got shape {raw.shape}")
-    if variant == "ec":
-        return ModulationPacket(variant="ec", e=raw.copy())
-    if len(raw) % 2 != 0:
-        raise ValueError(f"head size {len(raw)} is not 2H")
-    h = len(raw) // 2
-    if variant == "ssmm":
-        s = _sigmoid(raw)
-        return ModulationPacket(variant="ssmm", a=s[:h], g=s[h:])
-    return ModulationPacket(variant="film", alpha=1.0 + raw[:h], beta=raw[h:].copy())
+    fields, head, _ = VARIANTS[check_variant(variant)]
+    if raw.ndim != 1 or len(raw) % len(fields):
+        raise ValueError(f"head output of shape {raw.shape} does not split into {fields}")
+    return head(raw)
 
 
 def trunk_step(
@@ -208,30 +173,36 @@ def trunk_step(
     """One frame through FC in and the GRU stack: (top output, new hidden list).
 
     Each layer runs through ``gru_cell_step``. Given a ``caches`` list, the
-    training path, each layer instead calls the cell directly and appends
-    its GruCache.
+    training path, each layer instead calls the cell directly and appends a
+    GruCache built from the cell's gate values.
     """
-    u = x @ w.fc_in_w + w.fc_in_b
+    u = x.dot(w.fc_in_w) + w.fc_in_b
     new_hidden = []
     for layer, h_prev in zip(w.gru, hidden):
         if caches is None:
             u = gru_cell_step(u, h_prev, layer)
         else:
-            u, cache = _gru_cell(u, h_prev, layer)
-            caches.append(cache)
+            h, zr, n, uh = _gru_cell(u, h_prev, layer)
+            # a copy, so the cache does not keep the whole (.., 3d) product alive
+            caches.append(GruCache(u, h_prev, zr, n, uh[..., 2 * h.shape[-1] :].copy()))
+            u = h
         new_hidden.append(u)
     return u, new_hidden
 
 
 def slow_forward(
-    x_s: np.ndarray, state: SlowState, w: SlowBranchWeights, variant: str
-) -> tuple[ModulationPacket, SlowState]:
-    """Run one slow frame through FC -> GRU stack -> FC head -> activation."""
-    top, hidden = trunk_step(x_s, state.hidden, w)
-    raw = top @ w.fc_head_w + w.fc_head_b
-    return activate_head(raw, variant), SlowState(hidden=hidden)
+    x_s: np.ndarray, hidden: list[np.ndarray], w: SlowBranchWeights, variant: str
+) -> tuple[tuple[np.ndarray, ...], list[np.ndarray]]:
+    """One slow frame through FC -> GRU stack -> FC head -> activation.
+
+    ``hidden`` holds one state per GRU layer (zeros at stream start);
+    returns the packet's arrays and the new hidden list.
+    """
+    top, hidden = trunk_step(x_s, hidden, w)
+    return activate_head(top.dot(w.fc_head_w) + w.fc_head_b, variant), hidden
 
 
-def warmup_packet(w: SlowBranchWeights, variant: str) -> ModulationPacket:
+def warmup_packet(w: SlowBranchWeights, variant: str) -> tuple[np.ndarray, ...]:
     """Packet used by every fast frame that predates the first slow frame."""
-    return activate_head(w.warmup_packet_raw, variant)
+    # a copy, so the packet does not alias the trainable raw array
+    return activate_head(w.warmup_packet_raw.copy(), variant)

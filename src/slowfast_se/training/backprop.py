@@ -24,7 +24,8 @@ import numpy as np
 
 from ..engine import ModelWeights, SlowFastConfig, named_arrays
 from ..signal_io import frame_signal, make_window, overlap_add
-from ..slow_branch import GruCache, GruLayerWeights, _sigmoid, trunk_step
+from ..fast_branch import VARIANTS
+from ..slow_branch import GruCache, GruLayerWeights, trunk_step
 from .losses import LossWeights, StftParams, total_loss_grad
 
 GradientSet = dict[str, np.ndarray]
@@ -49,7 +50,7 @@ class _Cache:
     gru: list[list[GruCache]]   # [j][layer]
     top: np.ndarray | None      # (B, J, d) trunk outputs feeding the head
     raw_table: np.ndarray       # (B, J+1, P); row 0 is the warm-up raw
-    # variant payloads over the packet table
+    # packet fields (fast_branch.VARIANTS) over the packet table
     a: np.ndarray | None = None
     g: np.ndarray | None = None
     alpha: np.ndarray | None = None
@@ -121,15 +122,15 @@ def forward_batch(
     )
     groups = np.arange(n_fast) // cfg.reuse
 
+    fields, head, _ = VARIANTS[cfg.variant]
     cache = _Cache(
         frames=frames, u=u, groups=groups, n_fast=n_fast, n_slow=n_slow,
         xs=xs, gru=gru_caches, top=tops, raw_table=raw_table,
+        **dict(zip(fields, head(raw_table))),
     )
 
     fw = weights.fast
     if cfg.variant == "ssmm":
-        cache.a = _sigmoid(raw_table[..., : cfg.h])
-        cache.g = _sigmoid(raw_table[..., cfg.h :])
         h_all = np.empty((b, n_fast, cfg.h))
         h = np.zeros((b, cfg.h))
         for i in range(n_fast):
@@ -139,12 +140,9 @@ def forward_batch(
         cache.h_all = h_all
         y = h_all @ fw.f_out_w + fw.f_out_b
     elif cfg.variant == "film":
-        cache.alpha = 1.0 + raw_table[..., : cfg.h]
-        cache.beta = raw_table[..., cfg.h :]
         cache.mod = cache.alpha[:, groups] * u + cache.beta[:, groups]
         y = cache.mod @ fw.f_out_w + fw.f_out_b
     else:
-        cache.e = raw_table
         cache.cat = np.concatenate([u, cache.e[:, groups]], axis=-1)
         y = cache.cat @ fw.f_out_w + fw.f_out_b
 

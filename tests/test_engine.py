@@ -18,6 +18,7 @@ from slowfast_se.engine import (
     slow_frame_span,
     two_ms_config,
 )
+from slowfast_se.slow_branch import warmup_packet
 
 
 def make_passthrough_weights(cfg):
@@ -280,27 +281,56 @@ class TestPacketReuse:
             assert session.stats.slow_frames == -(-n_fast // reuse) - 1
 
     def test_groups_of_reuse_frames_share_identical_packets(self, monkeypatch):
+        x = np.random.default_rng(1).standard_normal(2000) * 0.1
+        for variant in fast_branch.VARIANTS:
+            cfg = two_ms_config(3, variant)
+            w = init_model_weights(cfg, seed=2)
+            step_name = fast_branch.VARIANTS[variant][2]
+            seen = []
+            real_step = getattr(fast_branch, step_name)
+
+            def spy(state, x_f, packet, weights, real_step=real_step, seen=seen):
+                seen.append(packet)
+                return real_step(state, x_f, packet, weights)
+
+            monkeypatch.setattr(fast_branch, step_name, spy)
+            enhance_offline(x, w, cfg)
+            assert len(seen) == cfg.num_fast_frames(len(x)), variant
+            for i, packet in enumerate(seen):
+                group = i // cfg.reuse
+                first_of_group = seen[group * cfg.reuse]
+                assert packet is first_of_group or all(
+                    np.array_equal(a, b) for a, b in zip(packet, first_of_group)
+                )
+            # warm-up frames use the warm-up packet
+            warm = warmup_packet(w.slow, variant)
+            for i in range(cfg.reuse):
+                assert all(np.array_equal(a, b) for a, b in zip(seen[i], seen[0]))
+                assert all(np.array_equal(a, b) for a, b in zip(seen[i], warm))
+
+    def test_step_is_bound_when_the_session_is_built(self, monkeypatch):
+        # a wrapper installed before StreamSession(...) sees every fast frame
+        # (the benchmark's tracer relies on this); one installed after sees none
         cfg = two_ms_config(3)
         w = init_model_weights(cfg, seed=2)
-        seen = []
+        x = np.random.default_rng(4).standard_normal(999) * 0.1
+        calls = {"before": 0, "after": 0}
         real_step = fast_branch.ssmm_step
 
-        def spy(state, x_f, packet, weights):
-            seen.append(packet)
-            return real_step(state, x_f, packet, weights)
+        def counting(key):
+            def wrapper(*args):
+                calls[key] += 1
+                return real_step(*args)
+            return wrapper
 
-        monkeypatch.setattr(fast_branch, "ssmm_step", spy)
-        enhance_offline(np.random.default_rng(1).standard_normal(2000) * 0.1, w, cfg)
-        for i, packet in enumerate(seen):
-            group = i // cfg.reuse
-            first_of_group = seen[group * cfg.reuse]
-            assert packet is first_of_group or (
-                np.array_equal(packet.a, first_of_group.a)
-                and np.array_equal(packet.g, first_of_group.g)
-            )
-        # warm-up frames use the warm-up packet
-        for i in range(cfg.reuse):
-            assert np.array_equal(seen[i].a, seen[0].a)
+        monkeypatch.setattr(fast_branch, "ssmm_step", counting("before"))
+        session = StreamSession(w, cfg)
+        monkeypatch.setattr(fast_branch, "ssmm_step", counting("after"))
+        for start in range(0, len(x), 100):
+            session.push_samples(x[start : start + 100])
+        session.close()
+        assert calls == {"before": cfg.num_fast_frames(len(x)), "after": 0}
+        assert session.stats.fast_frames == cfg.num_fast_frames(len(x))
 
     def test_reuse_one_vs_two_same_code_path(self):
         x = np.random.default_rng(3).standard_normal(1500) * 0.1

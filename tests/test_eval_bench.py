@@ -119,6 +119,13 @@ class TestVerifyLatency:
         report = verify_latency(w, cfg, trials=25, signal_len=1600, seed=4)
         assert report.passed
 
+    @pytest.mark.parametrize("trials", [0, -3])
+    def test_no_probes_rejected(self, trials):
+        # zero probes would certify causality without testing it
+        cfg = two_ms_config(3)
+        with pytest.raises(ValueError, match="probe"):
+            verify_latency(init_model_weights(cfg, seed=0), cfg, trials=trials)
+
 
 class TestBenchmarkRtf:
     def test_reports_and_hash_match_offline(self):
@@ -130,6 +137,12 @@ class TestBenchmarkRtf:
         rng = np.random.default_rng(5)
         x = rng.standard_normal(4000) * 0.3
         assert report.output_sha256 == output_hash(enhance_offline(x, w, cfg).samples)
+
+    @pytest.mark.parametrize("seconds", [0.0, -1.0, float("inf"), float("nan")])
+    def test_bad_duration_rejected(self, seconds):
+        cfg = two_ms_config(3)
+        with pytest.raises(ValueError, match="seconds"):
+            benchmark_rtf(init_model_weights(cfg, seed=0), cfg, seconds=seconds)
 
     def test_slow_share_shrinks_with_reuse(self):
         shares = []

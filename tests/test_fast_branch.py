@@ -1,17 +1,24 @@
-"""Fast-branch steps: recurrence, modulation variants, stability, linearity."""
+"""Fast-branch steps: recurrence, modulation variants, stability, linearity.
+
+Steps take the state and the packet as plain arrays: a packet is the tuple
+of its variant's fields in VARIANTS order, (a, g), (alpha, beta) or (e,).
+"""
+
+import dataclasses
 
 import numpy as np
 import pytest
 
+from slowfast_se.engine import SlowFastConfig, StreamSession, init_model_weights
 from slowfast_se.fast_branch import (
     FastBranchWeights,
-    ModulationPacket,
-    SsmState,
     ec_step,
     film_step,
     init_fast_branch_weights,
+    packet_size,
     ssmm_step,
 )
+from slowfast_se.slow_branch import activate_head
 
 
 def identity_weights(l_f, h, h_out=None):
@@ -22,57 +29,68 @@ def identity_weights(l_f, h, h_out=None):
     )
 
 
+def assert_variant_checked_once(variant, weights_of):
+    """Steps do not check the packet's variant: a session takes its packets
+    from its own variant's head and binds its step once, so a mismatch must
+    fail when the session is built, before any push."""
+    cfg = SlowFastConfig(variant, l_f=4, delta_f=2, reuse=2, h=3, gru_width=4, gru_layers=1)
+    other = init_model_weights(dataclasses.replace(cfg, variant=weights_of))
+    with pytest.raises(ValueError, match="weight"):
+        StreamSession(other, cfg)
+    forged = dataclasses.replace(cfg)
+    object.__setattr__(forged, "variant", "bogus")
+    with pytest.raises(ValueError, match="unknown variant"):
+        StreamSession(init_model_weights(cfg), forged)
+    StreamSession(init_model_weights(cfg), cfg)  # the matching pair builds
+
+
 class TestSsmmStep:
     def test_recurrence_sequence(self):
         # H=1 identity pipe, A=0.5, g=1, inputs 1,1,1 -> states 1, 1.5, 1.75
         w = identity_weights(1, 1)
-        p = ModulationPacket(variant="ssmm", a=np.array([0.5]), g=np.array([1.0]))
-        state = SsmState.initial(1)
+        p = (np.array([0.5]), np.array([1.0]))  # a, g
+        state = np.zeros(1)
         seen = []
         for _ in range(3):
             state, _ = ssmm_step(state, np.array([1.0]), p, w)
-            seen.append(state.h[0])
+            seen.append(state[0])
         assert seen == [1.0, 1.5, 1.75]
 
     def test_zero_transition_is_memoryless(self):
         rng = np.random.default_rng(0)
         w = init_fast_branch_weights(4, 3, "ssmm", rng)
-        p = ModulationPacket(variant="ssmm", a=np.zeros(3), g=rng.uniform(0.2, 0.9, 3))
+        p = (np.zeros(3), rng.uniform(0.2, 0.9, 3))
         x = rng.standard_normal(4)
-        _, y1 = ssmm_step(SsmState(h=rng.standard_normal(3)), x, p, w)
-        _, y2 = ssmm_step(SsmState(h=rng.standard_normal(3)), x, p, w)
+        _, y1 = ssmm_step(rng.standard_normal(3), x, p, w)
+        _, y2 = ssmm_step(rng.standard_normal(3), x, p, w)
         assert np.array_equal(y1, y2)
 
     def test_zero_gate_ignores_input(self):
         rng = np.random.default_rng(1)
         w = init_fast_branch_weights(4, 3, "ssmm", rng)
-        p = ModulationPacket(variant="ssmm", a=rng.uniform(0.1, 0.9, 3), g=np.zeros(3))
+        a, g = rng.uniform(0.1, 0.9, 3), np.zeros(3)
+        p = (a, g)
         h0 = rng.standard_normal(3)
-        _, y1 = ssmm_step(SsmState(h=h0.copy()), rng.standard_normal(4), p, w)
-        _, y2 = ssmm_step(SsmState(h=h0.copy()), rng.standard_normal(4), p, w)
+        _, y1 = ssmm_step(h0.copy(), rng.standard_normal(4), p, w)
+        _, y2 = ssmm_step(h0.copy(), rng.standard_normal(4), p, w)
         assert np.array_equal(y1, y2)
-        assert np.allclose(y1, (p.a * h0) @ w.f_out_w + w.f_out_b)
+        assert np.allclose(y1, (a * h0) @ w.f_out_w + w.f_out_b)
 
     def test_variant_mismatch(self):
-        w = identity_weights(2, 2)
-        p = ModulationPacket(variant="film", alpha=np.ones(2), beta=np.zeros(2))
-        with pytest.raises(ValueError):
-            ssmm_step(SsmState.initial(2), np.zeros(2), p, w)
+        assert_variant_checked_once("ssmm", weights_of="ec")
 
     def test_bounded_state_property(self):
         # |h| <= B / (1 - a_max) for any bounded input stream
         rng = np.random.default_rng(2)
         w = identity_weights(3, 3)
         a_max = 0.9
-        p = ModulationPacket(
-            variant="ssmm", a=np.full(3, a_max), g=np.full(3, 1.0)
-        )
+        p = (np.full(3, a_max), np.full(3, 1.0))
         bound = 1.0 / (1.0 - a_max)
-        state = SsmState.initial(3)
+        state = np.zeros(3)
         for _ in range(500):
             x = rng.uniform(-1.0, 1.0, 3)
             state, _ = ssmm_step(state, x, p, w)
-            assert np.all(np.abs(state.h) <= bound + 1e-12)
+            assert np.all(np.abs(state) <= bound + 1e-12)
 
     def test_linearity_in_state_and_input(self):
         # superposition for a fixed packet, to near machine precision
@@ -80,14 +98,13 @@ class TestSsmmStep:
         w = init_fast_branch_weights(4, 3, "ssmm", rng)
         w.f_in_b[...] = 0.0
         w.f_out_b[...] = 0.0
-        p = ModulationPacket(variant="ssmm", a=rng.uniform(0.1, 0.9, 3),
-                             g=rng.uniform(0.1, 0.9, 3))
+        p = (rng.uniform(0.1, 0.9, 3), rng.uniform(0.1, 0.9, 3))
         h1, x1 = rng.standard_normal(3), rng.standard_normal(4)
         h2, x2 = rng.standard_normal(3), rng.standard_normal(4)
-        s_sum, y_sum = ssmm_step(SsmState(h=h1 + h2), x1 + x2, p, w)
-        s_a, y_a = ssmm_step(SsmState(h=h1), x1, p, w)
-        s_b, y_b = ssmm_step(SsmState(h=h2), x2, p, w)
-        assert np.allclose(s_sum.h, s_a.h + s_b.h, atol=1e-12)
+        s_sum, y_sum = ssmm_step(h1 + h2, x1 + x2, p, w)
+        s_a, y_a = ssmm_step(h1, x1, p, w)
+        s_b, y_b = ssmm_step(h2, x2, p, w)
+        assert np.allclose(s_sum, s_a + s_b, atol=1e-12)
         assert np.allclose(y_sum, y_a + y_b, atol=1e-12)
 
 
@@ -95,30 +112,29 @@ class TestFilmStep:
     def test_identity_modulation(self):
         rng = np.random.default_rng(4)
         w = init_fast_branch_weights(4, 3, "film", rng)
-        p = ModulationPacket(variant="film", alpha=np.ones(3), beta=np.zeros(3))
+        p = (np.ones(3), np.zeros(3))  # alpha, beta
         x = rng.standard_normal(4)
-        got = film_step(x, p, w)
+        h = np.zeros(3)
+        state, got = film_step(h, x, p, w)
+        assert state is h  # stateless: the state passes through
         assert np.allclose(got, (x @ w.f_in_w + w.f_in_b) @ w.f_out_w + w.f_out_b)
 
     def test_zero_scale_ignores_input(self):
         rng = np.random.default_rng(5)
         w = init_fast_branch_weights(4, 3, "film", rng)
-        p = ModulationPacket(variant="film", alpha=np.zeros(3), beta=rng.standard_normal(3))
-        y1 = film_step(rng.standard_normal(4), p, w)
-        y2 = film_step(rng.standard_normal(4), p, w)
+        p = (np.zeros(3), rng.standard_normal(3))
+        _, y1 = film_step(np.zeros(3), rng.standard_normal(4), p, w)
+        _, y2 = film_step(np.zeros(3), rng.standard_normal(4), p, w)
         assert np.array_equal(y1, y2)
 
     def test_affine_map_by_hand(self):
         # H=1 identity pipe: alpha=2, beta=1, x=3 -> 7
         w = identity_weights(1, 1)
-        p = ModulationPacket(variant="film", alpha=np.array([2.0]), beta=np.array([1.0]))
-        assert film_step(np.array([3.0]), p, w)[0] == 7.0
+        p = (np.array([2.0]), np.array([1.0]))
+        assert film_step(np.zeros(1), np.array([3.0]), p, w)[1][0] == 7.0
 
     def test_variant_mismatch(self):
-        w = identity_weights(2, 2)
-        p = ModulationPacket(variant="ec", e=np.zeros(2))
-        with pytest.raises(ValueError):
-            film_step(np.zeros(2), p, w)
+        assert_variant_checked_once("film", weights_of="ec")
 
 
 class TestEcStep:
@@ -126,9 +142,11 @@ class TestEcStep:
         rng = np.random.default_rng(6)
         w = init_fast_branch_weights(4, 3, "ec", rng)
         w.f_out_w[3:, :] = 0.0  # kill the embedding half of f_out
-        p = ModulationPacket(variant="ec", e=rng.standard_normal(3))
+        p = (rng.standard_normal(3),)  # e
         x = rng.standard_normal(4)
-        got = ec_step(x, p, w)
+        h = np.zeros(3)
+        state, got = ec_step(h, x, p, w)
+        assert state is h  # stateless: the state passes through
         expected = (x @ w.f_in_w + w.f_in_b) @ w.f_out_w[:3] + w.f_out_b
         assert np.allclose(got, expected)
 
@@ -137,8 +155,8 @@ class TestEcStep:
         w = init_fast_branch_weights(4, 3, "ec", rng)
         w.f_in_b[...] = 0.0
         e = rng.standard_normal(3)
-        p = ModulationPacket(variant="ec", e=e)
-        got = ec_step(np.zeros(4), p, w)
+        p = (e,)
+        _, got = ec_step(np.zeros(3), np.zeros(4), p, w)
         assert np.allclose(got, np.concatenate([np.zeros(3), e]) @ w.f_out_w + w.f_out_b)
 
     def test_concatenated_sum_by_hand(self):
@@ -147,23 +165,28 @@ class TestEcStep:
             f_in_w=np.eye(1), f_in_b=np.zeros(1),
             f_out_w=np.array([[1.0], [1.0]]), f_out_b=np.zeros(1),
         )
-        p = ModulationPacket(variant="ec", e=np.array([3.0]))
-        assert ec_step(np.array([2.0]), p, w)[0] == 5.0
+        p = (np.array([3.0]),)
+        assert ec_step(np.zeros(1), np.array([2.0]), p, w)[1][0] == 5.0
 
     def test_variant_mismatch(self):
-        w = identity_weights(2, 2, h_out=4)
-        p = ModulationPacket(variant="ssmm", a=np.full(2, 0.5), g=np.full(2, 0.5))
-        with pytest.raises(ValueError):
-            ec_step(np.zeros(2), p, w)
+        assert_variant_checked_once("ec", weights_of="ssmm")
 
 
 class TestModulationPacket:
+    # a packet is made only by the head activation, which checks it against
+    # its variant's fields once per slow frame; steps take it unchecked
     def test_field_variant_consistency_enforced(self):
         with pytest.raises(ValueError):
-            ModulationPacket(variant="ssmm", a=np.zeros(2))  # missing g
+            activate_head(np.zeros(5), "ssmm")  # no (a, g) halves
         with pytest.raises(ValueError):
-            ModulationPacket(variant="ec", e=np.zeros(2), a=np.zeros(2))
+            activate_head(np.zeros(3), "film")  # no (alpha, beta) halves
+        with pytest.raises(ValueError):
+            activate_head(np.zeros((2, 4)), "ec")  # one packet is 1-D
+        assert [len(f) for f in activate_head(np.zeros(6), "film")] == [3, 3]
+        assert [len(f) for f in activate_head(np.zeros(3), "ec")] == [3]
 
     def test_unknown_variant(self):
         with pytest.raises(ValueError):
-            ModulationPacket(variant="bogus", e=np.zeros(2))
+            activate_head(np.zeros(2), "bogus")
+        with pytest.raises(ValueError):
+            packet_size("bogus", 2)

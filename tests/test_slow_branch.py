@@ -9,7 +9,6 @@ from slowfast_se.engine import enhance_offline, init_model_weights, named_arrays
 from slowfast_se.slow_branch import (
     GRU_FIELDS,
     GruLayerWeights,
-    SlowState,
     _sigmoid,
     activate_head,
     gru_cell_step,
@@ -18,6 +17,11 @@ from slowfast_se.slow_branch import (
     warmup_packet,
 )
 from slowfast_se.training.backprop import forward_batch
+
+
+def initial_hidden(layers, width):
+    """The slow branch's state at stream start: one zero vector per GRU layer."""
+    return [np.zeros(width) for _ in range(layers)]
 
 
 def zero_gru(in_dim, h_dim):
@@ -164,30 +168,30 @@ class TestFusedStorage:
 
 class TestActivateHead:
     def test_ssmm_zero_raw(self):
-        p = activate_head(np.zeros(8), "ssmm")
-        assert np.allclose(p.a, 0.5) and np.allclose(p.g, 0.5)
+        a, g = activate_head(np.zeros(8), "ssmm")
+        assert np.allclose(a, 0.5) and np.allclose(g, 0.5)
 
     def test_film_zero_raw_is_identity(self):
-        p = activate_head(np.zeros(6), "film")
-        assert np.allclose(p.alpha, 1.0) and np.allclose(p.beta, 0.0)
+        alpha, beta = activate_head(np.zeros(6), "film")
+        assert np.allclose(alpha, 1.0) and np.allclose(beta, 0.0)
 
     def test_ec_identity(self):
         raw = np.array([1.0, -2.0, 3.0])
-        p = activate_head(raw, "ec")
-        assert np.array_equal(p.e, raw)
+        (e,) = activate_head(raw, "ec")
+        assert np.array_equal(e, raw)
 
     def test_ssmm_saturation_stays_below_one(self):
         raw = np.zeros(4)
         raw[0] = 20.0
-        p = activate_head(raw, "ssmm")
-        assert p.a[0] > 0.999999 and p.a[0] < 1.0
+        a, _ = activate_head(raw, "ssmm")
+        assert a[0] > 0.999999 and a[0] < 1.0
 
     def test_ssmm_range_property(self):
         rng = np.random.default_rng(3)
         for _ in range(20):
-            p = activate_head(rng.standard_normal(16) * 10, "ssmm")
-            assert np.all((p.a > 0) & (p.a < 1))
-            assert np.all((p.g > 0) & (p.g < 1))
+            a, g = activate_head(rng.standard_normal(16) * 10, "ssmm")
+            assert np.all((a > 0) & (a < 1))
+            assert np.all((g > 0) & (g < 1))
 
     def test_odd_size_rejected_for_two_halves(self):
         with pytest.raises(ValueError):
@@ -202,62 +206,61 @@ class TestSlowForward:
         for layer in w.gru:
             for f in ("w_z", "w_r", "w_n", "u_z", "u_r", "u_n", "b_z", "b_r", "b_n"):
                 getattr(layer, f)[...] = 0.0
-        state = SlowState.initial(2, 6)
-        packet, _ = slow_forward(np.zeros(8), state, w, "ssmm")
-        assert np.allclose(packet.a, 0.5) and np.allclose(packet.g, 0.5)
+        (a, g), _ = slow_forward(np.zeros(8), initial_hidden(2, 6), w, "ssmm")
+        assert np.allclose(a, 0.5) and np.allclose(g, 0.5)
 
     def test_deterministic(self):
         rng = np.random.default_rng(1)
         w = init_slow_branch_weights(8, 6, 3, "film", 4, rng)
         x = rng.standard_normal(8)
-        s0 = SlowState.initial(3, 6)
-        p1, s1 = slow_forward(x, s0, w, "film")
-        p2, s2 = slow_forward(x, s0, w, "film")
-        assert np.array_equal(p1.alpha, p2.alpha) and np.array_equal(p1.beta, p2.beta)
-        for a, b in zip(s1.hidden, s2.hidden):
+        s0 = initial_hidden(3, 6)
+        (alpha1, beta1), s1 = slow_forward(x, s0, w, "film")
+        (alpha2, beta2), s2 = slow_forward(x, s0, w, "film")
+        assert np.array_equal(alpha1, alpha2) and np.array_equal(beta1, beta2)
+        for a, b in zip(s1, s2):
             assert np.array_equal(a, b)
 
     def test_ssmm_packets_bounded(self):
         rng = np.random.default_rng(2)
         w = init_slow_branch_weights(8, 6, 2, "ssmm", 4, rng)
-        state = SlowState.initial(2, 6)
+        state = initial_hidden(2, 6)
         for _ in range(20):
-            packet, state = slow_forward(rng.standard_normal(8) * 5, state, w, "ssmm")
-            assert np.all((packet.a > 0) & (packet.a < 1))
-            assert np.all((packet.g > 0) & (packet.g < 1))
+            (a, g), state = slow_forward(rng.standard_normal(8) * 5, state, w, "ssmm")
+            assert np.all((a > 0) & (a < 1))
+            assert np.all((g > 0) & (g < 1))
 
     def test_sequence_equals_stepwise(self):
         # running ten frames through one state chain = stepping one at a time
         rng = np.random.default_rng(4)
         w = init_slow_branch_weights(8, 6, 4, "ec", 4, rng)
         frames = rng.standard_normal((10, 8))
-        state_a = SlowState.initial(4, 6)
+        state_a = initial_hidden(4, 6)
         outs_a = []
         for f in frames:
-            p, state_a = slow_forward(f, state_a, w, "ec")
-            outs_a.append(p.e)
-        state_b = SlowState.initial(4, 6)
+            (e,), state_a = slow_forward(f, state_a, w, "ec")
+            outs_a.append(e)
+        state_b = initial_hidden(4, 6)
         outs_b = []
         for f in frames:
-            p, state_b = slow_forward(f, state_b, w, "ec")
-            outs_b.append(p.e)
+            (e,), state_b = slow_forward(f, state_b, w, "ec")
+            outs_b.append(e)
         assert all(np.array_equal(a, b) for a, b in zip(outs_a, outs_b))
 
 
 class TestWarmupPacket:
     def test_zero_raw_ssmm(self):
         w = init_slow_branch_weights(8, 6, 2, "ssmm", 4, np.random.default_rng(0))
-        p = warmup_packet(w, "ssmm")
-        assert np.allclose(p.a, 0.5) and np.allclose(p.g, 0.5)
+        a, g = warmup_packet(w, "ssmm")
+        assert np.allclose(a, 0.5) and np.allclose(g, 0.5)
 
     def test_zero_raw_film_identity(self):
         w = init_slow_branch_weights(8, 6, 2, "film", 4, np.random.default_rng(0))
-        p = warmup_packet(w, "film")
-        assert np.allclose(p.alpha, 1.0) and np.allclose(p.beta, 0.0)
+        alpha, beta = warmup_packet(w, "film")
+        assert np.allclose(alpha, 1.0) and np.allclose(beta, 0.0)
 
     def test_stable_across_calls(self):
         w = init_slow_branch_weights(8, 6, 2, "ssmm", 4, np.random.default_rng(5))
         w.warmup_packet_raw[...] = np.random.default_rng(6).standard_normal(8)
-        p1 = warmup_packet(w, "ssmm")
-        p2 = warmup_packet(w, "ssmm")
-        assert np.array_equal(p1.a, p2.a) and np.array_equal(p1.g, p2.g)
+        a1, g1 = warmup_packet(w, "ssmm")
+        a2, g2 = warmup_packet(w, "ssmm")
+        assert np.array_equal(a1, a2) and np.array_equal(g1, g2)
