@@ -1,0 +1,142 @@
+"""Bit-for-bit comparison of this tree's numbers against a parent tree.
+
+    python3 scripts/bit_identity.py --parent ../parent
+
+For a refactor that must not change a single bit. Each tree computes the
+same fixed matrix with its own ``src`` in a subprocess of its own, and the
+arrays are compared as int64 views, so -0.0 against +0.0 and any NaN payload
+count as differences. Prints ``N of N arrays equal`` and exits 0, or lists
+the arrays that differ and exits 1.
+
+The matrix is variant (ssmm, film, ec) x geometry (2 ms reuse 3, sample
+level, and l_f=8/delta_f=3/reuse=2/l_s=11, whose slow frame starts left of
+the first fast frame) x start weights (``passthrough_start`` and
+``init_model_weights``, seed 1). Per cell it records ``enhance_offline`` of
+one clip, the same clip streamed in seeded random chunks of 0-333 samples,
+``forward_batch`` of a two-clip batch, and ``backward``'s loss and every
+gradient under both of ``TrainSchedule()``'s loss weightings.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+HERE = Path(__file__).resolve().parent.parent
+CLIP = 1200
+CHUNK_MAX = 333
+
+
+def compute(tree: Path) -> dict[str, np.ndarray]:
+    """Every array of the matrix, computed with ``tree``'s own package."""
+    sys.path.insert(0, str(tree / "src"))
+    from slowfast_se import engine
+    from slowfast_se.training import backward, forward_batch
+    from slowfast_se.training.loop import TrainSchedule, passthrough_start
+
+    src = Path(engine.__file__).resolve().parent.parent
+    if src != (tree / "src").resolve():
+        raise RuntimeError(f"imported slowfast_se from {src}, not from {tree / 'src'}")
+
+    geometries = {
+        "2ms-d3": lambda v: engine.two_ms_config(3, v),
+        "sample": engine.sample_level_config,
+        "lf8-df3-r2-ls11": lambda v: engine.SlowFastConfig(v, l_f=8, delta_f=3, reuse=2, h=6, l_s=11),
+    }
+    starts = {
+        "passthrough": lambda cfg: passthrough_start(cfg, seed=1),
+        "init": lambda cfg: engine.init_model_weights(cfg, seed=1),
+    }
+    schedule = TrainSchedule()
+    weightings = {"stage1": schedule.stage1_weights, "stage2": schedule.stage2_weights}
+
+    rng = np.random.default_rng(0)
+    clip = rng.standard_normal(CLIP) * 0.3
+    noisy = rng.standard_normal((2, CLIP)) * 0.3
+    clean = noisy * 0.5 + rng.standard_normal((2, CLIP)) * 0.05
+
+    out: dict[str, np.ndarray] = {}
+    for variant in ("ssmm", "film", "ec"):
+        for geo, make_config in geometries.items():
+            cfg = make_config(variant)
+            for start, make_weights in starts.items():
+                cell = f"{variant}/{geo}/{start}"
+                w = make_weights(cfg)
+                out[f"{cell}/enhance_offline"] = engine.enhance_offline(clip, w, cfg).samples
+
+                session = engine.StreamSession(w, cfg)
+                chunks = np.random.default_rng(1)
+                pieces, at = [], 0
+                while at < CLIP:
+                    step = int(chunks.integers(0, CHUNK_MAX + 1))
+                    session.push_samples(clip[at : at + step])
+                    pieces.append(session.pull_output())
+                    at += step
+                session.close()
+                pieces.append(session.pull_output())
+                out[f"{cell}/stream"] = np.concatenate(pieces)
+
+                out[f"{cell}/forward_batch"] = forward_batch(noisy, w, cfg)[0]
+                for name, lw in weightings.items():
+                    loss, grads = backward((noisy, clean), w, cfg, lw, schedule.stft)
+                    out[f"{cell}/{name}/loss"] = np.float64(loss)
+                    for key, g in grads.items():
+                        out[f"{cell}/{name}/grad/{key}"] = g
+    return out
+
+
+def run_tree(tree: Path, dest: Path) -> dict[str, np.ndarray]:
+    """Computes ``tree``'s matrix in a fresh interpreter and loads it back."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    subprocess.run(
+        [sys.executable, __file__, "--emit", str(dest), "--tree", str(tree)],
+        check=True, env=env,
+    )
+    with np.load(dest) as data:
+        return {key: data[key] for key in data.files}
+
+
+def compare(parent: dict[str, np.ndarray], change: dict[str, np.ndarray]) -> list[str]:
+    diffs = [f"{key}: missing in {side}" for side, a, b in
+             (("change", parent, change), ("parent", change, parent)) for key in a if key not in b]
+    for key in parent.keys() & change.keys():
+        a, b = np.asarray(parent[key], np.float64), np.asarray(change[key], np.float64)
+        if a.shape != b.shape:
+            diffs.append(f"{key}: shape {a.shape} against {b.shape}")
+        elif not np.array_equal(a.view(np.int64), b.view(np.int64)):
+            gap = np.max(np.abs(a - b)) if a.size else 0.0
+            diffs.append(f"{key}: {np.count_nonzero(a.view(np.int64) != b.view(np.int64))} "
+                         f"elements differ, max gap {gap:.3e}")
+    return sorted(diffs)
+
+
+def main() -> int:
+    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    p.add_argument("--parent", type=Path, help="tree to compare this tree against")
+    p.add_argument("--emit", type=Path, help=argparse.SUPPRESS)
+    p.add_argument("--tree", type=Path, help=argparse.SUPPRESS)
+    args = p.parse_args()
+    if args.emit:
+        np.savez(args.emit, **compute(args.tree))
+        return 0
+    if args.parent is None:
+        p.error("--parent is required")
+    with tempfile.TemporaryDirectory() as tmp:
+        parent = run_tree(args.parent.resolve(), Path(tmp) / "parent.npz")
+        change = run_tree(HERE, Path(tmp) / "change.npz")
+    diffs = compare(parent, change)
+    for line in diffs:
+        print(f"DIFF {line}")
+    total = len(parent.keys() | change.keys())
+    print(f"{total - len(diffs)} of {total} arrays equal")
+    return 1 if diffs else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -1,15 +1,18 @@
 """Command-line frontend.
 
 Subcommands: enhance, train, bench-mac, bench-rtf, verify-latency, compare,
-make-corpus. Config files use `key = value` lines (same keys as the model
-file header); command-line flags override file values. Exit codes: 0 on
-success, 1 on usage errors, 2 on verification failure.
+make-corpus. Config files use `key = value` lines (the model file header's
+config keys and, for train, the schedule's); command-line flags override
+file values, geometry keys a file leaves out take the 2ms-d3 preset's
+values, and an unknown key is a usage error. Exit codes: 0 on success, 1 on
+usage errors, 2 on verification failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import math
 import os
 import sys
@@ -44,6 +47,7 @@ VERIFICATION_FAILURE = 2
 _CONFIG_INT_KEYS = tuple(key for key in CONFIG_KEYS if key != "variant")
 _SCHEDULE_INT_KEYS = ("stage1_epochs", "stage2_epochs", "batch_size",
                       "train_pairs", "eval_pairs", "seed")
+_SCHEDULE_FLOAT_KEYS = ("lr_stage1", "lr_stage2", "grad_clip")
 
 
 def read_kv_file(path) -> dict[str, str]:
@@ -62,7 +66,15 @@ def read_kv_file(path) -> dict[str, str]:
 
 
 def config_from_kv(values: dict[str, str]) -> SlowFastConfig:
-    kwargs: dict = {"variant": values.get("variant", "ssmm")}
+    """Keys left out take ``two_ms_config(3)``'s values, except that delta_s
+    and l_s derive from the rest; a key that is neither a config key nor a
+    schedule key is an error."""
+    unknown = sorted(set(values) - set(CONFIG_KEYS + _SCHEDULE_INT_KEYS + _SCHEDULE_FLOAT_KEYS))
+    if unknown:
+        raise ValueError(f"unknown config key(s): {', '.join(unknown)}")
+    kwargs: dict = dataclasses.asdict(two_ms_config(3))
+    del kwargs["delta_s"], kwargs["l_s"]
+    kwargs["variant"] = values.get("variant", kwargs["variant"])
     for key in _CONFIG_INT_KEYS:
         if key in values:
             kwargs[key] = int(values[key])
@@ -74,7 +86,7 @@ def schedule_from_kv(values: dict[str, str]) -> TrainSchedule:
     for key in _SCHEDULE_INT_KEYS:
         if key in values:
             kwargs[key] = int(values[key])
-    for key in ("lr_stage1", "lr_stage2", "grad_clip"):
+    for key in _SCHEDULE_FLOAT_KEYS:
         if key in values:
             kwargs[key] = float(values[key])
     return TrainSchedule(**kwargs)

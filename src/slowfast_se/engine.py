@@ -159,7 +159,7 @@ def named_arrays(weights: ModelWeights) -> list[tuple[str, np.ndarray]]:
 def expected_shapes(config: SlowFastConfig) -> dict[str, tuple[int, ...]]:
     d = config.gru_width
     p = packet_size(config.variant, config.h)
-    h_out = 2 * config.h if config.variant == "ec" else config.h
+    h_out = fast_branch.VARIANTS[config.variant].feat_width * config.h
     shapes: dict[str, tuple[int, ...]] = {
         "slow.fc_in.w": (config.l_s, d),
         "slow.fc_in.b": (d,),
@@ -202,7 +202,7 @@ def model_weights_from_arrays(
         f_out_b=arrays["fast.f_out.b"],
     )
     weights = ModelWeights(slow=slow, fast=fast)
-    _check_weight_shapes(weights, config)
+    check_weight_shapes(weights, config)
     return weights
 
 
@@ -261,11 +261,11 @@ class StreamSession:
     """
 
     def __init__(self, weights: ModelWeights, config: SlowFastConfig):
-        _check_weight_shapes(weights, config)
+        check_weight_shapes(weights, config)
         self.config = config
         self.weights = weights
         self.stats = SessionStats()
-        self._step = getattr(fast_branch, fast_branch.VARIANTS[check_variant(config.variant)][2])
+        self._step = getattr(fast_branch, fast_branch.VARIANTS[check_variant(config.variant)].step)
         self._window = make_window("sqrt_hann_periodic", config.l_f)  # analysis and synthesis
         # padded-timeline input from sample _origin on; the first slow frame
         # may start left of padded zero, and input sample 0 sits at fast_pad
@@ -393,7 +393,8 @@ def enhance_offline(
     return AudioBuffer(session.pull_output())
 
 
-def _check_weight_shapes(weights: ModelWeights, config: SlowFastConfig) -> None:
+def check_weight_shapes(weights: ModelWeights, config: SlowFastConfig) -> None:
+    """ValueError naming the first array whose shape the config does not expect."""
     wanted = expected_shapes(config)
     for name, arr in named_arrays(weights):
         if arr.shape != wanted[name]:

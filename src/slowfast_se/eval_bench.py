@@ -23,7 +23,7 @@ from .engine import (
     SlowFastConfig,
     enhance_offline,
 )
-from .fast_branch import packet_size
+from .fast_branch import VARIANTS, packet_size
 
 
 @dataclass(frozen=True)
@@ -63,13 +63,10 @@ def trunk_macs_per_frame(input_len: int, width: int, layers: int) -> int:
 
 
 def fast_macs_per_frame(config: SlowFastConfig) -> int:
+    """f_in, the modulation's multiplies per state channel, then f_out."""
     l_f, h = config.l_f, config.h
-    if config.variant == "ssmm":
-        # f_in + diagonal transition and gate (2H multiplies) + f_out
-        return fc_macs(l_f, h) + 2 * h + fc_macs(h, l_f)
-    if config.variant == "film":
-        return fc_macs(l_f, h) + h + fc_macs(h, l_f)
-    return fc_macs(l_f, h) + fc_macs(2 * h, l_f)
+    variant = VARIANTS[config.variant]
+    return fc_macs(l_f, h) + variant.mod_macs * h + fc_macs(variant.feat_width * h, l_f)
 
 
 def mac_count(config: SlowFastConfig) -> CostReport:

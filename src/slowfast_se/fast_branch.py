@@ -7,6 +7,10 @@ Three slow/fast integration variants share the FC pair:
 * ``film`` - per-feature affine modulation alpha*f_in(x) + beta, stateless,
 * ``ec``   - the low-rate embedding is concatenated to f_in(x), stateless.
 
+What differs between the variants lives in one table, ``VARIANTS``, whose
+columns ``Variant`` lists; the engine, the slow branch's head, training and
+the MAC model read it instead of branching on the variant.
+
 Weights are immutable after creation and shareable across threads. A step
 takes the state and the packet as plain arrays and returns a new state, so
 nothing it is given is mutated.
@@ -15,6 +19,7 @@ nothing it is given is mutated.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -27,7 +32,7 @@ def check_variant(variant: str) -> str:
 
 def packet_size(variant: str, h: int) -> int:
     """Raw head width: 2H for ssmm (A, g) and film (alpha, beta), H for ec."""
-    return h * len(VARIANTS[check_variant(variant)][0])
+    return h * len(VARIANTS[check_variant(variant)].fields)
 
 
 @dataclass
@@ -47,8 +52,7 @@ def _uniform(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
 
 def init_fast_branch_weights(l_f: int, h: int, variant: str, rng: np.random.Generator) -> FastBranchWeights:
     """Uniform +-sqrt(1/fan_in) matrices, zero biases."""
-    check_variant(variant)
-    h_out = 2 * h if variant == "ec" else h
+    h_out = VARIANTS[check_variant(variant)].feat_width * h
     return FastBranchWeights(
         f_in_w=_uniform(rng, (l_f, h), l_f),
         f_in_b=np.zeros(h),
@@ -115,13 +119,77 @@ def _affine(raw: np.ndarray) -> tuple[np.ndarray, ...]:
     return 1.0 + raw[..., : raw.shape[-1] // 2], raw[..., raw.shape[-1] // 2 :]
 
 
-# The variant table. Per variant: the packet's fields in order, the head
-# activation that turns the slow branch's raw output into those arrays, and
-# the name of the step function in this module. Sessions look the step up by
-# name when they are built, so a wrapper installed on this module before
-# that sees every call.
+class Variant(NamedTuple):
+    """One row of VARIANTS; ``modulate`` and ``adjoint`` run batched over clips.
+
+    They take ``u`` (B, NF, H), every frame's f_in output, the packet's
+    (B, G, H) arrays, one row per table entry, and ``groups`` (NF,), each
+    frame's row. The adjoint's d_raw_table includes the head's derivative.
+    """
+
+    fields: tuple[str, ...]  # the packet's arrays, in order
+    head: Callable           # raw head output -> the packet's arrays
+    step: str                # name of the streaming step in this module
+    feat_width: int          # f_out input width, in multiples of H
+    mod_macs: int            # multiplies per state channel between f_in and f_out
+    modulate: Callable       # (u, packet, groups) -> f_out input
+    adjoint: Callable        # (d f_out input, u, packet, groups, f_out input) -> (du, d_raw)
+
+
+def _ssmm_modulate(u, p, groups):
+    a, g = p
+    feat = np.empty_like(u)
+    h = np.zeros((u.shape[0], u.shape[2]))
+    for i, k in enumerate(groups):
+        h = a[:, k] * h + g[:, k] * u[:, i]
+        feat[:, i] = h
+    return feat
+
+
+def _ssmm_adjoint(dfeat, u, p, groups, feat):
+    # feat holds the states, so the state before frame i is feat[:, i - 1]
+    a, g = p
+    da, dg, du = np.zeros(a.shape), np.zeros(g.shape), np.empty_like(u)
+    carry = np.zeros((u.shape[0], u.shape[2]))
+    for i in range(len(groups) - 1, -1, -1):
+        k = groups[i]
+        dh = dfeat[:, i] + carry
+        h_prev = feat[:, i - 1] if i > 0 else 0.0
+        da[:, k] += dh * h_prev
+        dg[:, k] += dh * u[:, i]
+        du[:, i] = dh * g[:, k]
+        carry = dh * a[:, k]
+    # sigmoid heads: d sig / d raw = sig * (1 - sig)
+    return du, np.concatenate([da * a * (1.0 - a), dg * g * (1.0 - g)], axis=-1)
+
+
+def _film_modulate(u, p, groups):
+    alpha, beta = p
+    return alpha[:, groups] * u + beta[:, groups]
+
+
+def _film_adjoint(dfeat, u, p, groups, feat):
+    # alpha = 1 + raw and beta = raw, so the head passes gradients unchanged;
+    # reduceat sums each group's frames, which start where groups steps up
+    starts = np.flatnonzero(np.diff(groups, prepend=-1))
+    dalpha = np.add.reduceat(dfeat * u, starts, axis=1)
+    dbeta = np.add.reduceat(dfeat, starts, axis=1)
+    return dfeat * p[0][:, groups], np.concatenate([dalpha, dbeta], axis=-1)
+
+
+def _ec_modulate(u, p, groups):
+    return np.concatenate([u, p[0][:, groups]], axis=-1)
+
+
+def _ec_adjoint(dfeat, u, p, groups, feat):
+    h, starts = u.shape[-1], np.flatnonzero(np.diff(groups, prepend=-1))
+    return dfeat[..., :h], np.add.reduceat(dfeat[..., h:], starts, axis=1)
+
+
+# Sessions look the step up by name when they are built, so a wrapper
+# installed on this module before that sees every call.
 VARIANTS = {
-    "ssmm": (("a", "g"), _gates, "ssmm_step"),
-    "film": (("alpha", "beta"), _affine, "film_step"),
-    "ec": (("e",), lambda raw: (raw,), "ec_step"),
+    "ssmm": Variant(("a", "g"), _gates, "ssmm_step", 1, 2, _ssmm_modulate, _ssmm_adjoint),
+    "film": Variant(("alpha", "beta"), _affine, "film_step", 1, 1, _film_modulate, _film_adjoint),
+    "ec": Variant(("e",), lambda raw: (raw,), "ec_step", 2, 0, _ec_modulate, _ec_adjoint),
 }

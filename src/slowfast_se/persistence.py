@@ -119,11 +119,13 @@ def load_model(path) -> tuple[ModelWeights, SlowFastConfig]:
         key, value = line.split(" = ", 1)
         if key == "array":
             parts = value.split()
-            if len(parts) < 2:
-                raise ModelParseError(f"{path}: malformed array line {line!r}")
-            name, offset = parts[0], int(parts[1])
-            shape = tuple(int(d) for d in parts[2:])
-            manifest.append((name, offset, shape))
+            try:
+                offset, shape = int(parts[1]), tuple(int(d) for d in parts[2:])
+            except (IndexError, ValueError) as exc:
+                raise ModelParseError(f"{path}: malformed array line {line!r} ({exc})") from exc
+            if offset < 0:
+                raise ModelParseError(f"{path}: array offset must be non-negative in {line!r}")
+            manifest.append((parts[0], offset, shape))
         else:
             fields[key] = value
 
@@ -135,6 +137,8 @@ def load_model(path) -> tuple[ModelWeights, SlowFastConfig]:
         payload_crc = int(fields["payload_crc32"])
     except KeyError as exc:
         raise ModelParseError(f"{path}: missing header field {exc}") from exc
+    except ValueError as exc:  # a non-integer value or an invalid geometry
+        raise ModelParseError(f"{path}: {exc}") from exc
 
     payload = data[pos:]
     if len(payload) != payload_bytes:

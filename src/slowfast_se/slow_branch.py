@@ -158,7 +158,7 @@ def activate_head(raw: np.ndarray, variant: str) -> tuple[np.ndarray, ...]:
     identity modulation (alpha=1, beta=0); ec is the identity. The packet
     may share memory with ``raw`` (ec's e, film's beta).
     """
-    fields, head, _ = VARIANTS[check_variant(variant)]
+    fields, head = VARIANTS[check_variant(variant)][:2]
     if raw.ndim != 1 or len(raw) % len(fields):
         raise ValueError(f"head output of shape {raw.shape} does not split into {fields}")
     return head(raw)

@@ -7,10 +7,14 @@ overlap-add are signal_io's ``frame_signal`` and ``overlap_add``, shared with
 the losses, and the slow trunk is slow_branch's ``trunk_step``, the same FC
 and GRU cell the streaming engine runs, here keeping each cell's gate values.
 The backward pass is written by hand and retraces every step: overlap-add
-(whose adjoint is framing), the fast-branch recurrence, packet reuse
-(gradients from all frames sharing a packet accumulate into its slow frame),
-the GRU stack across slow frames, and the learned warm-up packet.
-Correctness is pinned by central-difference checks in the test suite.
+(whose adjoint is framing), f_out, the modulation, packet reuse (gradients
+from all frames sharing a packet accumulate into its slow frame), the GRU
+stack across slow frames, and the learned warm-up packet. Correctness is
+pinned by central-difference checks in the test suite.
+
+No variant code lives here: the modulation and its adjoint come from the
+variant's row of fast_branch.VARIANTS. ``forward_batch`` checks the weights'
+shapes against the config once, on entry.
 
 Gradients are keyed by the canonical array names from engine.named_arrays.
 """
@@ -22,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..engine import ModelWeights, SlowFastConfig, named_arrays
+from ..engine import ModelWeights, SlowFastConfig, check_weight_shapes, named_arrays
 from ..signal_io import frame_signal, make_window, overlap_add
 from ..fast_branch import VARIANTS
 from ..slow_branch import GruCache, GruLayerWeights, trunk_step
@@ -44,21 +48,11 @@ class _Cache:
     frames: np.ndarray          # (B, NF, L) windowed fast frames
     u: np.ndarray               # (B, NF, H) f_in outputs
     groups: np.ndarray          # (NF,) packet-table index per fast frame
-    n_fast: int
-    n_slow: int
-    xs: np.ndarray | None       # (B, J, LS) slow frames
+    xs: np.ndarray              # (B, J, LS) slow frames
     gru: list[list[GruCache]]   # [j][layer]
-    top: np.ndarray | None      # (B, J, d) trunk outputs feeding the head
-    raw_table: np.ndarray       # (B, J+1, P); row 0 is the warm-up raw
-    # packet fields (fast_branch.VARIANTS) over the packet table
-    a: np.ndarray | None = None
-    g: np.ndarray | None = None
-    alpha: np.ndarray | None = None
-    beta: np.ndarray | None = None
-    e: np.ndarray | None = None
-    h_all: np.ndarray | None = None  # (B, NF, H) ssmm states
-    mod: np.ndarray | None = None    # (B, NF, H) film pre-f_out features
-    cat: np.ndarray | None = None    # (B, NF, 2H) ec concatenated features
+    top: np.ndarray             # (B, J, d) trunk outputs feeding the head
+    packet: tuple[np.ndarray, ...]  # (B, J+1, H) arrays; row 0 is the warm-up packet
+    feat: np.ndarray            # (B, NF, width * H) f_out inputs
 
 
 def _gru_backward(
@@ -91,6 +85,7 @@ def forward_batch(
     noisy = np.asarray(noisy, dtype=np.float64)
     if noisy.ndim != 2:
         raise ValueError("expected noisy batch of shape (B, N)")
+    check_weight_shapes(weights, config)
     b, n = noisy.shape
     cfg = config
     pad = cfg.fast_pad
@@ -102,50 +97,24 @@ def forward_batch(
     # slow frame j spans [(j+1)*delta_s - l_s, (j+1)*delta_s) of the padded timeline
     n_slow = (n_fast - 1) // cfg.reuse
     sw = weights.slow
-    gru_caches: list[list[GruCache]] = []
+    xs = np.zeros((b, 0, cfg.l_s))
     if n_slow > 0:
         xs = frame_signal(noisy, cfg.l_s, cfg.delta_s, pad + cfg.l_s - cfg.delta_s, n_slow)
-        hidden = [np.zeros((b, cfg.gru_width)) for _ in range(cfg.gru_layers)]
-        tops = np.empty((b, n_slow, cfg.gru_width))
-        for j in range(n_slow):
-            gru_caches.append([])
-            tops[:, j], hidden = trunk_step(xs[:, j], hidden, sw, gru_caches[-1])
-        raws = tops @ sw.fc_head_w + sw.fc_head_b
-    else:
-        xs = None
-        tops = None
-        raws = np.zeros((b, 0, len(sw.warmup_packet_raw)))
+    hidden = [np.zeros((b, cfg.gru_width)) for _ in range(cfg.gru_layers)]
+    tops = np.empty((b, n_slow, cfg.gru_width))
+    gru_caches: list[list[GruCache]] = []
+    for j in range(n_slow):
+        gru_caches.append([])
+        tops[:, j], hidden = trunk_step(xs[:, j], hidden, sw, gru_caches[-1])
 
-    raw_table = np.concatenate(
-        [np.broadcast_to(sw.warmup_packet_raw, (b, 1, len(sw.warmup_packet_raw))), raws],
-        axis=1,
-    )
+    # the packet table: row 0 is the warm-up packet, row j + 1 slow frame j's
+    warmup = np.broadcast_to(sw.warmup_packet_raw, (b, 1, len(sw.warmup_packet_raw)))
+    variant = VARIANTS[cfg.variant]
+    packet = variant.head(np.concatenate([warmup, tops @ sw.fc_head_w + sw.fc_head_b], axis=1))
     groups = np.arange(n_fast) // cfg.reuse
-
-    fields, head, _ = VARIANTS[cfg.variant]
-    cache = _Cache(
-        frames=frames, u=u, groups=groups, n_fast=n_fast, n_slow=n_slow,
-        xs=xs, gru=gru_caches, top=tops, raw_table=raw_table,
-        **dict(zip(fields, head(raw_table))),
-    )
-
-    fw = weights.fast
-    if cfg.variant == "ssmm":
-        h_all = np.empty((b, n_fast, cfg.h))
-        h = np.zeros((b, cfg.h))
-        for i in range(n_fast):
-            k = groups[i]
-            h = cache.a[:, k] * h + cache.g[:, k] * u[:, i]
-            h_all[:, i] = h
-        cache.h_all = h_all
-        y = h_all @ fw.f_out_w + fw.f_out_b
-    elif cfg.variant == "film":
-        cache.mod = cache.alpha[:, groups] * u + cache.beta[:, groups]
-        y = cache.mod @ fw.f_out_w + fw.f_out_b
-    else:
-        cache.cat = np.concatenate([u, cache.e[:, groups]], axis=-1)
-        y = cache.cat @ fw.f_out_w + fw.f_out_b
-
+    feat = variant.modulate(u, packet, groups)
+    y = feat @ weights.fast.f_out_w + weights.fast.f_out_b
+    cache = _Cache(frames, u, groups, xs, gru_caches, tops, packet, feat)
     return overlap_add(y * window, cfg.delta_f)[:, pad : pad + n], cache
 
 
@@ -184,68 +153,33 @@ def backward(
 
     # ---- loss -> OLA -> per-frame outputs: framing is the adjoint of OLA
     window = make_window("sqrt_hann_periodic", cfg.l_f)
-    dy = frame_signal(d_s_hat, cfg.l_f, cfg.delta_f, cfg.fast_pad, cache.n_fast) * window
+    dy = frame_signal(d_s_hat, cfg.l_f, cfg.delta_f, cfg.fast_pad, len(cache.groups)) * window
 
-    # ---- fast branch
-    fw = weights.fast
-    n_groups = cache.n_slow + 1
-    group_starts = np.arange(0, cache.n_fast, cfg.reuse)
-    if cfg.variant == "ssmm":
-        grads["fast.f_out.w"] += np.einsum("bih,bil->hl", cache.h_all, dy)
-        grads["fast.f_out.b"] += dy.sum((0, 1))
-        dh_out = dy @ fw.f_out_w.T
-        da_tab = np.zeros((b, n_groups, cfg.h))
-        dg_tab = np.zeros((b, n_groups, cfg.h))
-        du = np.empty_like(cache.u)
-        carry = np.zeros((b, cfg.h))
-        for i in range(cache.n_fast - 1, -1, -1):
-            k = cache.groups[i]
-            dh = dh_out[:, i] + carry
-            h_prev = cache.h_all[:, i - 1] if i > 0 else 0.0
-            da_tab[:, k] += dh * h_prev
-            dg_tab[:, k] += dh * cache.u[:, i]
-            du[:, i] = dh * cache.g[:, k]
-            carry = dh * cache.a[:, k]
-        # sigmoid head activations
-        draw_a = da_tab * cache.a * (1.0 - cache.a)
-        draw_g = dg_tab * cache.g * (1.0 - cache.g)
-        draw_table = np.concatenate([draw_a, draw_g], axis=-1)
-    elif cfg.variant == "film":
-        grads["fast.f_out.w"] += np.einsum("bih,bil->hl", cache.mod, dy)
-        grads["fast.f_out.b"] += dy.sum((0, 1))
-        dmod = dy @ fw.f_out_w.T
-        du = dmod * cache.alpha[:, cache.groups]
-        dalpha = np.add.reduceat(dmod * cache.u, group_starts, axis=1)
-        dbeta = np.add.reduceat(dmod, group_starts, axis=1)
-        draw_table = np.concatenate([dalpha, dbeta], axis=-1)
-    else:
-        grads["fast.f_out.w"] += np.einsum("bic,bil->cl", cache.cat, dy)
-        grads["fast.f_out.b"] += dy.sum((0, 1))
-        dcat = dy @ fw.f_out_w.T
-        du = dcat[..., : cfg.h]
-        draw_table = np.add.reduceat(dcat[..., cfg.h :], group_starts, axis=1)
+    # ---- f_out, then the variant's modulation back to f_in and the packet table
+    grads["fast.f_out.w"] += np.einsum("bic,bil->cl", cache.feat, dy)
+    grads["fast.f_out.b"] += dy.sum((0, 1))
+    du, draw_table = VARIANTS[cfg.variant].adjoint(
+        dy @ weights.fast.f_out_w.T, cache.u, cache.packet, cache.groups, cache.feat
+    )
 
     grads["fast.f_in.w"] += np.einsum("bil,bih->lh", cache.frames, du)
     grads["fast.f_in.b"] += du.sum((0, 1))
 
     # ---- packet table -> warm-up parameter and slow-branch head inputs
     grads["slow.warmup_raw"] += draw_table[:, 0].sum(0)
-    draws = draw_table[:, 1:]
 
-    if cache.n_slow > 0:
-        sw = weights.slow
-        carries = [np.zeros((b, cfg.gru_width)) for _ in range(cfg.gru_layers)]
-        for j in range(cache.n_slow - 1, -1, -1):
-            draw_j = draws[:, j]
-            grads["slow.fc_head.w"] += cache.top[:, j].T @ draw_j
-            grads["slow.fc_head.b"] += draw_j.sum(0)
-            d_act = draw_j @ sw.fc_head_w.T
-            for k in range(cfg.gru_layers - 1, -1, -1):
-                dh_total = d_act + carries[k]
-                d_act, carries[k] = _gru_backward(
-                    cache.gru[j][k], dh_total, sw.gru[k], grad_weights.slow.gru[k]
-                )
-            grads["slow.fc_in.w"] += cache.xs[:, j].T @ d_act
-            grads["slow.fc_in.b"] += d_act.sum(0)
+    sw = weights.slow
+    carries = [np.zeros((b, cfg.gru_width)) for _ in range(cfg.gru_layers)]
+    for j in range(len(cache.gru) - 1, -1, -1):
+        draw_j = draw_table[:, j + 1]
+        grads["slow.fc_head.w"] += cache.top[:, j].T @ draw_j
+        grads["slow.fc_head.b"] += draw_j.sum(0)
+        d_act = draw_j @ sw.fc_head_w.T
+        for k in range(cfg.gru_layers - 1, -1, -1):
+            d_act, carries[k] = _gru_backward(
+                cache.gru[j][k], d_act + carries[k], sw.gru[k], grad_weights.slow.gru[k]
+            )
+        grads["slow.fc_in.w"] += cache.xs[:, j].T @ d_act
+        grads["slow.fc_in.b"] += d_act.sum(0)
 
     return loss, grads

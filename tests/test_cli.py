@@ -6,6 +6,7 @@ import os
 import numpy as np
 import pytest
 
+from slowfast_se import cli
 from slowfast_se.cli import compare_variants, config_from_kv, read_kv_file, run
 from slowfast_se.engine import (
     SlowFastConfig,
@@ -129,6 +130,44 @@ class TestBenchMac:
         cfg_file.write_text("variant = film\nl_f = 32\ndelta_f = 16\nreuse = 2\nh = 32\n")
         assert run(["bench-mac", "--config", str(cfg_file)]) == 0
         assert "film" in capsys.readouterr().out
+
+
+class TestConfigFile:
+    @pytest.fixture
+    def instant_train(self, monkeypatch):
+        seen = []
+
+        def train(config, schedule, progress=None):
+            seen.append(config)
+            return init_model_weights(config, seed=0), []
+
+        monkeypatch.setattr(cli, "train", train)
+        return seen
+
+    def test_train_without_config_takes_the_2ms_d3_geometry(self, instant_train, tmp_path):
+        out = tmp_path / "model.sfse"
+        assert run(["train", "--out", str(out)]) == 0
+        assert instant_train == [two_ms_config(3)]
+        assert load_model(out)[1] == two_ms_config(3)
+
+    def test_missing_geometry_keys_take_2ms_d3_values(self, tmp_path, capsys):
+        cfg_file = tmp_path / "c.cfg"
+        cfg_file.write_text("variant = film\nreuse = 2\n")
+        assert run(["bench-mac", "--config", str(cfg_file)]) == 0
+        from_file = capsys.readouterr().out
+        assert run(["bench-mac", "--preset", "2ms-d2", "--variant", "film"]) == 0
+        assert from_file == capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", ["bench-mac", "train"])
+    def test_unknown_key_is_a_usage_error(self, command, instant_train, tmp_path, capsys):
+        cfg_file = tmp_path / "c.cfg"
+        cfg_file.write_text("reuse = 3\ngru_widht = 8\n")
+        argv = [command, "--config", str(cfg_file)]
+        if command == "train":
+            argv += ["--out", str(tmp_path / "m.sfse")]
+        assert run(argv) == 1
+        assert "gru_widht" in capsys.readouterr().err
+        assert instant_train == []
 
 
 class TestEnhance:

@@ -67,10 +67,11 @@ def test_every_weight_array_matches_finite_differences(variant):
         assert rel < TOLERANCE, f"{name}: rel err {rel:.3e}"
 
 
-def test_spec_only_loss_leaves_untouched_weights_at_zero():
+@pytest.mark.parametrize("variant", ["ssmm", "film", "ec"])
+def test_spec_only_loss_leaves_untouched_weights_at_zero(variant):
     # with a short clip every fast frame is warm-up, so the whole GRU trunk
     # and head never run and their gradients are exactly zero
-    config = SlowFastConfig(variant="ssmm", l_f=4, delta_f=2, reuse=4, h=3,
+    config = SlowFastConfig(variant=variant, l_f=4, delta_f=2, reuse=4, h=3,
                             gru_width=6, gru_layers=2)
     weights = randomized_weights(config, seed=3)
     rng = np.random.default_rng(5)
@@ -120,6 +121,13 @@ class TestForwardConsistency:
         for row in range(2):
             single = enhance_offline(x[row], weights, config).samples
             assert np.max(np.abs(batched[row] - single)) < 1e-10
+
+    def test_weights_of_another_geometry_rejected_on_entry(self):
+        # checked once against the config, not left to fail inside a product
+        weights = init_model_weights(two_ms_config(3, "ssmm"), seed=0)
+        x = np.random.default_rng(4).standard_normal((1, 200)) * 0.3
+        with pytest.raises(ValueError, match="weight"):
+            forward_batch(x, weights, tiny_config("ssmm"))
 
     def test_tiny_config_consistency(self):
         config = tiny_config("ssmm")

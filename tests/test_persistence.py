@@ -120,6 +120,21 @@ class TestRejection:
         with pytest.raises(ModelShapeError):
             load_model(path)
 
+    @pytest.mark.parametrize("old, new", [
+        (b"l_f = 32", b"l_f = four"),
+        (b"l_f = 32", b"l_f = 0"),
+        (b"slow.fc_in.b 24576 64", b"slow.fc_in.b 24576.5 64"),
+        (b"slow.fc_in.b 24576 64", b"slow.fc_in.b -4 64"),
+    ], ids=["non-integer config value", "invalid geometry",
+            "non-integer offset", "negative offset"])
+    def test_bad_header_value_is_parse_error(self, model, old, new):
+        _, _, path = model
+        data = path.read_bytes()
+        assert old in data
+        path.write_bytes(data.replace(old, new, 1))
+        with pytest.raises(ModelParseError):
+            load_model(path)
+
     def test_missing_header_field(self, model):
         _, _, path = model
         data = path.read_bytes()
