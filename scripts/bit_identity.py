@@ -6,7 +6,10 @@ For a refactor that must not change a single bit. Each tree computes the
 same fixed matrix with its own ``src`` in a subprocess of its own, and the
 arrays are compared as int64 views, so -0.0 against +0.0 and any NaN payload
 count as differences. Prints ``N of N arrays equal`` and exits 0, or lists
-the arrays that differ and exits 1.
+the arrays that differ and exits 1. Each ``DIFF`` line gives the largest
+absolute gap and that gap relative to the parent array's largest magnitude,
+and the last line names the largest relative gap, so a change that moves
+rounding on purpose reports by how much.
 
 The matrix is variant (ssmm, film, ec) x geometry (2 ms reuse 3, sample
 level, and l_f=8/delta_f=3/reuse=2/l_s=11, whose slow frame starts left of
@@ -102,17 +105,25 @@ def run_tree(tree: Path, dest: Path) -> dict[str, np.ndarray]:
         return {key: data[key] for key in data.files}
 
 
-def compare(parent: dict[str, np.ndarray], change: dict[str, np.ndarray]) -> list[str]:
-    diffs = [f"{key}: missing in {side}" for side, a, b in
+def compare(parent: dict[str, np.ndarray], change: dict[str, np.ndarray]) -> list[tuple]:
+    """(key, what differs, relative gap) per array that differs, sorted by key.
+
+    The relative gap is the largest absolute gap over the parent array's
+    largest magnitude (inf if that is zero). It is NaN where there is no gap
+    to size: a missing array, a shape mismatch or a NaN element.
+    """
+    diffs = [(key, f"missing in {side}", np.nan) for side, a, b in
              (("change", parent, change), ("parent", change, parent)) for key in a if key not in b]
     for key in parent.keys() & change.keys():
         a, b = np.asarray(parent[key], np.float64), np.asarray(change[key], np.float64)
         if a.shape != b.shape:
-            diffs.append(f"{key}: shape {a.shape} against {b.shape}")
+            diffs.append((key, f"shape {a.shape} against {b.shape}", np.nan))
         elif not np.array_equal(a.view(np.int64), b.view(np.int64)):
             gap = np.max(np.abs(a - b)) if a.size else 0.0
-            diffs.append(f"{key}: {np.count_nonzero(a.view(np.int64) != b.view(np.int64))} "
-                         f"elements differ, max gap {gap:.3e}")
+            scale = np.max(np.abs(a)) if a.size else 0.0
+            rel = gap / scale if scale else (np.inf if gap else 0.0)
+            diffs.append((key, f"{np.count_nonzero(a.view(np.int64) != b.view(np.int64))} "
+                          f"elements differ, max gap {gap:.3e}, relative {rel:.3e}", rel))
     return sorted(diffs)
 
 
@@ -131,10 +142,16 @@ def main() -> int:
         parent = run_tree(args.parent.resolve(), Path(tmp) / "parent.npz")
         change = run_tree(HERE, Path(tmp) / "change.npz")
     diffs = compare(parent, change)
-    for line in diffs:
-        print(f"DIFF {line}")
+    for key, what, _ in diffs:
+        print(f"DIFF {key}: {what}")
     total = len(parent.keys() | change.keys())
     print(f"{total - len(diffs)} of {total} arrays equal")
+    sized = [(rel, key) for key, _, rel in diffs if not np.isnan(rel)]
+    if sized:
+        rel, key = max(sized)
+        print(f"largest relative gap {rel:.3e} in {key}")
+    else:
+        print("largest relative gap 0")
     return 1 if diffs else 0
 
 

@@ -65,6 +65,14 @@ def read_kv_file(path) -> dict[str, str]:
     return values
 
 
+def _parse_value(cast, key: str, text: str):
+    """``cast(text)``; a value it rejects is a ValueError naming the key and the value."""
+    try:
+        return cast(text)
+    except ValueError:
+        raise ValueError(f"config key {key} = {text!r}: not a valid {cast.__name__}") from None
+
+
 def config_from_kv(values: dict[str, str]) -> SlowFastConfig:
     """Keys left out take ``two_ms_config(3)``'s values, except that delta_s
     and l_s derive from the rest; a key that is neither a config key nor a
@@ -77,7 +85,7 @@ def config_from_kv(values: dict[str, str]) -> SlowFastConfig:
     kwargs["variant"] = values.get("variant", kwargs["variant"])
     for key in _CONFIG_INT_KEYS:
         if key in values:
-            kwargs[key] = int(values[key])
+            kwargs[key] = _parse_value(int, key, values[key])
     return SlowFastConfig(**kwargs)
 
 
@@ -85,10 +93,10 @@ def schedule_from_kv(values: dict[str, str]) -> TrainSchedule:
     kwargs: dict = {}
     for key in _SCHEDULE_INT_KEYS:
         if key in values:
-            kwargs[key] = int(values[key])
+            kwargs[key] = _parse_value(int, key, values[key])
     for key in _SCHEDULE_FLOAT_KEYS:
         if key in values:
-            kwargs[key] = float(values[key])
+            kwargs[key] = _parse_value(float, key, values[key])
     return TrainSchedule(**kwargs)
 
 

@@ -27,6 +27,7 @@ that trivially.
 
 from __future__ import annotations
 
+import operator
 import time
 from collections import deque
 from dataclasses import dataclass
@@ -350,10 +351,13 @@ class StreamSession:
         return self._available
 
     def pull_output(self, max_n: int | None = None) -> np.ndarray:
-        """Return up to max_n finalized samples, each exactly once, in order."""
+        """Return up to max_n finalized samples, each exactly once, in order.
+
+        A max_n that is not an integer raises TypeError and changes nothing.
+        """
         n = self._available
         if max_n is not None:
-            n = min(n, max_n)
+            n = min(n, operator.index(max_n))
         if n <= 0:
             return np.zeros(0)
         self._available -= n

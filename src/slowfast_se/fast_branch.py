@@ -61,17 +61,24 @@ def init_fast_branch_weights(l_f: int, h: int, variant: str, rng: np.random.Gene
     )
 
 
+# 0-d operands for the sigmoid: numpy takes about 0.35 us longer per call
+# to convert a Python float operand than to use a 0-d float64 array
+_ZERO, _ONE = np.array(0.0), np.array(1.0)
+_ZERO.flags.writeable = _ONE.flags.writeable = False
+
+
 def _sigmoid(x: np.ndarray) -> np.ndarray:
     # 1/(1+e^-x) for x >= 0 and e^x/(1+e^x) below, so exp never overflows.
-    # With e = exp(-|x|) both branches are num / (e + 1), num being 1 or e;
-    # built in place, this gives the same bits as the two-branch formula with
-    # fewer numpy calls and temporaries (putmask is cheaper than np.where)
+    # With e = exp(-|x|) both branches are num / (e + 1), and num =
+    # exp(min(x, 0)) is exactly 1 for x >= 0 and exactly e below. So this
+    # gives the same bits as the two-branch formula in seven numpy calls and
+    # no mask; a slow frame makes five of them
     e = np.abs(x)
     np.negative(e, out=e)
     np.exp(e, out=e)
-    out = e.copy()
-    np.putmask(out, x >= 0, 1.0)
-    e += 1.0
+    e += _ONE
+    out = np.minimum(x, _ZERO)
+    np.exp(out, out=out)
     out /= e
     return out
 

@@ -264,3 +264,17 @@ class TestKvParsing:
         path.write_text("variant ssmm\n")
         with pytest.raises(ValueError, match="key = value"):
             read_kv_file(path)
+
+    @pytest.mark.parametrize("command, line", [
+        ("bench-mac", "reuse = three"),
+        ("train", "batch_size = 1.5"),
+        ("train", "lr_stage1 = fast"),
+    ])
+    def test_bad_value_names_key_and_value(self, command, line, capsys, tmp_path):
+        path = tmp_path / "bad.cfg"
+        path.write_text(line + "\n")
+        key, value = (part.strip() for part in line.split("="))
+        out = ["--out", str(tmp_path / "m.sfse")] if command == "train" else []
+        assert run([command, "--config", str(path), *out]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and key in err and repr(value) in err

@@ -234,6 +234,27 @@ class TestStreaming:
         assert np.array_equal(outputs[0], outputs[1])
         assert np.all(np.isfinite(outputs[1]))
 
+    @pytest.mark.parametrize("bad", [2.5, np.float64(4.0), "3"], ids=repr)
+    def test_rejected_pull_leaves_session_untouched(self, bad):
+        cfg = two_ms_config(3)
+        w = init_model_weights(cfg, seed=0)
+        x = np.random.default_rng(9).standard_normal(2000) * 0.2
+        runs = []
+        for reject in (False, True):
+            session = StreamSession(w, cfg)
+            session.push_samples(x[:1000])
+            if reject:
+                with pytest.raises(TypeError):
+                    session.pull_output(bad)
+            pieces = [session.pull_output(7)]
+            session.push_samples(x[1000:])
+            session.close()
+            runs.append((session.available_output(), pieces + [session.pull_output()]))
+        (avail_a, pieces_a), (avail_b, pieces_b) = runs
+        assert avail_a == avail_b
+        assert all(np.array_equal(a, b) for a, b in zip(pieces_a, pieces_b, strict=True))
+        assert sum(map(len, pieces_b)) == len(x)
+
     def test_wrong_shape_weights_rejected(self):
         cfg_a = two_ms_config(3)
         cfg_b = sample_level_config()

@@ -59,6 +59,33 @@ class TestGruCell:
         got = gru_cell_step(x, np.zeros(4), w)
         assert np.allclose(got, np.tanh(x), atol=1e-8)
 
+    @staticmethod
+    def textbook(x, h, w):
+        """The per-gate GRU, one product per gate array, as the equations read."""
+        def sig(v):
+            return 1.0 / (1.0 + np.exp(-v))
+        z = sig(x @ w.w_z + h @ w.u_z + w.b_z)
+        r = sig(x @ w.w_r + h @ w.u_r + w.b_r)
+        n = np.tanh(x @ w.w_n + r * (h @ w.u_n) + w.b_n)
+        return (1.0 - z) * n + z * h
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("batch", [(), (16,)], ids=["1-D", "B=16"])
+    def test_matches_textbook_gru_with_random_weights(self, seed, batch):
+        rng = np.random.default_rng(seed)
+        in_dim, d = (64, 64) if seed % 2 else (40, 24)
+        w = GruLayerWeights(**{
+            f: rng.uniform(-1.0, 1.0, ((d,) if f.startswith("b_") else
+                                       (in_dim if f.startswith("w_") else d, d)))
+            for f in GRU_FIELDS
+        })
+        for _ in range(5):
+            x = rng.standard_normal(batch + (in_dim,))
+            h = rng.uniform(-1.0, 1.0, batch + (d,))
+            got = gru_cell_step(x, h, w)
+            assert got.shape == h.shape
+            np.testing.assert_allclose(got, self.textbook(x, h, w), rtol=0, atol=1e-14)
+
     def test_shape_mismatch_rejected(self):
         w = zero_gru(3, 4)
         with pytest.raises(ValueError):
