@@ -15,18 +15,21 @@ no changed code, read 14% slower on one side over ten pairs; presumably the
 path, which is in sys.path and every module's file name, shifts the memory
 layout.
 
-The output file has, per workload and per end-to-end metric named in
-BENCHMARK.json, both sides' median and quartiles, every run's value, the
-number of pairs the change won (ties count for neither side), the ratio of
-the medians, whether the change stayed within the metric's bound, and
-whether a gain holds: the change wins at least nine tenths of the pairs and
-the medians differ by more than the parent's interquartile distance. Runs
-that fail their checks are listed and left out of the figures.
+The output file records each tree's commit and a sha256 over its
+``src/**/*.py``, which also identifies a tree copied without ``.git``. It
+has, per workload and per end-to-end metric named in BENCHMARK.json, both
+sides' median and quartiles, every run's value, the number of pairs the
+change won (ties count for neither side), the ratio of the medians, whether
+the change stayed within the metric's bound, and whether a gain holds: the
+change wins at least nine tenths of the pairs and the medians differ by more
+than the parent's interquartile distance. Runs that fail their checks are
+listed and left out of the figures.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import platform
@@ -95,6 +98,16 @@ def git_head(tree: Path) -> str | None:
     return (head + ("+changes" if changed else "")) or None
 
 
+def src_digest(tree: Path) -> str:
+    """sha256 over the tree's src/**/*.py, each file's relative path then its
+    bytes, in path order: it names the code measured even where git cannot."""
+    digest = hashlib.sha256()
+    for path in sorted((tree / "src").rglob("*.py")):
+        digest.update(path.relative_to(tree).as_posix().encode() + b"\0")
+        digest.update(path.read_bytes() + b"\0")
+    return digest.hexdigest()
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--parent", required=True, type=Path, help="checkout of the parent commit")
@@ -125,6 +138,7 @@ def main(argv=None) -> int:
         "machine": {"platform": platform.platform(), "python": platform.python_version(),
                     "numpy": np.__version__, "cpus": len(os.sched_getaffinity(0))},
         "parent_commit": git_head(parent), "change_commit": git_head(HERE),
+        "parent_src_sha256": src_digest(parent), "change_src_sha256": src_digest(HERE),
         "pairs": args.pairs, "seconds": seconds, "workloads": {},
     }
     for workload in workloads:

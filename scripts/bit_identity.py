@@ -14,10 +14,14 @@ rounding on purpose reports by how much.
 The matrix is variant (ssmm, film, ec) x geometry (2 ms reuse 3, sample
 level, and l_f=8/delta_f=3/reuse=2/l_s=11, whose slow frame starts left of
 the first fast frame) x start weights (``passthrough_start`` and
-``init_model_weights``, seed 1). Per cell it records ``enhance_offline`` of
-one clip, the same clip streamed in seeded random chunks of 0-333 samples,
-``forward_batch`` of a two-clip batch, and ``backward``'s loss and every
-gradient under both of ``TrainSchedule()``'s loss weightings.
+``init_model_weights``, seed 1). Per cell it records the start's own named
+arrays, the bytes of its saved ``.sfse`` file and the named arrays
+``load_model`` reads back from it, ``enhance_offline`` of one clip, the same
+clip streamed in seeded random chunks of 0-333 samples, ``forward_batch`` of
+a two-clip batch, and ``backward``'s loss and every gradient under both of
+``TrainSchedule()``'s loss weightings. Per variant and geometry it also
+records ``init_single_branch_weights(seed=1)``'s arrays and
+``single_branch_forward`` of the clip.
 """
 
 from __future__ import annotations
@@ -36,10 +40,12 @@ CLIP = 1200
 CHUNK_MAX = 333
 
 
-def compute(tree: Path) -> dict[str, np.ndarray]:
-    """Every array of the matrix, computed with ``tree``'s own package."""
+def compute(tree: Path, model_file: Path) -> dict[str, np.ndarray]:
+    """Every array of the matrix, computed with ``tree``'s own package;
+    ``model_file`` is where the model files are saved and read back."""
     sys.path.insert(0, str(tree / "src"))
     from slowfast_se import engine
+    from slowfast_se.persistence import load_model, save_model
     from slowfast_se.training import backward, forward_batch
     from slowfast_se.training.loop import TrainSchedule, passthrough_start
 
@@ -71,6 +77,12 @@ def compute(tree: Path) -> dict[str, np.ndarray]:
             for start, make_weights in starts.items():
                 cell = f"{variant}/{geo}/{start}"
                 w = make_weights(cfg)
+                for key, arr in engine.named_arrays(w):
+                    out[f"{cell}/weights/{key}"] = arr
+                save_model(w, cfg, model_file)
+                out[f"{cell}/sfse_bytes"] = np.frombuffer(model_file.read_bytes(), np.uint8)
+                for key, arr in engine.named_arrays(load_model(model_file)[0]):
+                    out[f"{cell}/loaded/{key}"] = arr
                 out[f"{cell}/enhance_offline"] = engine.enhance_offline(clip, w, cfg).samples
 
                 session = engine.StreamSession(w, cfg)
@@ -91,6 +103,15 @@ def compute(tree: Path) -> dict[str, np.ndarray]:
                     out[f"{cell}/{name}/loss"] = np.float64(loss)
                     for key, g in grads.items():
                         out[f"{cell}/{name}/grad/{key}"] = g
+
+            # the baseline is a bare trunk; it borrows the model's fast
+            # branch only so that named_arrays names its slow.* arrays
+            trunk = engine.init_single_branch_weights(cfg, seed=1)
+            cell = f"{variant}/{geo}/single_branch"
+            for key, arr in engine.named_arrays(engine.ModelWeights(trunk, w.fast)):
+                if key.startswith("slow."):
+                    out[f"{cell}/weights/{key}"] = arr
+            out[f"{cell}/forward"] = engine.single_branch_forward(clip, trunk, cfg).samples
     return out
 
 
@@ -134,7 +155,7 @@ def main() -> int:
     p.add_argument("--tree", type=Path, help=argparse.SUPPRESS)
     args = p.parse_args()
     if args.emit:
-        np.savez(args.emit, **compute(args.tree))
+        np.savez(args.emit, **compute(args.tree, args.emit.with_suffix(".sfse")))
         return 0
     if args.parent is None:
         p.error("--parent is required")

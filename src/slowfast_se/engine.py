@@ -35,12 +35,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fast_branch, slow_branch
-from .fast_branch import FastBranchWeights, check_variant, init_fast_branch_weights, packet_size
+from .fast_branch import FastBranchWeights, check_variant, packet_size
 from .signal_io import SAMPLE_RATE, AudioBuffer, as_mono, frame_signal, make_window, overlap_add
 from .slow_branch import (
     GRU_FIELDS,
+    GruLayerWeights,
     SlowBranchWeights,
-    init_slow_branch_weights,
     slow_forward,
     warmup_packet,
 )
@@ -117,22 +117,69 @@ class ModelWeights:
     fast: FastBranchWeights
 
 
-def init_model_weights(config: SlowFastConfig, seed: int = 0) -> ModelWeights:
-    rng = np.random.default_rng(seed)
-    slow = init_slow_branch_weights(
-        config.l_s, config.gru_width, config.gru_layers, config.variant, config.h, rng
+def _trunk_shapes(l_in: int, width: int, layers: int, head: int) -> dict[str, tuple[int, ...]]:
+    """FC in from l_in samples, ``layers`` GRU layers of ``width``, a head of ``head``."""
+    vector, matrix = (width,), (width, width)
+    shapes = {"slow.fc_in.w": (l_in, width), "slow.fc_in.b": vector}
+    for k in range(layers):
+        for fname in GRU_FIELDS:
+            shapes[f"slow.gru{k}.{fname}"] = vector if fname.startswith("b_") else matrix
+    shapes.update({"slow.fc_head.w": (width, head), "slow.fc_head.b": (head,),
+                   "slow.warmup_raw": (head,)})
+    return shapes
+
+
+def expected_shapes(config: SlowFastConfig) -> dict[str, tuple[int, ...]]:
+    """The parameter table: every array's name and shape, in canonical order.
+
+    The order is ``named_arrays``' and the model file's, and ``_draw``
+    draws the initial values in it. Nothing else states a shape.
+    """
+    l_f, h = config.l_f, config.h
+    shapes = _trunk_shapes(
+        config.l_s, config.gru_width, config.gru_layers, packet_size(config.variant, h)
     )
-    fast = init_fast_branch_weights(config.l_f, config.h, config.variant, rng)
-    return ModelWeights(slow=slow, fast=fast)
+    h_out = fast_branch.VARIANTS[config.variant].feat_width * h
+    shapes.update({"fast.f_in.w": (l_f, h), "fast.f_in.b": (h,),
+                   "fast.f_out.w": (h_out, l_f), "fast.f_out.b": (l_f,)})
+    return shapes
+
+
+def _draw(shapes: dict[str, tuple[int, ...]], seed: int) -> dict[str, np.ndarray]:
+    """Initial values: each matrix uniform +-sqrt(1/rows), drawn in table
+    order from one generator; every vector (bias, warm-up raw) zero."""
+    rng = np.random.default_rng(seed)
+    arrays = {}
+    for name, shape in shapes.items():
+        if len(shape) == 2:
+            bound = np.sqrt(1.0 / shape[0])
+            arrays[name] = rng.uniform(-bound, bound, size=shape)
+        else:
+            arrays[name] = np.zeros(shape)
+    return arrays
+
+
+def _trunk_weights(arrays: dict[str, np.ndarray], layers: int) -> SlowBranchWeights:
+    gru = [GruLayerWeights(**{f: arrays[f"slow.gru{k}.{f}"] for f in GRU_FIELDS})
+           for k in range(layers)]
+    return SlowBranchWeights(
+        fc_in_w=arrays["slow.fc_in.w"],
+        fc_in_b=arrays["slow.fc_in.b"],
+        gru=gru,
+        fc_head_w=arrays["slow.fc_head.w"],
+        fc_head_b=arrays["slow.fc_head.b"],
+        warmup_packet_raw=arrays["slow.warmup_raw"],
+    )
+
+
+def init_model_weights(config: SlowFastConfig, seed: int = 0) -> ModelWeights:
+    return model_weights_from_arrays(config, _draw(expected_shapes(config), seed))
 
 
 def init_single_branch_weights(config: SlowFastConfig, seed: int = 0) -> SlowBranchWeights:
     """Baseline: the same FC + GRU trunk, head mapping straight to L_F samples."""
-    rng = np.random.default_rng(seed)
-    return init_slow_branch_weights(
-        config.l_f, config.gru_width, config.gru_layers, config.variant, config.h, rng,
-        head_out=config.l_f,
-    )
+    shapes = _trunk_shapes(config.l_f, config.gru_width, config.gru_layers, config.l_f)
+    return _trunk_weights(_draw(shapes, seed), config.gru_layers)
 
 
 def named_arrays(weights: ModelWeights) -> list[tuple[str, np.ndarray]]:
@@ -157,54 +204,38 @@ def named_arrays(weights: ModelWeights) -> list[tuple[str, np.ndarray]]:
     return out
 
 
-def expected_shapes(config: SlowFastConfig) -> dict[str, tuple[int, ...]]:
-    d = config.gru_width
-    p = packet_size(config.variant, config.h)
-    h_out = fast_branch.VARIANTS[config.variant].feat_width * config.h
-    shapes: dict[str, tuple[int, ...]] = {
-        "slow.fc_in.w": (config.l_s, d),
-        "slow.fc_in.b": (d,),
-        "slow.fc_head.w": (d, p),
-        "slow.fc_head.b": (p,),
-        "slow.warmup_raw": (p,),
-        "fast.f_in.w": (config.l_f, config.h),
-        "fast.f_in.b": (config.h,),
-        "fast.f_out.w": (h_out, config.l_f),
-        "fast.f_out.b": (config.l_f,),
-    }
-    for k in range(config.gru_layers):
-        for fname in GRU_FIELDS:
-            shapes[f"slow.gru{k}.{fname}"] = (d,) if fname.startswith("b_") else (d, d)
-    return shapes
+def check_shapes(shapes: dict[str, tuple[int, ...]], config: SlowFastConfig) -> None:
+    """ValueError naming every weight array missing from, extra to or shaped
+    unlike the config's parameter table."""
+    wanted = expected_shapes(config)
+    problems = [f"missing weight {name}" for name in wanted if name not in shapes]
+    problems += [f"unexpected weight {name}" for name in shapes if name not in wanted]
+    problems += [
+        f"weight {name} has shape {shapes[name]}, config expects {shape}"
+        for name, shape in wanted.items()
+        if name in shapes and shapes[name] != shape
+    ]
+    if problems:
+        raise ValueError("; ".join(problems))
+
+
+def check_weight_shapes(weights: ModelWeights, config: SlowFastConfig) -> None:
+    """``check_shapes`` of the weights' named arrays."""
+    check_shapes({name: arr.shape for name, arr in named_arrays(weights)}, config)
 
 
 def model_weights_from_arrays(
     config: SlowFastConfig, arrays: dict[str, np.ndarray]
 ) -> ModelWeights:
     """Assemble ModelWeights from canonically named arrays (see named_arrays)."""
-    gru = [
-        slow_branch.GruLayerWeights(
-            **{f: arrays[f"slow.gru{k}.{f}"] for f in GRU_FIELDS}
-        )
-        for k in range(config.gru_layers)
-    ]
-    slow = SlowBranchWeights(
-        fc_in_w=arrays["slow.fc_in.w"],
-        fc_in_b=arrays["slow.fc_in.b"],
-        gru=gru,
-        fc_head_w=arrays["slow.fc_head.w"],
-        fc_head_b=arrays["slow.fc_head.b"],
-        warmup_packet_raw=arrays["slow.warmup_raw"],
-    )
+    check_shapes({name: arr.shape for name, arr in arrays.items()}, config)
     fast = FastBranchWeights(
         f_in_w=arrays["fast.f_in.w"],
         f_in_b=arrays["fast.f_in.b"],
         f_out_w=arrays["fast.f_out.w"],
         f_out_b=arrays["fast.f_out.b"],
     )
-    weights = ModelWeights(slow=slow, fast=fast)
-    check_weight_shapes(weights, config)
-    return weights
+    return ModelWeights(slow=_trunk_weights(arrays, config.gru_layers), fast=fast)
 
 
 def slow_frame_span(j: int, delta_s: int, l_s: int) -> tuple[int, int]:
@@ -267,7 +298,7 @@ class StreamSession:
         self.weights = weights
         self.stats = SessionStats()
         self._step = getattr(fast_branch, fast_branch.VARIANTS[check_variant(config.variant)].step)
-        self._window = make_window("sqrt_hann_periodic", config.l_f)  # analysis and synthesis
+        self._window = make_window(config.l_f)  # analysis and synthesis
         # padded-timeline input from sample _origin on; the first slow frame
         # may start left of padded zero, and input sample 0 sits at fast_pad
         self._origin = min(0, config.delta_s - config.l_s)
@@ -397,16 +428,6 @@ def enhance_offline(
     return AudioBuffer(session.pull_output())
 
 
-def check_weight_shapes(weights: ModelWeights, config: SlowFastConfig) -> None:
-    """ValueError naming the first array whose shape the config does not expect."""
-    wanted = expected_shapes(config)
-    for name, arr in named_arrays(weights):
-        if arr.shape != wanted[name]:
-            raise ValueError(
-                f"weight {name} has shape {arr.shape}, config expects {wanted[name]}"
-            )
-
-
 def single_branch_forward(
     x, weights: SlowBranchWeights, config: SlowFastConfig
 ) -> AudioBuffer:
@@ -424,7 +445,7 @@ def single_branch_forward(
     n, pad = len(samples), config.fast_pad
     if n == 0:
         return AudioBuffer(samples)
-    window = make_window("sqrt_hann_periodic", config.l_f)
+    window = make_window(config.l_f)
     frames = frame_signal(samples, config.l_f, config.delta_f, pad, config.num_fast_frames(n))
     hidden = [np.zeros(config.gru_width) for _ in range(config.gru_layers)]
     y = np.empty(frames.shape)

@@ -11,9 +11,11 @@ What differs between the variants lives in one table, ``VARIANTS``, whose
 columns ``Variant`` lists; the engine, the slow branch's head, training and
 the MAC model read it instead of branching on the variant.
 
-Weights are immutable after creation and shareable across threads. A step
-takes the state and the packet as plain arrays and returns a new state, so
-nothing it is given is mutated.
+The weights' shapes and initial draw are not stated here: engine's
+parameter table (``expected_shapes``) declares every array, and
+``init_model_weights`` draws them. Weights are immutable after creation and
+shareable across threads. A step takes the state and the packet as plain
+arrays and returns a new state, so nothing it is given is mutated.
 """
 
 from __future__ import annotations
@@ -37,28 +39,12 @@ def packet_size(variant: str, h: int) -> int:
 
 @dataclass
 class FastBranchWeights:
-    """f_in: (L_F, H) + bias, f_out: (H_out, L_F) + bias (H_out = 2H for ec)."""
+    """f_in and f_out, each a matrix and a bias (shapes: engine.expected_shapes)."""
 
     f_in_w: np.ndarray
     f_in_b: np.ndarray
     f_out_w: np.ndarray
     f_out_b: np.ndarray
-
-
-def _uniform(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
-    bound = np.sqrt(1.0 / fan_in)
-    return rng.uniform(-bound, bound, size=shape)
-
-
-def init_fast_branch_weights(l_f: int, h: int, variant: str, rng: np.random.Generator) -> FastBranchWeights:
-    """Uniform +-sqrt(1/fan_in) matrices, zero biases."""
-    h_out = VARIANTS[check_variant(variant)].feat_width * h
-    return FastBranchWeights(
-        f_in_w=_uniform(rng, (l_f, h), l_f),
-        f_in_b=np.zeros(h),
-        f_out_w=_uniform(rng, (h_out, l_f), h_out),
-        f_out_b=np.zeros(l_f),
-    )
 
 
 # 0-d operands for the sigmoid: numpy takes about 0.35 us longer per call

@@ -18,7 +18,8 @@ import numpy as np
 from .engine import (
     ModelWeights,
     SlowFastConfig,
-    expected_shapes,
+    check_shapes,
+    check_weight_shapes,
     model_weights_from_arrays,
     named_arrays,
 )
@@ -49,11 +50,16 @@ class ModelChecksumError(ModelFileError):
 
 
 class ModelShapeError(ModelFileError):
-    """Array shapes disagree with the config."""
+    """The manifest's arrays disagree with the config's parameter table."""
 
 
 def save_model(weights: ModelWeights, config: SlowFastConfig, path) -> None:
-    """Serialize weights + config; arrays stored as little-endian float32."""
+    """Serialize weights + config; arrays stored as little-endian float32.
+
+    Weights whose shapes the config does not expect raise ValueError, so no
+    file is written that ``load_model`` would reject.
+    """
+    check_weight_shapes(weights, config)
     arrays = named_arrays(weights)
     for name, arr in arrays:
         if not np.all(np.isfinite(arr)):
@@ -64,7 +70,7 @@ def save_model(weights: ModelWeights, config: SlowFastConfig, path) -> None:
     offset = 0
     for name, arr in arrays:
         blob = np.ascontiguousarray(arr, dtype="<f4").tobytes()
-        shape = " ".join(str(d) for d in arr.shape) if arr.ndim else "scalar"
+        shape = " ".join(str(d) for d in arr.shape)
         manifest.append(f"array = {name} {offset} {shape}")
         blobs.append(blob)
         offset += len(blob)
@@ -104,7 +110,7 @@ def load_model(path) -> tuple[ModelWeights, SlowFastConfig]:
         )
 
     fields: dict[str, str] = {}
-    manifest: list[tuple[str, int, tuple[int, ...]]] = []
+    manifest: dict[str, tuple[int, tuple[int, ...]]] = {}
     pos = newline + 1
     while True:
         newline = data.find(b"\n", pos)
@@ -125,7 +131,9 @@ def load_model(path) -> tuple[ModelWeights, SlowFastConfig]:
                 raise ModelParseError(f"{path}: malformed array line {line!r} ({exc})") from exc
             if offset < 0:
                 raise ModelParseError(f"{path}: array offset must be non-negative in {line!r}")
-            manifest.append((parts[0], offset, shape))
+            if parts[0] in manifest:
+                raise ModelParseError(f"{path}: array {parts[0]} listed twice")
+            manifest[parts[0]] = offset, shape
         else:
             fields[key] = value
 
@@ -149,23 +157,16 @@ def load_model(path) -> tuple[ModelWeights, SlowFastConfig]:
     if zlib.crc32(payload) != payload_crc:
         raise ModelChecksumError(f"{path}: payload CRC-32 mismatch")
 
-    wanted = expected_shapes(config)
-    if {name for name, _, _ in manifest} != set(wanted):
-        missing = set(wanted) - {name for name, _, _ in manifest}
-        extra = {name for name, _, _ in manifest} - set(wanted)
-        raise ModelShapeError(
-            f"{path}: array set mismatch (missing {sorted(missing)}, extra {sorted(extra)})"
-        )
+    # before any read, so a hostile shape is never allocated
+    try:
+        check_shapes({name: shape for name, (_, shape) in manifest.items()}, config)
+    except ValueError as exc:
+        raise ModelShapeError(f"{path}: {exc}") from exc
 
     arrays: dict[str, np.ndarray] = {}
-    for name, offset, shape in manifest:
-        if shape != wanted[name]:
-            raise ModelShapeError(
-                f"{path}: array {name} has shape {shape}, config expects {wanted[name]}"
-            )
-        count = int(np.prod(shape, dtype=int)) if shape else 1
-        end = offset + 4 * count
-        if end > len(payload):
+    for name, (offset, shape) in manifest.items():
+        count = int(np.prod(shape))
+        if offset + 4 * count > len(payload):
             raise ModelShapeError(f"{path}: array {name} extends past the payload")
         arr = np.frombuffer(payload, dtype="<f4", count=count, offset=offset)
         arrays[name] = arr.astype(np.float64).reshape(shape)

@@ -94,22 +94,18 @@ def frame_signal(
     return windows[..., ::hop, :]
 
 
-def make_window(kind: str, length: int) -> np.ndarray:
-    """Window coefficients: 'sqrt_hann_periodic' or 'rectangular'.
+def make_window(length: int) -> np.ndarray:
+    """Periodic sqrt-Hann window, the analysis and synthesis window of every frame.
 
-    The degenerate length-1 window is [1] for both kinds, so sample-level
-    framing (window_len == hop == 1) passes audio through unchanged.
+    The degenerate length-1 window is [1], so sample-level framing
+    (window_len == hop == 1) passes audio through unchanged.
     """
     if length < 1:
         raise ValueError(f"window length must be >= 1, got {length}")
-    if kind == "rectangular":
-        return np.ones(length)
-    if kind == "sqrt_hann_periodic":
-        if length == 1:
-            return np.ones(1)
-        n = np.arange(length)
-        return np.sqrt(0.5 - 0.5 * np.cos(2.0 * np.pi * n / length))
-    raise ValueError(f"unknown window kind {kind!r}")
+    if length == 1:
+        return np.ones(1)
+    n = np.arange(length)
+    return np.sqrt(0.5 - 0.5 * np.cos(2.0 * np.pi * n / length))
 
 
 def overlap_add(frames, hop: int) -> np.ndarray:

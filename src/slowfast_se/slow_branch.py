@@ -16,6 +16,11 @@ matrix products instead of six. The per-gate names ``w_z`` ... ``b_n``
 writable column views of those three arrays. Everything that reads or
 updates a gate array by name (the optimizer, gradient clipping, gradient
 checks, the model file) therefore reads and writes the one storage.
+
+This module runs the weights and does not make them: every array's name
+and shape is declared once, in engine.expected_shapes, and engine's
+init_model_weights and init_single_branch_weights draw the initial values
+from that table.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .fast_branch import VARIANTS, _sigmoid, _uniform, check_variant, packet_size
+from .fast_branch import VARIANTS, _sigmoid, check_variant
 
 
 def _gate(fused: str, k: int) -> property:
@@ -74,54 +79,18 @@ class GruCache(NamedTuple):
 
 @dataclass
 class SlowBranchWeights:
-    """Trunk weights plus the learned warm-up packet parameter."""
+    """Trunk weights plus the learned warm-up packet parameter.
 
-    fc_in_w: np.ndarray   # (L_S, d)
-    fc_in_b: np.ndarray   # (d,)
-    gru: list[GruLayerWeights]
-    fc_head_w: np.ndarray  # (d, P)
-    fc_head_b: np.ndarray  # (P,)
-    warmup_packet_raw: np.ndarray  # (P,)
-
-
-def init_gru_layer(in_dim: int, h_dim: int, rng: np.random.Generator) -> GruLayerWeights:
-    return GruLayerWeights(
-        w_z=_uniform(rng, (in_dim, h_dim), in_dim),
-        w_r=_uniform(rng, (in_dim, h_dim), in_dim),
-        w_n=_uniform(rng, (in_dim, h_dim), in_dim),
-        u_z=_uniform(rng, (h_dim, h_dim), h_dim),
-        u_r=_uniform(rng, (h_dim, h_dim), h_dim),
-        u_n=_uniform(rng, (h_dim, h_dim), h_dim),
-        b_z=np.zeros(h_dim),
-        b_r=np.zeros(h_dim),
-        b_n=np.zeros(h_dim),
-    )
-
-
-def init_slow_branch_weights(
-    l_s: int,
-    width: int,
-    layers: int,
-    variant: str,
-    h: int,
-    rng: np.random.Generator,
-    head_out: int | None = None,
-) -> SlowBranchWeights:
-    """Uniform +-sqrt(1/fan_in) matrices, zero biases, zero warm-up raw.
-
-    ``head_out`` overrides the head width (used by the single-branch
-    baseline, whose head maps straight to time-domain samples).
+    engine.expected_shapes gives their shapes: the head is the packet's raw
+    width P, or L_F samples in the single-branch baseline.
     """
-    check_variant(variant)
-    p = packet_size(variant, h) if head_out is None else head_out
-    return SlowBranchWeights(
-        fc_in_w=_uniform(rng, (l_s, width), l_s),
-        fc_in_b=np.zeros(width),
-        gru=[init_gru_layer(width, width, rng) for _ in range(layers)],
-        fc_head_w=_uniform(rng, (width, p), width),
-        fc_head_b=np.zeros(p),
-        warmup_packet_raw=np.zeros(p),
-    )
+
+    fc_in_w: np.ndarray
+    fc_in_b: np.ndarray
+    gru: list[GruLayerWeights]
+    fc_head_w: np.ndarray
+    fc_head_b: np.ndarray
+    warmup_packet_raw: np.ndarray
 
 
 def _gru_cell(

@@ -97,7 +97,7 @@ def forward_batch(
     cfg = config
     pad = cfg.fast_pad
     n_fast = cfg.num_fast_frames(n)
-    window = make_window("sqrt_hann_periodic", cfg.l_f)
+    window = make_window(cfg.l_f)
     frames = frame_signal(noisy, cfg.l_f, cfg.delta_f, pad, n_fast) * window
     u = frames @ weights.fast.f_in_w + weights.fast.f_in_b
 
@@ -159,7 +159,7 @@ def backward(
         g[...] = 0.0
 
     # ---- loss -> OLA -> per-frame outputs: framing is the adjoint of OLA
-    window = make_window("sqrt_hann_periodic", cfg.l_f)
+    window = make_window(cfg.l_f)
     dy = frame_signal(d_s_hat, cfg.l_f, cfg.delta_f, cfg.fast_pad, len(cache.groups)) * window
 
     # ---- f_out, then the variant's modulation back to f_in and the packet table

@@ -44,10 +44,6 @@ class TrainSchedule:
     train_snrs: tuple = TRAIN_SNRS_DB
     eval_snrs: tuple = EVAL_SNRS_DB
 
-    @property
-    def total_epochs(self) -> int:
-        return self.stage1_epochs + self.stage2_epochs
-
 
 @dataclass
 class EpochRecord:

@@ -36,24 +36,21 @@ class LossWeights:
 
 @dataclass(frozen=True)
 class StftParams:
+    """Frame length and hop of the periodic-Hann STFT."""
+
     fft_size: int
     hop: int
-    window: str = "hann"
 
     def __post_init__(self):
         if self.fft_size < 2 or self.fft_size & (self.fft_size - 1) != 0:
             raise ValueError(f"fft_size must be a power of two, got {self.fft_size}")
         if not (1 <= self.hop <= self.fft_size):
             raise ValueError(f"need 1 <= hop <= fft_size, got hop={self.hop}")
-        if self.window not in ("hann", "rectangular"):
-            raise ValueError(f"unknown stft window {self.window!r}")
 
 
 def _stft_window(p: StftParams) -> np.ndarray:
-    if p.window == "rectangular":
-        return make_window("rectangular", p.fft_size)
     # periodic Hann is the square of the periodic sqrt-Hann
-    return make_window("sqrt_hann_periodic", p.fft_size) ** 2
+    return make_window(p.fft_size) ** 2
 
 
 def _segments(x: np.ndarray, p: StftParams) -> np.ndarray:

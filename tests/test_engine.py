@@ -10,15 +10,19 @@ from slowfast_se import fast_branch
 from slowfast_se.engine import (
     SlowFastConfig,
     StreamSession,
+    check_shapes,
     enhance_offline,
+    expected_shapes,
     init_model_weights,
     init_single_branch_weights,
+    model_weights_from_arrays,
+    named_arrays,
     sample_level_config,
     single_branch_forward,
     slow_frame_span,
     two_ms_config,
 )
-from slowfast_se.slow_branch import warmup_packet
+from slowfast_se.slow_branch import GRU_FIELDS, warmup_packet
 
 
 def make_passthrough_weights(cfg):
@@ -418,3 +422,63 @@ class TestSingleBranch:
         w = init_single_branch_weights(sample_level_config(), seed=0)
         with pytest.raises(ValueError):
             single_branch_forward(np.zeros(100), w, cfg)
+
+
+def assert_uniform_then_zero(arrays, seed):
+    """Each matrix uniform +-sqrt(1/rows), drawn in the given order from one
+    generator seeded with ``seed``; every vector zero."""
+    rng = np.random.default_rng(seed)
+    for name, arr in arrays:
+        if arr.ndim == 2:
+            bound = np.sqrt(1.0 / arr.shape[0])
+            assert np.array_equal(arr, rng.uniform(-bound, bound, size=arr.shape)), name
+        else:
+            assert arr.ndim == 1 and not arr.any(), name
+
+
+class TestParameterTable:
+    """One table, ``expected_shapes``, declares every array; init, assembly,
+    shape checks and model files read it. The initial draw is pinned, since
+    trained results (criterion 7's gain) depend on it."""
+
+    @pytest.mark.parametrize("variant", ["ssmm", "film", "ec"])
+    @pytest.mark.parametrize("preset", ["2ms-d3", "sample"])
+    def test_model_init_draws_in_named_arrays_order(self, variant, preset):
+        cfg = two_ms_config(3, variant) if preset == "2ms-d3" else sample_level_config(variant)
+        arrays = named_arrays(init_model_weights(cfg, seed=3))
+        assert [name for name, _ in arrays] == list(expected_shapes(cfg))
+        assert all(arr.shape == expected_shapes(cfg)[name] for name, arr in arrays)
+        assert_uniform_then_zero(arrays, seed=3)
+
+    @pytest.mark.parametrize("preset", ["2ms-d3", "sample"])
+    def test_single_branch_init_draws_the_trunk_with_an_l_f_head(self, preset):
+        cfg = two_ms_config(3) if preset == "2ms-d3" else sample_level_config()
+        w = init_single_branch_weights(cfg, seed=3)
+        arrays = [("fc_in.w", w.fc_in_w), ("fc_in.b", w.fc_in_b)]
+        arrays += [(f"gru{k}.{f}", getattr(layer, f)) for k, layer in enumerate(w.gru)
+                   for f in GRU_FIELDS]
+        arrays += [("fc_head.w", w.fc_head_w), ("fc_head.b", w.fc_head_b),
+                   ("warmup_raw", w.warmup_packet_raw)]
+        d = cfg.gru_width
+        assert (w.fc_in_w.shape, w.fc_head_w.shape) == ((cfg.l_f, d), (d, cfg.l_f))
+        assert len(w.gru) == cfg.gru_layers
+        assert_uniform_then_zero(arrays, seed=3)
+
+    def test_check_names_missing_extra_and_misshapen_arrays(self):
+        cfg = two_ms_config(3)
+        shapes = dict(expected_shapes(cfg))
+        del shapes["slow.gru1.u_r"]
+        shapes["slow.gru9.w_z"] = (64, 64)
+        shapes["fast.f_in.w"] = (32, 16)
+        with pytest.raises(ValueError, match="weight") as err:
+            check_shapes(shapes, cfg)
+        for part in ("slow.gru1.u_r", "slow.gru9.w_z", "fast.f_in.w", "(32, 16)"):
+            assert part in str(err.value)
+        check_shapes(expected_shapes(cfg), cfg)  # the table itself passes
+
+    def test_assembly_rejects_a_missing_array(self):
+        cfg = two_ms_config(3)
+        arrays = dict(named_arrays(init_model_weights(cfg)))
+        del arrays["slow.fc_head.b"]
+        with pytest.raises(ValueError, match="missing weight slow.fc_head.b"):
+            model_weights_from_arrays(cfg, arrays)

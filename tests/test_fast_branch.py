@@ -14,7 +14,6 @@ from slowfast_se.fast_branch import (
     FastBranchWeights,
     ec_step,
     film_step,
-    init_fast_branch_weights,
     packet_size,
     ssmm_step,
 )
@@ -27,6 +26,12 @@ def identity_weights(l_f, h, h_out=None):
         f_in_w=np.eye(l_f, h), f_in_b=np.zeros(h),
         f_out_w=np.eye(h_out, l_f), f_out_b=np.zeros(l_f),
     )
+
+
+def random_weights(variant, seed):
+    """The fast branch of a freshly initialised l_f=4, h=3 model."""
+    cfg = SlowFastConfig(variant, l_f=4, delta_f=2, reuse=2, h=3, gru_width=4, gru_layers=1)
+    return init_model_weights(cfg, seed).fast
 
 
 def assert_variant_checked_once(variant, weights_of):
@@ -58,7 +63,7 @@ class TestSsmmStep:
 
     def test_zero_transition_is_memoryless(self):
         rng = np.random.default_rng(0)
-        w = init_fast_branch_weights(4, 3, "ssmm", rng)
+        w = random_weights("ssmm", seed=0)
         p = (np.zeros(3), rng.uniform(0.2, 0.9, 3))
         x = rng.standard_normal(4)
         _, y1 = ssmm_step(rng.standard_normal(3), x, p, w)
@@ -67,7 +72,7 @@ class TestSsmmStep:
 
     def test_zero_gate_ignores_input(self):
         rng = np.random.default_rng(1)
-        w = init_fast_branch_weights(4, 3, "ssmm", rng)
+        w = random_weights("ssmm", seed=1)
         a, g = rng.uniform(0.1, 0.9, 3), np.zeros(3)
         p = (a, g)
         h0 = rng.standard_normal(3)
@@ -95,7 +100,7 @@ class TestSsmmStep:
     def test_linearity_in_state_and_input(self):
         # superposition for a fixed packet, to near machine precision
         rng = np.random.default_rng(3)
-        w = init_fast_branch_weights(4, 3, "ssmm", rng)
+        w = random_weights("ssmm", seed=3)
         w.f_in_b[...] = 0.0
         w.f_out_b[...] = 0.0
         p = (rng.uniform(0.1, 0.9, 3), rng.uniform(0.1, 0.9, 3))
@@ -111,7 +116,7 @@ class TestSsmmStep:
 class TestFilmStep:
     def test_identity_modulation(self):
         rng = np.random.default_rng(4)
-        w = init_fast_branch_weights(4, 3, "film", rng)
+        w = random_weights("film", seed=4)
         p = (np.ones(3), np.zeros(3))  # alpha, beta
         x = rng.standard_normal(4)
         h = np.zeros(3)
@@ -121,7 +126,7 @@ class TestFilmStep:
 
     def test_zero_scale_ignores_input(self):
         rng = np.random.default_rng(5)
-        w = init_fast_branch_weights(4, 3, "film", rng)
+        w = random_weights("film", seed=5)
         p = (np.zeros(3), rng.standard_normal(3))
         _, y1 = film_step(np.zeros(3), rng.standard_normal(4), p, w)
         _, y2 = film_step(np.zeros(3), rng.standard_normal(4), p, w)
@@ -140,7 +145,7 @@ class TestFilmStep:
 class TestEcStep:
     def test_zero_embedding_columns_reduce_to_pipe(self):
         rng = np.random.default_rng(6)
-        w = init_fast_branch_weights(4, 3, "ec", rng)
+        w = random_weights("ec", seed=6)
         w.f_out_w[3:, :] = 0.0  # kill the embedding half of f_out
         p = (rng.standard_normal(3),)  # e
         x = rng.standard_normal(4)
@@ -152,7 +157,7 @@ class TestEcStep:
 
     def test_zero_input_depends_only_on_embedding(self):
         rng = np.random.default_rng(7)
-        w = init_fast_branch_weights(4, 3, "ec", rng)
+        w = random_weights("ec", seed=7)
         w.f_in_b[...] = 0.0
         e = rng.standard_normal(3)
         p = (e,)

@@ -18,10 +18,7 @@ from slowfast_se.training.losses import (
 
 def naive_dft_frames(x, p):
     """Independent O(N^2) STFT oracle: direct DFT of Hann-windowed segments."""
-    if p.window == "hann":
-        w = 0.5 - 0.5 * np.cos(2 * np.pi * np.arange(p.fft_size) / p.fft_size)
-    else:
-        w = np.ones(p.fft_size)
+    w = 0.5 - 0.5 * np.cos(2 * np.pi * np.arange(p.fft_size) / p.fft_size)
     n_frames = 1 + (len(x) - p.fft_size) // p.hop
     bins = p.fft_size // 2 + 1
     out = np.zeros((n_frames, bins), dtype=complex)
@@ -36,20 +33,26 @@ def naive_dft_frames(x, p):
 
 class TestStft:
     def test_impulse_flat_spectrum(self):
-        p = StftParams(fft_size=4, hop=4, window="rectangular")
-        spec = stft(np.array([1.0, 0.0, 0.0, 0.0]), p)
-        assert spec.shape == (1, 3)
-        assert np.allclose(spec, [[1, 1, 1]])
+        # the periodic Hann window is exactly 1 at the frame centre, so an
+        # impulse there has a magnitude spectrum of ones
+        p = StftParams(fft_size=8, hop=8)
+        x = np.zeros(8)
+        x[4] = 1.0
+        spec = stft(x, p)
+        assert spec.shape == (1, 5)
+        assert np.allclose(np.abs(spec), 1.0, rtol=0, atol=1e-12)
 
     def test_cosine_at_bin_concentrates(self):
-        p = StftParams(fft_size=64, hop=64, window="rectangular")
+        # Hann = 1/2 - (e^{+} + e^{-})/4 spreads a bin-centred cosine over
+        # bins k-1, k, k+1 only: N/8, N/4, N/8
+        p = StftParams(fft_size=64, hop=64)
         k = 5
         n = np.arange(64)
-        spec = stft(np.cos(2 * np.pi * k * n / 64), p)[0]
-        mags = np.abs(spec)
+        mags = np.abs(stft(np.cos(2 * np.pi * k * n / 64), p)[0])
         assert np.argmax(mags) == k
-        others = np.delete(mags, k)
-        assert np.all(others < 1e-9 * mags[k] + 1e-9)
+        assert np.allclose(mags[k - 1 : k + 2], [8.0, 16.0, 8.0], rtol=0, atol=1e-12)
+        others = np.delete(mags, [k - 1, k, k + 1])
+        assert np.all(others < 1e-12)
 
     def test_parseval(self):
         rng = np.random.default_rng(0)

@@ -121,6 +121,33 @@ class TestRejection:
             load_model(path)
 
     @pytest.mark.parametrize("old, new", [
+        (b"array = slow.fc_in.b ", b"array = slow.fc_in.q "),
+        (b"slow.fc_in.b 24576 64", b"slow.fc_in.b 24576 -64"),
+        (b"slow.fc_in.b 24576 64", b"slow.fc_in.b 24576 100000000000000"),
+        (b"slow.fc_in.w 0 96 64", b"slow.fc_in.w 0 96000000 64000000"),
+    ], ids=["renamed array", "negative dimension", "oversized dimension",
+            "oversized matrix"])
+    def test_manifest_unlike_the_table_is_shape_error(self, model, old, new):
+        # checked before any array is read, so no hostile shape is allocated
+        _, _, path = model
+        data = path.read_bytes()
+        assert old in data
+        path.write_bytes(data.replace(old, new, 1))
+        with pytest.raises(ModelShapeError):
+            load_model(path)
+
+    def test_array_listed_twice_is_parse_error(self, model):
+        # the CRC covers only the payload, so a second manifest line for
+        # fc_in.b, pointing at fc_in.w's bytes, must not quietly win
+        _, _, path = model
+        data = path.read_bytes()
+        real = b"array = slow.fc_in.b 24576 64\n"
+        assert real in data
+        path.write_bytes(data.replace(real, real + b"array = slow.fc_in.b 0 64\n", 1))
+        with pytest.raises(ModelParseError, match="twice"):
+            load_model(path)
+
+    @pytest.mark.parametrize("old, new", [
         (b"l_f = 32", b"l_f = four"),
         (b"l_f = 32", b"l_f = 0"),
         (b"slow.fc_in.b 24576 64", b"slow.fc_in.b 24576.5 64"),
@@ -142,6 +169,13 @@ class TestRejection:
         path.write_bytes(patched)
         with pytest.raises(ModelParseError):
             load_model(path)
+
+    def test_weights_of_another_geometry_refused_on_save(self, tmp_path):
+        # such a file would only fail later, in load_model
+        weights = init_model_weights(two_ms_config(1), seed=0)
+        with pytest.raises(ValueError, match="weight"):
+            save_model(weights, sample_level_config(), tmp_path / "bad.sfse")
+        assert not (tmp_path / "bad.sfse").exists()
 
     def test_non_finite_weights_refused_on_save(self, tmp_path):
         cfg = two_ms_config(1)

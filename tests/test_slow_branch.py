@@ -5,14 +5,19 @@ import copy
 import numpy as np
 import pytest
 
-from slowfast_se.engine import enhance_offline, init_model_weights, named_arrays, two_ms_config
+from slowfast_se.engine import (
+    SlowFastConfig,
+    enhance_offline,
+    init_model_weights,
+    named_arrays,
+    two_ms_config,
+)
 from slowfast_se.slow_branch import (
     GRU_FIELDS,
     GruLayerWeights,
     _sigmoid,
     activate_head,
     gru_cell_step,
-    init_slow_branch_weights,
     slow_forward,
     warmup_packet,
 )
@@ -22,6 +27,13 @@ from slowfast_se.training.backprop import forward_batch
 def initial_hidden(layers, width):
     """The slow branch's state at stream start: one zero vector per GRU layer."""
     return [np.zeros(width) for _ in range(layers)]
+
+
+def random_slow(variant, layers, seed):
+    """The slow branch of a freshly initialised l_s=8, width-6, h=4 model."""
+    cfg = SlowFastConfig(variant, l_f=4, delta_f=2, reuse=2, h=4, l_s=8,
+                         gru_width=6, gru_layers=layers)
+    return init_model_weights(cfg, seed).slow
 
 
 def zero_gru(in_dim, h_dim):
@@ -227,7 +239,7 @@ class TestActivateHead:
 
 class TestSlowForward:
     def test_zero_weights_give_sigmoid_of_head_bias(self):
-        w = init_slow_branch_weights(8, 6, 2, "ssmm", 4, np.random.default_rng(0))
+        w = random_slow("ssmm", 2, seed=0)
         for name in ("fc_in_w", "fc_in_b", "fc_head_w", "fc_head_b"):
             getattr(w, name)[...] = 0.0
         for layer in w.gru:
@@ -238,7 +250,7 @@ class TestSlowForward:
 
     def test_deterministic(self):
         rng = np.random.default_rng(1)
-        w = init_slow_branch_weights(8, 6, 3, "film", 4, rng)
+        w = random_slow("film", 3, seed=1)
         x = rng.standard_normal(8)
         s0 = initial_hidden(3, 6)
         (alpha1, beta1), s1 = slow_forward(x, s0, w, "film")
@@ -249,7 +261,7 @@ class TestSlowForward:
 
     def test_ssmm_packets_bounded(self):
         rng = np.random.default_rng(2)
-        w = init_slow_branch_weights(8, 6, 2, "ssmm", 4, rng)
+        w = random_slow("ssmm", 2, seed=2)
         state = initial_hidden(2, 6)
         for _ in range(20):
             (a, g), state = slow_forward(rng.standard_normal(8) * 5, state, w, "ssmm")
@@ -259,7 +271,7 @@ class TestSlowForward:
     def test_sequence_equals_stepwise(self):
         # running ten frames through one state chain = stepping one at a time
         rng = np.random.default_rng(4)
-        w = init_slow_branch_weights(8, 6, 4, "ec", 4, rng)
+        w = random_slow("ec", 4, seed=4)
         frames = rng.standard_normal((10, 8))
         state_a = initial_hidden(4, 6)
         outs_a = []
@@ -276,17 +288,17 @@ class TestSlowForward:
 
 class TestWarmupPacket:
     def test_zero_raw_ssmm(self):
-        w = init_slow_branch_weights(8, 6, 2, "ssmm", 4, np.random.default_rng(0))
+        w = random_slow("ssmm", 2, seed=0)
         a, g = warmup_packet(w, "ssmm")
         assert np.allclose(a, 0.5) and np.allclose(g, 0.5)
 
     def test_zero_raw_film_identity(self):
-        w = init_slow_branch_weights(8, 6, 2, "film", 4, np.random.default_rng(0))
+        w = random_slow("film", 2, seed=0)
         alpha, beta = warmup_packet(w, "film")
         assert np.allclose(alpha, 1.0) and np.allclose(beta, 0.0)
 
     def test_stable_across_calls(self):
-        w = init_slow_branch_weights(8, 6, 2, "ssmm", 4, np.random.default_rng(5))
+        w = random_slow("ssmm", 2, seed=5)
         w.warmup_packet_raw[...] = np.random.default_rng(6).standard_normal(8)
         a1, g1 = warmup_packet(w, "ssmm")
         a2, g2 = warmup_packet(w, "ssmm")
