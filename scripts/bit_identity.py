@@ -19,9 +19,12 @@ arrays, the bytes of its saved ``.sfse`` file and the named arrays
 ``load_model`` reads back from it, ``enhance_offline`` of one clip, the same
 clip streamed in seeded random chunks of 0-333 samples, ``forward_batch`` of
 a two-clip batch, and ``backward``'s loss and every gradient under both of
-``TrainSchedule()``'s loss weightings. Per variant and geometry it also
-records ``init_single_branch_weights(seed=1)``'s arrays and
-``single_branch_forward`` of the clip.
+``TrainSchedule()``'s loss weightings, and, with the clip as the target and
+its ``enhance_offline`` output as the estimate, ``losses.total_loss`` under
+both weightings and ``losses.sisnr``. Per variant and geometry it also
+records ``init_single_branch_weights(seed=1)``'s arrays,
+``single_branch_forward`` of the clip, and the per-frame MACs and M MACs/s
+of ``mac_count`` and ``single_branch_mac_count``.
 """
 
 from __future__ import annotations
@@ -44,9 +47,9 @@ def compute(tree: Path, model_file: Path) -> dict[str, np.ndarray]:
     """Every array of the matrix, computed with ``tree``'s own package;
     ``model_file`` is where the model files are saved and read back."""
     sys.path.insert(0, str(tree / "src"))
-    from slowfast_se import engine
+    from slowfast_se import engine, eval_bench
     from slowfast_se.persistence import load_model, save_model
-    from slowfast_se.training import backward, forward_batch
+    from slowfast_se.training import backward, forward_batch, losses
     from slowfast_se.training.loop import TrainSchedule, passthrough_start
 
     src = Path(engine.__file__).resolve().parent.parent
@@ -83,7 +86,12 @@ def compute(tree: Path, model_file: Path) -> dict[str, np.ndarray]:
                 out[f"{cell}/sfse_bytes"] = np.frombuffer(model_file.read_bytes(), np.uint8)
                 for key, arr in engine.named_arrays(load_model(model_file)[0]):
                     out[f"{cell}/loaded/{key}"] = arr
-                out[f"{cell}/enhance_offline"] = engine.enhance_offline(clip, w, cfg).samples
+                enhanced = engine.enhance_offline(clip, w, cfg).samples
+                out[f"{cell}/enhance_offline"] = enhanced
+                for name, lw in weightings.items():
+                    out[f"{cell}/{name}/total_loss"] = np.float64(
+                        losses.total_loss(enhanced, clip, lw, schedule.stft))
+                out[f"{cell}/sisnr"] = np.float64(losses.sisnr(enhanced, clip))
 
                 session = engine.StreamSession(w, cfg)
                 chunks = np.random.default_rng(1)
@@ -112,6 +120,11 @@ def compute(tree: Path, model_file: Path) -> dict[str, np.ndarray]:
                 if key.startswith("slow."):
                     out[f"{cell}/weights/{key}"] = arr
             out[f"{cell}/forward"] = engine.single_branch_forward(clip, trunk, cfg).samples
+            for name, report in (("macs", eval_bench.mac_count(cfg)),
+                                 ("single_branch_macs", eval_bench.single_branch_mac_count(cfg))):
+                out[f"{variant}/{geo}/{name}"] = np.array([
+                    report.slow_macs_per_frame, report.fast_macs_per_frame,
+                    report.total_m_macs_per_s], dtype=np.float64)
     return out
 
 

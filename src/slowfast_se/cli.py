@@ -5,7 +5,7 @@ make-corpus. Config files use `key = value` lines (the model file header's
 config keys and, for train, the schedule's); command-line flags override
 file values, geometry keys a file leaves out take the 2ms-d3 preset's
 values, and an unknown key is a usage error. Exit codes: 0 on success, 1 on
-usage errors, 2 on verification failure.
+usage errors and on a training run that diverges, 2 on verification failure.
 """
 
 from __future__ import annotations
@@ -33,10 +33,10 @@ from .signal_io import AudioBuffer, read_wav, write_wav
 from .training import (
     EVAL_SNRS_DB,
     TRAIN_SNRS_DB,
+    TrainingDivergedError,
     TrainSchedule,
-    forward_batch,
+    evaluate_sisnr,
     make_synthetic_pair,
-    sisnr,
     train,
     write_log_csv,
 )
@@ -45,9 +45,8 @@ USAGE_ERROR = 1
 VERIFICATION_FAILURE = 2
 
 _CONFIG_INT_KEYS = tuple(key for key in CONFIG_KEYS if key != "variant")
-_SCHEDULE_INT_KEYS = ("stage1_epochs", "stage2_epochs", "batch_size",
-                      "train_pairs", "eval_pairs", "seed")
-_SCHEDULE_FLOAT_KEYS = ("lr_stage1", "lr_stage2", "grad_clip")
+# each schedule key is parsed as the type of its default
+_SCHEDULE_KEYS = {f.name: type(f.default) for f in dataclasses.fields(TrainSchedule)}
 
 
 def read_kv_file(path) -> dict[str, str]:
@@ -77,7 +76,7 @@ def config_from_kv(values: dict[str, str]) -> SlowFastConfig:
     """Keys left out take ``two_ms_config(3)``'s values, except that delta_s
     and l_s derive from the rest; a key that is neither a config key nor a
     schedule key is an error."""
-    unknown = sorted(set(values) - set(CONFIG_KEYS + _SCHEDULE_INT_KEYS + _SCHEDULE_FLOAT_KEYS))
+    unknown = sorted(set(values) - set(CONFIG_KEYS) - set(_SCHEDULE_KEYS))
     if unknown:
         raise ValueError(f"unknown config key(s): {', '.join(unknown)}")
     kwargs: dict = dataclasses.asdict(two_ms_config(3))
@@ -90,14 +89,9 @@ def config_from_kv(values: dict[str, str]) -> SlowFastConfig:
 
 
 def schedule_from_kv(values: dict[str, str]) -> TrainSchedule:
-    kwargs: dict = {}
-    for key in _SCHEDULE_INT_KEYS:
-        if key in values:
-            kwargs[key] = _parse_value(int, key, values[key])
-    for key in _SCHEDULE_FLOAT_KEYS:
-        if key in values:
-            kwargs[key] = _parse_value(float, key, values[key])
-    return TrainSchedule(**kwargs)
+    """The schedule keys among ``values``; the rest keep TrainSchedule's defaults."""
+    return TrainSchedule(**{key: _parse_value(cast, key, values[key])
+                            for key, cast in _SCHEDULE_KEYS.items() if key in values})
 
 
 def _at_least(cast, low, strict=False):
@@ -220,7 +214,7 @@ def _cmd_verify_latency(args) -> int:
 
 def _cmd_make_corpus(args) -> int:
     os.makedirs(args.out, exist_ok=True)
-    snrs = EVAL_SNRS_DB if args.eval_snrs else TRAIN_SNRS_DB
+    snrs = EVAL_SNRS_DB if args.eval_grid else TRAIN_SNRS_DB
     manifest_path = os.path.join(args.out, "corpus.csv")
     with open(manifest_path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -258,9 +252,10 @@ def compare_variants(
 ) -> list[dict]:
     """Score every (variant, reuse) cell on a corpus.
 
-    Model files are named <variant>_d<reuse>_s<seed>.sfse; each cell needs at
-    least one seed. Returns one row per cell with the cost-model MACs and the
-    mean/std eval SI-SNR across seeds.
+    Model files are named <variant>_d<reuse>_s<seed>.sfse, with an integer
+    reuse; other files are skipped. Each cell needs at least one seed. Returns
+    one row per cell with the cost-model MACs of its first file and the
+    mean/std across seeds of ``evaluate_sisnr`` on the corpus.
     """
     noisy, clean = _load_corpus(corpus_dir)
     available: dict[tuple[str, int], list[str]] = {}
@@ -269,7 +264,8 @@ def compare_variants(
         if ext != ".sfse":
             continue
         parts = base.split("_")
-        if len(parts) != 3 or not parts[1].startswith("d") or not parts[2].startswith("s"):
+        if (len(parts) != 3 or not parts[1].startswith("d") or not parts[1][1:].isdigit()
+                or not parts[2].startswith("s")):
             continue
         available.setdefault((parts[0], int(parts[1][1:])), []).append(
             os.path.join(models_dir, name)
@@ -298,11 +294,9 @@ def compare_variants(
                         f"{path}: file config ({config.variant}, reuse={config.reuse}) "
                         f"disagrees with its name"
                     )
-                enhanced, _ = forward_batch(noisy, weights, config)
-                scores.append(
-                    float(np.mean([sisnr(enhanced[i], clean[i]) for i in range(len(clean))]))
-                )
-            cost = eval_bench.mac_count(load_model(available[(variant, reuse)][0])[1])
+                if not scores:
+                    cost = eval_bench.mac_count(config)
+                scores.append(evaluate_sisnr(weights, config, noisy, clean))
             rows.append(
                 {
                     "variant": variant,
@@ -388,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--count", type=_at_least(int, 1), default=20)
-    p.add_argument("--eval-snrs", action="store_true",
+    p.add_argument("--eval-snrs", dest="eval_grid", action="store_true",
                    help="use the evaluation SNR grid instead of the training grid")
     p.set_defaults(func=_cmd_make_corpus)
 
@@ -404,7 +398,7 @@ def run(argv=None) -> int:
         return USAGE_ERROR if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (FileNotFoundError, ValueError, KeyError) as exc:
+    except (FileNotFoundError, ValueError, KeyError, TrainingDivergedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

@@ -176,10 +176,14 @@ def init_model_weights(config: SlowFastConfig, seed: int = 0) -> ModelWeights:
     return model_weights_from_arrays(config, _draw(expected_shapes(config), seed))
 
 
+def single_branch_shapes(config: SlowFastConfig) -> dict[str, tuple[int, ...]]:
+    """The baseline's parameter table: the same FC + GRU trunk, fed L_F
+    samples, with its head mapping straight to L_F samples."""
+    return _trunk_shapes(config.l_f, config.gru_width, config.gru_layers, config.l_f)
+
+
 def init_single_branch_weights(config: SlowFastConfig, seed: int = 0) -> SlowBranchWeights:
-    """Baseline: the same FC + GRU trunk, head mapping straight to L_F samples."""
-    shapes = _trunk_shapes(config.l_f, config.gru_width, config.gru_layers, config.l_f)
-    return _trunk_weights(_draw(shapes, seed), config.gru_layers)
+    return _trunk_weights(_draw(single_branch_shapes(config), seed), config.gru_layers)
 
 
 def named_arrays(weights: ModelWeights) -> list[tuple[str, np.ndarray]]:

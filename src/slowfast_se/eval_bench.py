@@ -1,10 +1,15 @@
 """Compute-cost model, latency certification, and runtime benchmarks.
 
-MAC counting convention: one MAC per multiply in a matrix product (an FC
-from m to n inputs costs m*n), biases and activations free. The dual-rate
-total is slow_macs * slow_fps + fast_macs * fast_fps; the single-branch
-baseline runs the identical trunk once per fast frame, which makes the
-cost-reduction ratio independent of the counting convention.
+MAC counting convention, read from the parameter table
+(``engine.expected_shapes``): a slow frame costs one MAC per weight of each
+matrix (2-D entry) named ``slow.*``, and a fast frame one per weight of each
+matrix named ``fast.*`` plus the variant's ``mod_macs`` per state channel
+(ssmm 2h, film h, ec 0). Biases, the warm-up packet and activations are
+free. The dual-rate total is slow_macs * slow_fps + fast_macs * fast_fps;
+the single-branch baseline is the same sum over its own table
+(``engine.single_branch_shapes``: the identical trunk with an L_F head)
+once per fast frame, which makes the cost-reduction ratio independent of
+the counting convention.
 """
 
 from __future__ import annotations
@@ -22,8 +27,10 @@ from .engine import (
     SessionStats,
     SlowFastConfig,
     enhance_offline,
+    expected_shapes,
+    single_branch_shapes,
 )
-from .fast_branch import VARIANTS, packet_size
+from .fast_branch import VARIANTS
 
 
 @dataclass(frozen=True)
@@ -48,35 +55,18 @@ class CostReport:
         )
 
 
-def fc_macs(m: int, n: int) -> int:
-    return m * n
-
-
-def gru_layer_macs(in_dim: int, h_dim: int) -> int:
-    """Three input products plus three hidden products."""
-    return 3 * (in_dim * h_dim + h_dim * h_dim)
-
-
-def trunk_macs_per_frame(input_len: int, width: int, layers: int) -> int:
-    """FC in + stacked GRU cost shared by the slow branch and the baseline."""
-    return fc_macs(input_len, width) + layers * gru_layer_macs(width, width)
-
-
-def fast_macs_per_frame(config: SlowFastConfig) -> int:
-    """f_in, the modulation's multiplies per state channel, then f_out."""
-    l_f, h = config.l_f, config.h
-    variant = VARIANTS[config.variant]
-    return fc_macs(l_f, h) + variant.mod_macs * h + fc_macs(variant.feat_width * h, l_f)
+def _matrix_macs(shapes: dict[str, tuple[int, ...]], prefix: str) -> int:
+    """One MAC per weight of each matrix in ``shapes`` named ``prefix*``."""
+    return sum(math.prod(shape) for name, shape in shapes.items()
+               if len(shape) == 2 and name.startswith(prefix))
 
 
 def mac_count(config: SlowFastConfig) -> CostReport:
     """Cost of the dual-rate network for one second of 16 kHz audio."""
-    slow = trunk_macs_per_frame(config.l_s, config.gru_width, config.gru_layers)
-    slow += fc_macs(config.gru_width, packet_size(config.variant, config.h))
-    fast = fast_macs_per_frame(config)
+    shapes = expected_shapes(config)
     return CostReport.build(
-        slow_macs=slow,
-        fast_macs=fast,
+        slow_macs=_matrix_macs(shapes, "slow."),
+        fast_macs=_matrix_macs(shapes, "fast.") + VARIANTS[config.variant].mod_macs * config.h,
         slow_fps=SAMPLE_RATE / config.delta_s,
         fast_fps=SAMPLE_RATE / config.delta_f,
         l_f=config.l_f,
@@ -85,11 +75,9 @@ def mac_count(config: SlowFastConfig) -> CostReport:
 
 def single_branch_mac_count(config: SlowFastConfig) -> CostReport:
     """Baseline cost: the full trunk plus a width -> L_F head at the fast rate."""
-    per_frame = trunk_macs_per_frame(config.l_f, config.gru_width, config.gru_layers)
-    per_frame += fc_macs(config.gru_width, config.l_f)
     return CostReport.build(
         slow_macs=0,
-        fast_macs=per_frame,
+        fast_macs=_matrix_macs(single_branch_shapes(config), "slow."),
         slow_fps=0.0,
         fast_fps=SAMPLE_RATE / config.delta_f,
         l_f=config.l_f,

@@ -7,7 +7,6 @@ from .losses import (
     SISNR_CAP_DB,
     StftParams,
     sisnr,
-    spec_mse_loss,
     stft,
     total_loss,
 )
@@ -39,7 +38,6 @@ __all__ = [
     "make_batch",
     "make_synthetic_pair",
     "sisnr",
-    "spec_mse_loss",
     "stft",
     "total_loss",
     "train",

@@ -8,12 +8,19 @@ whenever the epoch loss fails to improve for two consecutive epochs. Stage 2
 switches to the combined objective (weights 10 and 0.5), resets the rate to
 1e-4, and cuts by 25% after a single flat epoch. Everything is a
 deterministic function of the schedule seed.
+
+``TrainSchedule`` holds the nine knobs a caller sets (epochs and learning
+rate per stage, batch size, corpus sizes, seed, gradient clip) and checks
+their ranges. The plateau rules (``STAGE1_PLATEAU``, ``STAGE2_PLATEAU``), the
+loss weightings, the STFT and the SNR grids of ``data`` are fixed.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -23,26 +30,44 @@ from .data import EVAL_SNRS_DB, TRAIN_SNRS_DB, make_batch
 from .losses import LossWeights, StftParams, sisnr_grad
 
 
+# (patience, drop) of each stage: after `patience` epochs without a lower
+# epoch loss the learning rate is multiplied by `drop`
+STAGE1_PLATEAU = (2, 0.9)
+STAGE2_PLATEAU = (1, 0.75)
+
+
 @dataclass
 class TrainSchedule:
+    """The knobs a caller sets; a value out of range is a ValueError naming its key."""
+
     stage1_epochs: int = 24
     stage2_epochs: int = 4
     lr_stage1: float = 1e-3
     lr_stage2: float = 1e-4
-    drop_stage1: float = 0.9
-    patience_stage1: int = 2
-    drop_stage2: float = 0.75
-    patience_stage2: int = 1
     batch_size: int = 16
     train_pairs: int = 200
     eval_pairs: int = 16
     seed: int = 0
-    grad_clip: float = 5.0
-    stage1_weights: LossWeights = field(default_factory=lambda: LossWeights(1.0, 0.0))
-    stage2_weights: LossWeights = field(default_factory=lambda: LossWeights(10.0, 0.5))
-    stft: StftParams = field(default_factory=lambda: StftParams(256, 128))
-    train_snrs: tuple = TRAIN_SNRS_DB
-    eval_snrs: tuple = EVAL_SNRS_DB
+    grad_clip: float = 5.0  # global gradient norm bound; 0 does not clip
+
+    stage1_weights: ClassVar[LossWeights] = LossWeights(1.0, 0.0)
+    stage2_weights: ClassVar[LossWeights] = LossWeights(10.0, 0.5)
+    stft: ClassVar[StftParams] = StftParams(256, 128)
+
+    def __post_init__(self):
+        # (key, lower bound, bound excluded)
+        for key, low, strict in (
+            ("stage1_epochs", 0, False), ("stage2_epochs", 0, False),
+            ("lr_stage1", 0, True), ("lr_stage2", 0, True),
+            ("batch_size", 1, False), ("train_pairs", 1, False), ("eval_pairs", 1, False),
+            ("seed", 0, False), ("grad_clip", 0, False),
+        ):
+            value = getattr(self, key)
+            if not (math.isfinite(value) and (value > low if strict else value >= low)):
+                op = ">" if strict else ">="
+                raise ValueError(
+                    f"schedule key {key} = {value!r}: expected a finite value {op} {low}"
+                )
 
 
 @dataclass
@@ -140,6 +165,12 @@ def passthrough_start(config: SlowFastConfig, seed: int = 0) -> ModelWeights:
     return weights
 
 
+def _corpus(first_seed: int, snrs: tuple, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``n`` synthetic pairs, seeded first_seed, first_seed + 2, ..., cycling through ``snrs``."""
+    return make_batch([int(first_seed + 2 * i) for i in range(n)],
+                      [snrs[i % len(snrs)] for i in range(n)])
+
+
 def _lr_controller(lr: float, best: float, bad: int, loss: float, patience: int, drop: float):
     if loss < best - 1e-12:
         return lr, loss, 0
@@ -166,15 +197,9 @@ def train(
     sched = schedule or TrainSchedule()
     rng = np.random.default_rng(sched.seed)
 
-    train_seeds = [int(sched.seed * 1_000_003 + 2 * i) for i in range(sched.train_pairs)]
-    train_snrs = [sched.train_snrs[i % len(sched.train_snrs)] for i in range(sched.train_pairs)]
-    eval_seeds = [
-        int(sched.seed * 1_000_003 + 1_000_001 + 2 * i) for i in range(sched.eval_pairs)
-    ]
-    eval_snrs = [sched.eval_snrs[i % len(sched.eval_snrs)] for i in range(sched.eval_pairs)]
-
-    noisy_all, clean_all = make_batch(train_seeds, train_snrs)
-    eval_noisy, eval_clean = make_batch(eval_seeds, eval_snrs)
+    first_seed = sched.seed * 1_000_003
+    noisy_all, clean_all = _corpus(first_seed, TRAIN_SNRS_DB, sched.train_pairs)
+    eval_noisy, eval_clean = _corpus(first_seed + 1_000_001, EVAL_SNRS_DB, sched.eval_pairs)
 
     weights = init_weights if init_weights is not None else passthrough_start(
         config, seed=sched.seed
@@ -183,14 +208,12 @@ def train(
     log: list[EpochRecord] = []
 
     stages = [
-        (1, sched.stage1_epochs, sched.lr_stage1, sched.stage1_weights,
-         sched.patience_stage1, sched.drop_stage1),
-        (2, sched.stage2_epochs, sched.lr_stage2, sched.stage2_weights,
-         sched.patience_stage2, sched.drop_stage2),
+        (1, sched.stage1_epochs, sched.lr_stage1, sched.stage1_weights, STAGE1_PLATEAU),
+        (2, sched.stage2_epochs, sched.lr_stage2, sched.stage2_weights, STAGE2_PLATEAU),
     ]
 
     epoch = 0
-    for stage, n_epochs, lr, lw, patience, drop in stages:
+    for stage, n_epochs, lr, lw, (patience, drop) in stages:
         best = np.inf
         bad = 0
         for _ in range(n_epochs):

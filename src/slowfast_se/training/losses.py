@@ -2,9 +2,12 @@
 
 The spectral term compares magnitude, real, and imaginary parts of a Hann
 STFT; the SI-SNR term projects the estimate onto the target so the score is
-invariant to rescaling the estimate. Both come with hand-derived gradients
-w.r.t. the estimate, used by the network backward pass and verified against
-finite differences in the tests.
+invariant to rescaling the estimate. Each objective is one function that
+returns its value and its hand-derived gradient w.r.t. the estimate:
+``spec_mse_loss_grad``, ``sisnr_grad`` and ``total_loss_grad``, the last
+used by the network backward pass; the tests check all three against finite
+differences. ``sisnr`` and ``total_loss`` are the values of those functions,
+for scoring and for gradient checks, so no objective is written twice.
 """
 
 from __future__ import annotations
@@ -77,18 +80,12 @@ def _spectral_errors(s_hat, s, p: StftParams):
     return x_hat, mag, mag - np.abs(x_ref), x_hat.real - x_ref.real, x_hat.imag - x_ref.imag
 
 
-def spec_mse_loss(s_hat, s, p: StftParams) -> float:
-    """Mean over (frame, bin) of squared magnitude + real + imaginary errors."""
-    _, _, d_mag, d_re, d_im = _spectral_errors(s_hat, s, p)
-    per_bin = d_mag**2 + d_re**2 + d_im**2
-    return float(np.mean(per_bin.reshape(*per_bin.shape[:-2], -1), axis=-1).mean())
-
-
 def spec_mse_loss_grad(s_hat: np.ndarray, s: np.ndarray, p: StftParams) -> tuple[float, np.ndarray]:
-    """Loss and its gradient w.r.t. s_hat, batched over leading axes.
+    """Mean over (frame, bin) of squared magnitude + real + imaginary errors,
+    and its gradient w.r.t. s_hat, batched over leading axes.
 
-    The per-clip loss averages over frames*bins; for a batch the returned
-    scalar additionally averages over the batch and the gradient matches it.
+    For a batch the returned scalar additionally averages over the batch and
+    the gradient matches it.
     """
     x_hat, mag, d_mag, d_re, d_im = _spectral_errors(s_hat, s, p)
     n_frames, n_bins = x_hat.shape[-2], x_hat.shape[-1]
@@ -112,23 +109,8 @@ def spec_mse_loss_grad(s_hat: np.ndarray, s: np.ndarray, p: StftParams) -> tuple
     return loss, grad
 
 
-def sisnr(s_hat, s) -> float:
-    """Scale-invariant SNR in dB, capped at +60; raises on an all-zero target."""
-    val, _ = _sisnr_with_grad(
-        np.asarray(s_hat, dtype=np.float64)[None, :],
-        np.asarray(s, dtype=np.float64)[None, :],
-        need_grad=False,
-    )
-    return float(val[0])
-
-
 def sisnr_grad(s_hat: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-clip SI-SNR values (B,) and gradients (B, N) w.r.t. s_hat."""
-    val, grad = _sisnr_with_grad(s_hat, s, need_grad=True)
-    return val, grad
-
-
-def _sisnr_with_grad(s_hat: np.ndarray, s: np.ndarray, need_grad: bool):
     if s_hat.shape != s.shape:
         raise ValueError(f"length mismatch: {s_hat.shape} vs {s.shape}")
     if s_hat.ndim != 2:
@@ -145,8 +127,6 @@ def _sisnr_with_grad(s_hat: np.ndarray, s: np.ndarray, need_grad: bool):
     den = np.sum(err * err, axis=1) + SISNR_EPS
     raw = 10.0 * np.log10(num / den)
     capped = np.minimum(raw, SISNR_CAP_DB)
-    if not need_grad:
-        return capped, None
 
     # d(raw)/d(e) = (20/ln10) * (t/(alpha*|t|^2) - err/den); <t, err> = 0 makes
     # the target-energy branch collapse to this form. Capped entries get 0.
@@ -156,16 +136,6 @@ def _sisnr_with_grad(s_hat: np.ndarray, s: np.ndarray, need_grad: bool):
     g_e = np.where(active, g_e, 0.0)
     grad = g_e - g_e.mean(axis=1, keepdims=True)
     return capped, grad
-
-
-def total_loss(s_hat, s, lw: LossWeights, p: StftParams) -> float:
-    """lambda1 * SpecMSE + lambda2 * (-SISNR)."""
-    value = 0.0
-    if lw.spec_mse > 0:
-        value += lw.spec_mse * spec_mse_loss(s_hat, s, p)
-    if lw.sisnr > 0:
-        value += lw.sisnr * (-sisnr(s_hat, s))
-    return value
 
 
 def total_loss_grad(
@@ -186,3 +156,18 @@ def total_loss_grad(
         loss += lw.sisnr * float(-vals.mean())
         grad += lw.sisnr * (-g / b)
     return loss, grad
+
+
+def sisnr(s_hat, s) -> float:
+    """Scale-invariant SNR in dB, capped at +60; raises on an all-zero target."""
+    vals, _ = sisnr_grad(
+        np.asarray(s_hat, dtype=np.float64)[None, :], np.asarray(s, dtype=np.float64)[None, :]
+    )
+    return float(vals[0])
+
+
+def total_loss(s_hat, s, lw: LossWeights, p: StftParams) -> float:
+    """lambda1 * SpecMSE + lambda2 * (-SISNR) of one clip, or the batch mean:
+    the value of ``total_loss_grad``."""
+    s_hat = np.atleast_2d(np.asarray(s_hat, dtype=np.float64))
+    return total_loss_grad(s_hat, np.atleast_2d(np.asarray(s, dtype=np.float64)), lw, p)[0]

@@ -1,13 +1,14 @@
 """Command-line surface: exit codes, file outputs, determinism."""
 
 import csv
+import dataclasses
 import os
 
 import numpy as np
 import pytest
 
 from slowfast_se import cli
-from slowfast_se.cli import compare_variants, config_from_kv, read_kv_file, run
+from slowfast_se.cli import _load_corpus, compare_variants, config_from_kv, read_kv_file, run
 from slowfast_se.engine import (
     SlowFastConfig,
     init_model_weights,
@@ -22,6 +23,7 @@ from slowfast_se.persistence import (
     save_model,
 )
 from slowfast_se.signal_io import AudioBuffer, read_wav, write_wav
+from slowfast_se.training import TrainingDivergedError, TrainSchedule, evaluate_sisnr
 
 
 @pytest.fixture
@@ -170,6 +172,64 @@ class TestConfigFile:
         assert instant_train == []
 
 
+class TestScheduleKeys:
+    @pytest.fixture
+    def schedules(self, monkeypatch):
+        seen = []
+
+        def train(config, schedule, progress=None):
+            seen.append(schedule)
+            return init_model_weights(config, seed=0), []
+
+        monkeypatch.setattr(cli, "train", train)
+        return seen
+
+    def test_keys_are_the_schedule_fields(self, schedules, tmp_path):
+        assert list(cli._SCHEDULE_KEYS) == [f.name for f in dataclasses.fields(TrainSchedule)]
+        values = {"stage1_epochs": 3, "stage2_epochs": 1, "lr_stage1": 0.002,
+                  "lr_stage2": 3e-5, "batch_size": 5, "train_pairs": 7, "eval_pairs": 2,
+                  "seed": 9, "grad_clip": 0.0}
+        assert set(values) == set(cli._SCHEDULE_KEYS)
+        cfg_file = tmp_path / "c.cfg"
+        cfg_file.write_text("".join(f"{k} = {v}\n" for k, v in values.items()))
+        assert run(["train", "--config", str(cfg_file), "--out", str(tmp_path / "m.sfse")]) == 0
+        assert schedules == [TrainSchedule(**values)]
+        assert type(schedules[0].stage1_epochs) is int and type(schedules[0].lr_stage2) is float
+
+    @pytest.mark.parametrize("line", ["drop_stage1 = 0.5", "patience_stage2 = 3",
+                                      "train_snrs = 5", "stft = 512"])
+    def test_fixed_setting_is_an_unknown_key(self, line, schedules, tmp_path, capsys):
+        cfg_file = tmp_path / "c.cfg"
+        cfg_file.write_text(line + "\n")
+        assert run(["train", "--config", str(cfg_file), "--out", str(tmp_path / "m.sfse")]) == 1
+        assert line.split()[0] in capsys.readouterr().err
+        assert schedules == []
+
+    @pytest.mark.parametrize("line", ["batch_size = 0", "eval_pairs = 0", "train_pairs = 0",
+                                      "stage2_epochs = -1", "lr_stage1 = nan",
+                                      "lr_stage1 = inf", "lr_stage2 = 0", "seed = -1",
+                                      "grad_clip = -1"])
+    def test_out_of_range_value_fails_before_training(self, line, schedules, tmp_path, capsys):
+        cfg_file = tmp_path / "c.cfg"
+        cfg_file.write_text(line + "\n")
+        out = tmp_path / "m.sfse"
+        assert run(["train", "--config", str(cfg_file), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and line.split()[0] in err
+        assert schedules == [] and not out.exists()
+
+    def test_diverged_training_is_an_error_line(self, monkeypatch, tmp_path, capsys):
+        def train(config, schedule, progress=None):
+            raise TrainingDivergedError("non-finite epoch loss nan at epoch 2 (lr=1.000e-03)")
+
+        monkeypatch.setattr(cli, "train", train)
+        out = tmp_path / "m.sfse"
+        assert run(["train", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "epoch 2" in err and "Traceback" not in err
+        assert not out.exists()
+
+
 class TestEnhance:
     def test_stream_chunk_equals_offline(self, model_path, wav_path, tmp_path):
         out_a = str(tmp_path / "a.wav")
@@ -247,6 +307,21 @@ class TestMakeCorpusAndCompare:
         rows = compare_variants(corpus, str(models), deltas=(1, 3, 5), variants=("film",))
         macs = [row["macs_m_per_s"] for row in rows]
         assert macs == sorted(macs, reverse=True)
+
+
+    def test_compare_skips_stray_file_and_scores_with_evaluate_sisnr(self, tmp_path):
+        corpus = str(tmp_path / "corpus")
+        run(["make-corpus", "--out", corpus, "--count", "2"])
+        models = tmp_path / "models"
+        models.mkdir()
+        cfg = SlowFastConfig(variant="ec", l_f=32, delta_f=16, reuse=2, h=32,
+                             gru_width=8, gru_layers=1)
+        save_model(init_model_weights(cfg, seed=4), cfg, models / "ec_d2_s0.sfse")
+        (models / "ec_dx_s0.sfse").write_bytes(b"not a model")
+        rows = compare_variants(corpus, str(models), deltas=(2,), variants=("ec",))
+        assert len(rows) == 1 and rows[0]["n_seeds"] == 1
+        weights, _ = load_model(models / "ec_d2_s0.sfse")
+        assert rows[0]["sisnr_mean"] == evaluate_sisnr(weights, cfg, *_load_corpus(corpus))
 
 
 class TestKvParsing:

@@ -1,5 +1,7 @@
 """Cost model, latency certification, RTF benchmark."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -11,14 +13,12 @@ from slowfast_se.engine import (
 )
 from slowfast_se.eval_bench import (
     benchmark_rtf,
-    fc_macs,
-    gru_layer_macs,
     mac_count,
     output_hash,
     single_branch_mac_count,
-    trunk_macs_per_frame,
     verify_latency,
 )
+from slowfast_se.fast_branch import packet_size
 
 # paper-reported M MACs/s totals for the 2 ms geometry per reuse factor
 PAPER_TOTALS = {1: 110.0, 2: 57.0, 3: 39.0, 4: 31.0, 5: 25.0, 10: 15.0}
@@ -27,10 +27,27 @@ PAPER_SAMPLE_LEVEL = 105.0
 
 class TestMacCount:
     def test_fc_product(self):
-        assert fc_macs(32, 64) == 2048
+        # an FC from m to n costs m*n: one more slow input sample adds one
+        # GRU-width row to FC in; the 2ms-d3 baseline is FC in (L_F x 64),
+        # four GRU layers and a (64 x L_F) head
+        cfg = two_ms_config(3)
+        wider_in = replace(cfg, l_s=cfg.l_s + 1)
+        assert (mac_count(wider_in).slow_macs_per_frame
+                - mac_count(cfg).slow_macs_per_frame) == cfg.gru_width
+        assert single_branch_mac_count(cfg).fast_macs_per_frame == (
+            32 * 64 + 4 * 3 * (64 * 64 + 64 * 64) + 64 * 32)
 
     def test_gru_layer(self):
-        assert gru_layer_macs(64, 64) == 3 * (64 * 64 + 64 * 64)
+        # one 64-wide GRU layer: three input and three hidden 64 x 64 products;
+        # 2ms-d3 slow frame = FC in (96 x 64) + four layers + head (64 x 2H)
+        cfg = two_ms_config(3)
+        one_less = replace(cfg, gru_layers=cfg.gru_layers - 1)
+        layer = 3 * (64 * 64 + 64 * 64)
+        assert (mac_count(cfg).slow_macs_per_frame
+                - mac_count(one_less).slow_macs_per_frame) == layer
+        assert (single_branch_mac_count(cfg).fast_macs_per_frame
+                - single_branch_mac_count(one_less).fast_macs_per_frame) == layer
+        assert mac_count(cfg).slow_macs_per_frame == 96 * 64 + 4 * layer + 64 * 64 == 108544
 
     def test_two_ms_reuse_one_close_to_paper(self):
         report = mac_count(two_ms_config(1))
@@ -76,11 +93,14 @@ class TestMacCount:
         assert ec == 32 * 32 + 64 * 32
 
     def test_single_branch_shares_trunk_cost(self):
-        cfg = two_ms_config(3)
-        baseline = single_branch_mac_count(cfg)
-        trunk = trunk_macs_per_frame(cfg.l_f, cfg.gru_width, cfg.gru_layers)
-        assert baseline.fast_macs_per_frame == trunk + 64 * cfg.l_f
-        assert baseline.fast_fps == 1000.0
+        # the GRU stack costs the same in both; only the FC in (L_F, not L_S,
+        # inputs) and the head (L_F, not packet, outputs) differ
+        for cfg in (two_ms_config(3), sample_level_config("film")):
+            slow = mac_count(cfg).slow_macs_per_frame
+            baseline = single_branch_mac_count(cfg).fast_macs_per_frame
+            w, head = cfg.gru_width, packet_size(cfg.variant, cfg.h)
+            assert baseline - 2 * cfg.l_f * w == slow - (cfg.l_s + head) * w
+        assert single_branch_mac_count(two_ms_config(3)).fast_fps == 1000.0
 
     def test_reduction_claim(self):
         # dual-rate at reuse 3 costs at most 40% of the same trunk run fast

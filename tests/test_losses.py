@@ -8,7 +8,6 @@ from slowfast_se.training.losses import (
     StftParams,
     sisnr,
     sisnr_grad,
-    spec_mse_loss,
     spec_mse_loss_grad,
     stft,
     total_loss,
@@ -85,14 +84,14 @@ class TestStft:
 class TestSpecMse:
     def test_zero_for_identical(self):
         x = np.random.default_rng(2).standard_normal(300)
-        assert spec_mse_loss(x, x, StftParams(64, 32)) == 0.0
+        assert spec_mse_loss_grad(x, x, StftParams(64, 32))[0] == 0.0
 
     def test_non_negative(self):
         rng = np.random.default_rng(3)
         p = StftParams(64, 32)
         for _ in range(5):
             a, b = rng.standard_normal((2, 200))
-            assert spec_mse_loss(a, b, p) >= 0.0
+            assert spec_mse_loss_grad(a, b, p)[0] >= 0.0
 
     def test_negated_estimate_oracle(self):
         # magnitudes match, real/imag double -> loss = 4 * mean(Re^2 + Im^2),
@@ -102,12 +101,12 @@ class TestSpecMse:
         p = StftParams(32, 16)
         ref = naive_dft_frames(s, p)
         expected = float(np.mean(4.0 * (ref.real**2 + ref.imag**2)))
-        got = spec_mse_loss(-s, s, p)
+        got = spec_mse_loss_grad(-s, s, p)[0]
         assert got == pytest.approx(expected, rel=1e-10)
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
-            spec_mse_loss(np.zeros(64), np.zeros(65), StftParams(32, 16))
+            spec_mse_loss_grad(np.zeros(64), np.zeros(65), StftParams(32, 16))
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(5)
@@ -187,8 +186,20 @@ class TestTotalLoss:
         s_hat = s + 0.2 * rng.standard_normal(200)
         p = StftParams(64, 32)
         lw = LossWeights(spec_mse=10.0, sisnr=0.5)
-        expected = 10.0 * spec_mse_loss(s_hat, s, p) + 0.5 * (-sisnr(s_hat, s))
+        expected = 10.0 * spec_mse_loss_grad(s_hat, s, p)[0] + 0.5 * (-sisnr(s_hat, s))
         assert total_loss(s_hat, s, lw, p) == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("lw", [LossWeights(1.0, 0.0), LossWeights(10.0, 0.5),
+                                    LossWeights(0.0, 2.0)])
+    def test_value_is_the_grad_functions_on_one_row(self, lw):
+        # total_loss and sisnr are the values of total_loss_grad and
+        # sisnr_grad, bit for bit, on a one-row batch
+        rng = np.random.default_rng(12)
+        s = rng.standard_normal(300)
+        s_hat = s + 0.4 * rng.standard_normal(300)
+        p = StftParams(64, 32)
+        assert total_loss(s_hat, s, lw, p) == total_loss_grad(s_hat[None], s[None], lw, p)[0]
+        assert sisnr(s_hat, s) == sisnr_grad(s_hat[None], s[None])[0][0]
 
     def test_zero_weights_rejected(self):
         with pytest.raises(ValueError):

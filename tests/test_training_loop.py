@@ -1,6 +1,7 @@
 """Optimizer, schedule mechanics, determinism, divergence handling."""
 
 import csv
+import dataclasses
 
 import numpy as np
 import pytest
@@ -12,8 +13,10 @@ from slowfast_se.engine import (
     sample_level_config,
     two_ms_config,
 )
-from slowfast_se.training import forward_batch, make_batch, sisnr
+from slowfast_se.training import LossWeights, StftParams, forward_batch, make_batch, sisnr
 from slowfast_se.training.loop import (
+    STAGE1_PLATEAU,
+    STAGE2_PLATEAU,
     AdamOptimizer,
     TrainingDivergedError,
     TrainSchedule,
@@ -91,6 +94,36 @@ class TestLrController:
     def test_stage2_single_epoch_plateau_drops_quarter(self):
         lr, best, bad = _lr_controller(1e-4, best=0.5, bad=0, loss=0.6, patience=1, drop=0.75)
         assert lr == pytest.approx(7.5e-5)
+
+
+class TestSchedule:
+    def test_only_the_settable_knobs_are_fields(self):
+        assert [f.name for f in dataclasses.fields(TrainSchedule)] == [
+            "stage1_epochs", "stage2_epochs", "lr_stage1", "lr_stage2", "batch_size",
+            "train_pairs", "eval_pairs", "seed", "grad_clip",
+        ]
+
+    def test_fixed_settings_keep_their_values(self):
+        sched = TrainSchedule()
+        assert sched.stage1_weights == LossWeights(1.0, 0.0)
+        assert sched.stage2_weights == LossWeights(10.0, 0.5)
+        assert sched.stft == StftParams(256, 128)
+        assert (STAGE1_PLATEAU, STAGE2_PLATEAU) == ((2, 0.9), (1, 0.75))
+
+    @pytest.mark.parametrize("key, value", [
+        ("stage1_epochs", -1), ("stage2_epochs", -1), ("batch_size", 0), ("train_pairs", 0),
+        ("eval_pairs", 0), ("seed", -1), ("lr_stage1", 0.0), ("lr_stage1", float("nan")),
+        ("lr_stage2", float("inf")), ("lr_stage2", -1e-4), ("grad_clip", -1.0),
+        ("grad_clip", float("inf")), ("grad_clip", float("nan")),
+    ])
+    def test_out_of_range_value_names_its_key(self, key, value):
+        with pytest.raises(ValueError, match=key):
+            TrainSchedule(**{key: value})
+
+    def test_boundary_values_accepted(self):
+        sched = TrainSchedule(stage1_epochs=0, stage2_epochs=0, batch_size=1, train_pairs=1,
+                              eval_pairs=1, grad_clip=0.0, lr_stage1=1e-12)
+        assert sched.grad_clip == 0.0
 
 
 class TestTrainingStart:
