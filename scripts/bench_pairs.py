@@ -8,12 +8,12 @@ Each pair runs ``bench/run.py --trace 0`` once in the parent tree and once in
 this tree, on the same seed (first seed, first seed + 1, ...), taking turns
 on which side runs first. The benchmark code that runs is each tree's own,
 so the parent tree should be a checkout of the commit this tree builds on
-(``git clone`` or ``git archive`` of it). Keep the two trees at paths of
-equal length, such as ../parent and ../change. With a 10- and a 20-character
-path on the reference machine, the training workload's set-up, which runs
-no changed code, read 14% slower on one side over ten pairs; presumably the
-path, which is in sys.path and every module's file name, shifts the memory
-layout.
+(``git clone`` or ``git archive`` of it). The two trees' absolute paths must
+be of equal length, such as ../parent and ../change; the script exits 2
+otherwise. With a 10- and a 20-character path on the reference machine, the
+training workload's set-up, which runs no changed code, read 14% slower on
+one side over ten pairs; presumably the path, which is in sys.path and every
+module's file name, shifts the memory layout.
 
 The output file records each tree's commit and a sha256 over its
 ``src/**/*.py``, which also identifies a tree copied without ``.git``. It
@@ -130,6 +130,10 @@ def main(argv=None) -> int:
     parent = args.parent.resolve()
     if not (parent / "bench" / "run.py").is_file():
         ap.error(f"{parent} has no bench/run.py")
+    if len(str(parent)) != len(str(HERE)):
+        ap.error(f"the parent tree's path {parent} ({len(str(parent))} characters) and this "
+                 f"tree's {HERE} ({len(str(HERE))}) differ in length, which moves the "
+                 "figures; use paths of equal length, such as ../parent and ../change")
     seconds = spec["run_seconds"] if args.seconds is None else args.seconds
 
     report = {

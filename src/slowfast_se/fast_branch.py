@@ -117,7 +117,14 @@ class Variant(NamedTuple):
 
     They take ``u`` (B, NF, H), every frame's f_in output, the packet's
     (B, G, H) arrays, one row per table entry, and ``groups`` (NF,), each
-    frame's row. The adjoint's d_raw_table includes the head's derivative.
+    frame's row, numbering runs of consecutive frames 0, 1, ... The
+    adjoint's d_raw_table includes the head's derivative.
+
+    Only a true recurrence runs frame by frame: ssmm's modulate loops over
+    frames for ``h_i = a_i h_{i-1} + (g u)_i`` alone, and its adjoint for
+    ``dh_i += a_{i+1} dh_{i+1}`` alone; film and ec have no loop. Packet
+    gathers, products and per-group sums (``_group_sums``) are whole-array
+    calls.
     """
 
     fields: tuple[str, ...]  # the packet's arrays, in order
@@ -129,31 +136,52 @@ class Variant(NamedTuple):
     adjoint: Callable        # (d f_out input, u, packet, groups, f_out input) -> (du, d_raw)
 
 
+def _group_sums(x, groups):
+    """Sums of time-major (NF, ...) ``x`` over each group's frames: (G, ...).
+
+    ``groups`` numbers the frames' groups 0, 1, ... in runs of consecutive
+    frames. Each group adds its frames last first, in the order a reverse
+    frame loop accumulates them, as one vectorized add per frame position.
+    """
+    starts = np.flatnonzero(np.diff(groups, prepend=-1))
+    sizes = np.diff(starts, append=len(groups))
+    out = np.zeros((len(starts),) + x.shape[1:])
+    for r in range(sizes.max() - 1, -1, -1):
+        k = np.flatnonzero(sizes > r)  # the groups that have an r-th frame
+        out[k] += x[starts[k] + r]
+    return out
+
+
+# The ssmm scan runs time-major, on (NF, B, H) arrays whose rows are one
+# frame's (B, H) block, and hands back (B, NF, H) views of them.
+
+
 def _ssmm_modulate(u, p, groups):
     a, g = p
-    feat = np.empty_like(u)
-    h = np.zeros((u.shape[0], u.shape[2]))
-    for i, k in enumerate(groups):
-        h = a[:, k] * h + g[:, k] * u[:, i]
-        feat[:, i] = h
-    return feat
+    a_t = a.swapaxes(0, 1)
+    h = g.swapaxes(0, 1)[groups]
+    h *= u.swapaxes(0, 1)  # g*u, then the scan in place
+    for a_i, h_prev, h_i in zip(a_t[groups[1:]], h, h[1:]):
+        h_i += a_i * h_prev
+    return h.swapaxes(0, 1)
 
 
 def _ssmm_adjoint(dfeat, u, p, groups, feat):
-    # feat holds the states, so the state before frame i is feat[:, i - 1]
+    # feat holds the states h_i; h_i = a_i h_{i-1} + g_i u_i gives the
+    # reverse scan dh_i = dfeat_i + a_{i+1} dh_{i+1}
     a, g = p
-    da, dg, du = np.zeros(a.shape), np.zeros(g.shape), np.empty_like(u)
-    carry = np.zeros((u.shape[0], u.shape[2]))
-    for i in range(len(groups) - 1, -1, -1):
-        k = groups[i]
-        dh = dfeat[:, i] + carry
-        h_prev = feat[:, i - 1] if i > 0 else 0.0
-        da[:, k] += dh * h_prev
-        dg[:, k] += dh * u[:, i]
-        du[:, i] = dh * g[:, k]
-        carry = dh * a[:, k]
+    a_t = a.swapaxes(0, 1)
+    dh = dfeat.swapaxes(0, 1).copy()
+    for a_i, dh_next, dh_i in zip(a_t[groups[:0:-1]], dh[::-1], dh[-2::-1]):
+        dh_i += a_i * dh_next
+    # one buffer holds each group sum's terms: dh_i h_{i-1} (h_{-1} = 0), then dh_i u_i
+    terms = np.zeros_like(dh)
+    np.multiply(dh[1:], feat.swapaxes(0, 1)[:-1], out=terms[1:])
+    da = _group_sums(terms, groups).swapaxes(0, 1)
+    dg = _group_sums(np.multiply(dh, u.swapaxes(0, 1), out=terms), groups).swapaxes(0, 1)
+    dh *= g.swapaxes(0, 1)[groups]  # now du
     # sigmoid heads: d sig / d raw = sig * (1 - sig)
-    return du, np.concatenate([da * a * (1.0 - a), dg * g * (1.0 - g)], axis=-1)
+    return dh.swapaxes(0, 1), np.concatenate([da * a * (1.0 - a), dg * g * (1.0 - g)], axis=-1)
 
 
 def _film_modulate(u, p, groups):
@@ -162,12 +190,11 @@ def _film_modulate(u, p, groups):
 
 
 def _film_adjoint(dfeat, u, p, groups, feat):
-    # alpha = 1 + raw and beta = raw, so the head passes gradients unchanged;
-    # reduceat sums each group's frames, which start where groups steps up
-    starts = np.flatnonzero(np.diff(groups, prepend=-1))
-    dalpha = np.add.reduceat(dfeat * u, starts, axis=1)
-    dbeta = np.add.reduceat(dfeat, starts, axis=1)
-    return dfeat * p[0][:, groups], np.concatenate([dalpha, dbeta], axis=-1)
+    # alpha = 1 + raw and beta = raw, so the head passes gradients unchanged
+    dfeat_t = dfeat.swapaxes(0, 1)
+    d_raw = np.concatenate([_group_sums(dfeat_t * u.swapaxes(0, 1), groups),
+                            _group_sums(dfeat_t, groups)], axis=-1)
+    return dfeat * p[0][:, groups], d_raw.swapaxes(0, 1)
 
 
 def _ec_modulate(u, p, groups):
@@ -175,8 +202,8 @@ def _ec_modulate(u, p, groups):
 
 
 def _ec_adjoint(dfeat, u, p, groups, feat):
-    h, starts = u.shape[-1], np.flatnonzero(np.diff(groups, prepend=-1))
-    return dfeat[..., :h], np.add.reduceat(dfeat[..., h:], starts, axis=1)
+    h = u.shape[-1]
+    return dfeat[..., :h], _group_sums(dfeat[..., h:].swapaxes(0, 1), groups).swapaxes(0, 1)
 
 
 # Sessions look the step up by name when they are built, so a wrapper

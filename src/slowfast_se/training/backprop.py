@@ -12,21 +12,35 @@ from all frames sharing a packet accumulate into its slow frame), the GRU
 stack across slow frames, and the learned warm-up packet. Correctness is
 pinned by central-difference checks in the test suite.
 
+The backward pass, too, loops only over recurrences: the GRU stack in
+reverse over slow frames, and ssmm's scan inside its adjoint. Each FC weight
+gradient (f_in, f_out, the head, fc_in) is one product over all frames
+(``_frame_product``), and the head's gradients for every slow frame are
+known before the GRU loop starts, so that loop runs only the GRU cells'
+adjoints.
+
 No variant code lives here: the modulation and its adjoint come from the
 variant's row of fast_branch.VARIANTS. ``forward_batch`` checks the weights'
 shapes against the config once, on entry.
 
-Gradients are keyed by the canonical array names from engine.named_arrays.
+Gradients are keyed by the canonical array names from engine.named_arrays;
+``backward`` builds them as zeros from the parameter table.
 """
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 
 import numpy as np
 
-from ..engine import ModelWeights, SlowFastConfig, check_weight_shapes, named_arrays
+from ..engine import (
+    ModelWeights,
+    SlowFastConfig,
+    check_weight_shapes,
+    expected_shapes,
+    model_weights_from_arrays,
+    named_arrays,
+)
 from ..signal_io import frame_signal, make_window, overlap_add
 from ..fast_branch import VARIANTS
 from ..slow_branch import GruCache, GruLayerWeights, trunk_step
@@ -83,6 +97,12 @@ def _gru_backward(
     grad.u += cache.h_prev.T @ da_u
     grad.b += da.sum(0)
     return da @ w.w.T, dh * z + da_u @ w.u.T
+
+
+def _frame_product(x: np.ndarray, dy: np.ndarray) -> np.ndarray:
+    """Weight gradient of ``x @ w`` over a (B, F, .) batch of frames: one BLAS
+    product of the flattened frames (einsum without ``optimize`` is no BLAS call)."""
+    return x.reshape(-1, x.shape[-1]).T @ dy.reshape(-1, dy.shape[-1])
 
 
 def forward_batch(
@@ -150,43 +170,45 @@ def backward(
         )
 
     cfg = config
-    b = noisy.shape[0]
     # gradients keep the weights' layout, so each GRU layer's nine entries
     # are views of one fused gradient layer that _gru_backward updates whole
-    grad_weights = copy.deepcopy(weights)
+    grad_weights = model_weights_from_arrays(
+        cfg, {name: np.zeros(shape) for name, shape in expected_shapes(cfg).items()}
+    )
     grads: GradientSet = dict(named_arrays(grad_weights))
-    for g in grads.values():
-        g[...] = 0.0
 
     # ---- loss -> OLA -> per-frame outputs: framing is the adjoint of OLA
     window = make_window(cfg.l_f)
     dy = frame_signal(d_s_hat, cfg.l_f, cfg.delta_f, cfg.fast_pad, len(cache.groups)) * window
 
     # ---- f_out, then the variant's modulation back to f_in and the packet table
-    grads["fast.f_out.w"] += np.einsum("bic,bil->cl", cache.feat, dy)
+    grads["fast.f_out.w"] += _frame_product(cache.feat, dy)
     grads["fast.f_out.b"] += dy.sum((0, 1))
     du, draw_table = VARIANTS[cfg.variant].adjoint(
         dy @ weights.fast.f_out_w.T, cache.u, cache.packet, cache.groups, cache.feat
     )
-
-    grads["fast.f_in.w"] += np.einsum("bil,bih->lh", cache.frames, du)
+    grads["fast.f_in.w"] += _frame_product(cache.frames, du)
     grads["fast.f_in.b"] += du.sum((0, 1))
 
-    # ---- packet table -> warm-up parameter and slow-branch head inputs
-    grads["slow.warmup_raw"] += draw_table[:, 0].sum(0)
-
+    # ---- packet table -> warm-up parameter and the head, for all slow frames at once
     sw = weights.slow
-    carries = [np.zeros((b, cfg.gru_width)) for _ in range(cfg.gru_layers)]
+    grads["slow.warmup_raw"] += draw_table[:, 0].sum(0)
+    draw = draw_table[:, 1:]
+    grads["slow.fc_head.w"] += _frame_product(cache.top, draw)
+    grads["slow.fc_head.b"] += draw.sum((0, 1))
+    d_top = draw @ sw.fc_head_w.T
+
+    # ---- the GRU stack, in reverse over slow frames, then fc_in for all of them
+    d_in = np.empty_like(d_top)
+    carries = [np.zeros((len(noisy), cfg.gru_width)) for _ in range(cfg.gru_layers)]
     for j in range(len(cache.gru) - 1, -1, -1):
-        draw_j = draw_table[:, j + 1]
-        grads["slow.fc_head.w"] += cache.top[:, j].T @ draw_j
-        grads["slow.fc_head.b"] += draw_j.sum(0)
-        d_act = draw_j @ sw.fc_head_w.T
+        d_act = d_top[:, j]
         for k in range(cfg.gru_layers - 1, -1, -1):
             d_act, carries[k] = _gru_backward(
                 cache.gru[j][k], d_act + carries[k], sw.gru[k], grad_weights.slow.gru[k]
             )
-        grads["slow.fc_in.w"] += cache.xs[:, j].T @ d_act
-        grads["slow.fc_in.b"] += d_act.sum(0)
+        d_in[:, j] = d_act
+    grads["slow.fc_in.w"] += _frame_product(cache.xs, d_in)
+    grads["slow.fc_in.b"] += d_in.sum((0, 1))
 
     return loss, grads

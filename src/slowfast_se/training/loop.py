@@ -180,6 +180,10 @@ def _lr_controller(lr: float, best: float, bad: int, loss: float, patience: int,
     return lr, best, bad
 
 
+# A diverging run overflows inside a step before its loss or its evaluation
+# turns non-finite. The checks on those two report it once, as a
+# TrainingDivergedError, so numpy's warnings along the way are turned off.
+@np.errstate(all="ignore")
 def train(
     config: SlowFastConfig,
     schedule: TrainSchedule | None = None,
@@ -239,6 +243,11 @@ def train(
                     f"non-finite epoch loss {epoch_loss} at epoch {epoch} (lr={lr:.3e})"
                 )
             eval_score = evaluate_sisnr(weights, config, eval_noisy, eval_clean)
+            if np.isnan(eval_score):  # the epoch's last step broke the network
+                raise TrainingDivergedError(
+                    f"training diverged at epoch {epoch} (lr={lr:.3e}, stage {stage}): "
+                    "evaluation SI-SNR is nan"
+                )
             record = EpochRecord(epoch=epoch, loss=epoch_loss, eval_sisnr=eval_score,
                                  lr=lr, stage=stage)
             log.append(record)

@@ -8,6 +8,11 @@ returns its value and its hand-derived gradient w.r.t. the estimate:
 used by the network backward pass; the tests check all three against finite
 differences. ``sisnr`` and ``total_loss`` are the values of those functions,
 for scoring and for gradient checks, so no objective is written twice.
+
+The spectral gradient is one complex array over the one-sided bins, and its
+adjoint through the DFT is one ``irfft``. A real inverse transform counts
+each interior bin twice, once for its mirror image above Nyquist, and the
+DC and Nyquist bins once, so the interior bins enter it at half weight.
 """
 
 from __future__ import annotations
@@ -71,15 +76,6 @@ def stft(x, p: StftParams) -> np.ndarray:
     return np.fft.rfft(_segments(x, p), axis=-1)
 
 
-def _spectral_errors(s_hat, s, p: StftParams):
-    """STFT of s_hat, its magnitude, and its magnitude/real/imaginary errors against s."""
-    if np.shape(s_hat) != np.shape(s):
-        raise ValueError(f"length mismatch: {np.shape(s_hat)} vs {np.shape(s)}")
-    x_hat, x_ref = stft(s_hat, p), stft(s, p)
-    mag = np.abs(x_hat)
-    return x_hat, mag, mag - np.abs(x_ref), x_hat.real - x_ref.real, x_hat.imag - x_ref.imag
-
-
 def spec_mse_loss_grad(s_hat: np.ndarray, s: np.ndarray, p: StftParams) -> tuple[float, np.ndarray]:
     """Mean over (frame, bin) of squared magnitude + real + imaginary errors,
     and its gradient w.r.t. s_hat, batched over leading axes.
@@ -87,21 +83,27 @@ def spec_mse_loss_grad(s_hat: np.ndarray, s: np.ndarray, p: StftParams) -> tuple
     For a batch the returned scalar additionally averages over the batch and
     the gradient matches it.
     """
-    x_hat, mag, d_mag, d_re, d_im = _spectral_errors(s_hat, s, p)
+    if np.shape(s_hat) != np.shape(s):
+        raise ValueError(f"length mismatch: {np.shape(s_hat)} vs {np.shape(s)}")
+    x_hat, x_ref = stft(s_hat, p), stft(s, p)
+    mag = np.abs(x_hat)
+    d_mag, d = mag - np.abs(x_ref), x_hat - x_ref
     n_frames, n_bins = x_hat.shape[-2], x_hat.shape[-1]
     batch = int(np.prod(x_hat.shape[:-2], dtype=int)) if x_hat.ndim > 2 else 1
     scale = 1.0 / (n_frames * n_bins * batch)
-    per_bin = d_mag**2 + d_re**2 + d_im**2
-    loss = float(per_bin.sum() * scale)
+    loss = float((d_mag**2 + d.real**2 + d.imag**2).sum() * scale)
 
-    safe_mag = np.where(mag > 0, mag, 1.0)
-    g_re = 2.0 * scale * (d_mag * np.where(mag > 0, x_hat.real / safe_mag, 0.0) + d_re)
-    g_im = 2.0 * scale * (d_mag * np.where(mag > 0, x_hat.imag / safe_mag, 0.0) + d_im)
-
-    # adjoint of the one-sided DFT: d/dseg[n] = Re(sum_k G_k e^{+2pi i k n / M})
-    g_full = np.zeros(x_hat.shape[:-1] + (p.fft_size,), dtype=np.complex128)
-    g_full[..., :n_bins] = g_re + 1j * g_im
-    seg_grad = np.fft.ifft(g_full, axis=-1).real * p.fft_size
+    # dL/dX = 2 scale (X d_mag / |X| + X - X_ref), with d_mag / |X| taken as 0 at |X| = 0
+    ratio = np.divide(d_mag, mag, out=np.zeros_like(mag), where=mag > 0)
+    g = x_hat * ratio
+    g += d
+    # adjoint of the one-sided DFT: d/dseg[n] = Re(sum_k dL/dX_k e^{+2pi i k n / M}),
+    # which is M irfft of dL/dX with its interior bins halved, as irfft counts
+    # each of them twice; one weight per bin folds in 2 scale, the halving and M
+    weight = np.full(n_bins, scale * p.fft_size)
+    weight[[0, -1]] *= 2.0
+    g *= weight
+    seg_grad = np.fft.irfft(g, n=p.fft_size, axis=-1)
     # adjoint of the framing: overlap-add, zero past the last frame
     ola = overlap_add(seg_grad * _stft_window(p), p.hop)
     grad = np.zeros(np.shape(s_hat))

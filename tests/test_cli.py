@@ -3,6 +3,7 @@
 import csv
 import dataclasses
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -227,6 +228,27 @@ class TestScheduleKeys:
         assert run(["train", "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "epoch 2" in err and "Traceback" not in err
+        assert not out.exists()
+
+
+    # one training step per epoch (the weights break after it and the
+    # evaluation reads nan) and two (the second step's loss is nan)
+    @pytest.mark.parametrize("train_pairs", [2, 4])
+    def test_diverging_run_prints_one_error_line_and_no_warning(self, train_pairs, tmp_path,
+                                                                 capsys):
+        cfg_file = tmp_path / "c.cfg"
+        cfg_file.write_text(
+            "l_f = 4\ndelta_f = 2\nreuse = 2\nh = 3\ngru_width = 4\ngru_layers = 1\n"
+            "stage1_epochs = 1\nstage2_epochs = 0\nlr_stage1 = 1e300\nbatch_size = 2\n"
+            f"train_pairs = {train_pairs}\neval_pairs = 1\n"
+        )
+        out = tmp_path / "m.sfse"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["train", "--config", str(cfg_file), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: training diverged at epoch 1")
+        assert err.count("\n") == 1 and "Warning" not in err
         assert not out.exists()
 
 

@@ -11,7 +11,9 @@ import pytest
 
 from slowfast_se.engine import SlowFastConfig, StreamSession, init_model_weights
 from slowfast_se.fast_branch import (
+    VARIANTS,
     FastBranchWeights,
+    _group_sums,
     ec_step,
     film_step,
     packet_size,
@@ -195,3 +197,74 @@ class TestModulationPacket:
             activate_head(np.zeros(2), "bogus")
         with pytest.raises(ValueError):
             packet_size("bogus", 2)
+
+
+# The per-frame loops the batched ssmm kernels replaced: the reference they
+# must match, one frame and one packet row at a time.
+def reference_ssmm_modulate(u, p, groups):
+    a, g = p
+    feat = np.empty_like(u)
+    h = np.zeros((u.shape[0], u.shape[2]))
+    for i, k in enumerate(groups):
+        h = a[:, k] * h + g[:, k] * u[:, i]
+        feat[:, i] = h
+    return feat
+
+
+def reference_ssmm_adjoint(dfeat, u, p, groups, feat):
+    a, g = p
+    da, dg, du = np.zeros(a.shape), np.zeros(g.shape), np.empty_like(u)
+    carry = np.zeros((u.shape[0], u.shape[2]))
+    for i in range(len(groups) - 1, -1, -1):
+        k = groups[i]
+        dh = dfeat[:, i] + carry
+        h_prev = feat[:, i - 1] if i > 0 else 0.0
+        da[:, k] += dh * h_prev
+        dg[:, k] += dh * u[:, i]
+        du[:, i] = dh * g[:, k]
+        carry = dh * a[:, k]
+    return du, np.concatenate([da * a * (1.0 - a), dg * g * (1.0 - g)], axis=-1)
+
+
+def scan_inputs(b, nf, h, reuse, seed):
+    rng = np.random.default_rng(seed)
+    groups = np.arange(nf) // reuse
+    n_rows = groups[-1] + 1
+    a, g = rng.uniform(0.05, 0.95, (2, b, n_rows, h))
+    return rng.standard_normal((b, nf, h)), (a, g), groups, rng.standard_normal((b, nf, h))
+
+
+def assert_close_relative(got, want, rel):
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= rel * np.max(np.abs(want))
+
+
+# (B, NF, H, reuse): 2 ms reuse 3 with a ragged last group, reuse 1, a
+# sample-level shape, one clip, and a single frame
+SCAN_SHAPES = [(3, 20, 5, 3), (2, 7, 4, 1), (2, 70, 8, 16), (1, 11, 3, 4), (2, 1, 3, 3)]
+
+
+class TestBatchedModulation:
+    @pytest.mark.parametrize("shape", SCAN_SHAPES)
+    def test_ssmm_modulate_equals_per_frame_loop(self, shape):
+        b, nf, h, reuse = shape
+        u, p, groups, _ = scan_inputs(b, nf, h, reuse, seed=nf)
+        feat = VARIANTS["ssmm"].modulate(u, p, groups)
+        assert np.array_equal(feat, reference_ssmm_modulate(u, p, groups))
+
+    @pytest.mark.parametrize("shape", SCAN_SHAPES)
+    def test_ssmm_adjoint_matches_per_frame_loop(self, shape):
+        b, nf, h, reuse = shape
+        u, p, groups, dfeat = scan_inputs(b, nf, h, reuse, seed=nf + 1)
+        feat = reference_ssmm_modulate(u, p, groups)
+        du, d_raw = VARIANTS["ssmm"].adjoint(dfeat, u, p, groups, feat)
+        want_du, want_raw = reference_ssmm_adjoint(dfeat, u, p, groups, feat)
+        assert_close_relative(du, want_du, 1e-12)
+        assert_close_relative(d_raw, want_raw, 1e-12)
+
+    @pytest.mark.parametrize("groups", [[0, 0, 0, 1, 1, 1, 2], [0, 1, 2], [0, 0, 1, 1, 1, 2], [0]])
+    def test_group_sums_add_each_group_of_frames(self, groups):
+        groups = np.array(groups)
+        x = np.random.default_rng(len(groups)).standard_normal((len(groups), 2, 3))
+        want = np.stack([x[groups == k].sum(0) for k in range(groups[-1] + 1)])
+        assert_close_relative(_group_sums(x, groups), want, 1e-15)

@@ -127,6 +127,35 @@ class TestSpecMse:
             assert grad[b, n] == pytest.approx(fd, rel=1e-5, abs=1e-9)
 
 
+    # (2, 1) has only the DC and Nyquist bins, (4, 2) one interior bin too;
+    # every sample's derivative is checked
+    @pytest.mark.parametrize("fft_size, hop", [(2, 1), (4, 2)])
+    def test_gradient_matches_finite_differences_at_the_smallest_ffts(self, fft_size, hop):
+        rng = np.random.default_rng(fft_size)
+        s_hat, s = rng.standard_normal((2, 2, 13))
+        assert_spec_grad_matches_central_differences(s_hat, s, StftParams(fft_size, hop))
+
+    def test_gradient_matches_finite_differences_where_the_estimate_is_silent(self):
+        # samples 16..39 of the estimate are zero, so frames 2 to 3 have |X| = 0
+        # in every bin, where d|X| / dX is taken as 0
+        rng = np.random.default_rng(6)
+        s_hat, s = rng.standard_normal((2, 2, 64))
+        s_hat[:, 16:40] = 0.0
+        p = StftParams(16, 8)
+        assert np.all(np.abs(stft(s_hat, p)[:, 2:4]) == 0.0)
+        assert_spec_grad_matches_central_differences(s_hat, s, p)
+
+
+def assert_spec_grad_matches_central_differences(s_hat, s, p, eps=1e-6):
+    _, grad = spec_mse_loss_grad(s_hat, s, p)
+    for idx in np.ndindex(s_hat.shape):
+        bumped = s_hat.copy()
+        bumped[idx] += eps
+        lp, _ = spec_mse_loss_grad(bumped, s, p)
+        bumped[idx] -= 2 * eps
+        lm, _ = spec_mse_loss_grad(bumped, s, p)
+        assert grad[idx] == pytest.approx((lp - lm) / (2 * eps), rel=1e-5, abs=1e-9), idx
+
 class TestSisnr:
     def test_scaled_estimate_hits_cap(self):
         s = np.random.default_rng(6).standard_normal(100)
