@@ -112,13 +112,10 @@ def compute(tree: Path, model_file: Path) -> dict[str, np.ndarray]:
                     for key, g in grads.items():
                         out[f"{cell}/{name}/grad/{key}"] = g
 
-            # the baseline is a bare trunk; it borrows the model's fast
-            # branch only so that named_arrays names its slow.* arrays
             trunk = engine.init_single_branch_weights(cfg, seed=1)
             cell = f"{variant}/{geo}/single_branch"
-            for key, arr in engine.named_arrays(engine.ModelWeights(trunk, w.fast)):
-                if key.startswith("slow."):
-                    out[f"{cell}/weights/{key}"] = arr
+            for key, arr in trunk_arrays(engine, trunk, w):
+                out[f"{cell}/weights/{key}"] = arr
             out[f"{cell}/forward"] = engine.single_branch_forward(clip, trunk, cfg).samples
             for name, report in (("macs", eval_bench.mac_count(cfg)),
                                  ("single_branch_macs", eval_bench.single_branch_mac_count(cfg))):
@@ -126,6 +123,17 @@ def compute(tree: Path, model_file: Path) -> dict[str, np.ndarray]:
                     report.slow_macs_per_frame, report.fast_macs_per_frame,
                     report.total_m_macs_per_s], dtype=np.float64)
     return out
+
+
+def trunk_arrays(engine, trunk, weights) -> list[tuple[str, object]]:
+    """``named_arrays`` of a bare trunk. A tree whose ``named_arrays`` takes
+    only whole models (before bare trunks were listed) names the trunk's
+    arrays inside ``weights``' model; drop this once no parent needs it."""
+    try:
+        return engine.named_arrays(trunk)
+    except AttributeError:
+        model = engine.ModelWeights(trunk, weights.fast)
+        return [(key, arr) for key, arr in engine.named_arrays(model) if key.startswith("slow.")]
 
 
 def run_tree(tree: Path, dest: Path) -> dict[str, np.ndarray]:

@@ -28,7 +28,7 @@ from .engine import (
     two_ms_config,
 )
 from .fast_branch import VARIANTS
-from .persistence import CONFIG_KEYS, load_model, save_model
+from .persistence import CONFIG_KEYS, fields_from_text, load_model, save_model
 from .signal_io import AudioBuffer, read_wav, write_wav
 from .training import (
     EVAL_SNRS_DB,
@@ -43,10 +43,6 @@ from .training import (
 
 USAGE_ERROR = 1
 VERIFICATION_FAILURE = 2
-
-_CONFIG_INT_KEYS = tuple(key for key in CONFIG_KEYS if key != "variant")
-# each schedule key is parsed as the type of its default
-_SCHEDULE_KEYS = {f.name: type(f.default) for f in dataclasses.fields(TrainSchedule)}
 
 
 def read_kv_file(path) -> dict[str, str]:
@@ -64,34 +60,22 @@ def read_kv_file(path) -> dict[str, str]:
     return values
 
 
-def _parse_value(cast, key: str, text: str):
-    """``cast(text)``; a value it rejects is a ValueError naming the key and the value."""
-    try:
-        return cast(text)
-    except ValueError:
-        raise ValueError(f"config key {key} = {text!r}: not a valid {cast.__name__}") from None
-
-
 def config_from_kv(values: dict[str, str]) -> SlowFastConfig:
     """Keys left out take ``two_ms_config(3)``'s values, except that delta_s
     and l_s derive from the rest; a key that is neither a config key nor a
     schedule key is an error."""
-    unknown = sorted(set(values) - set(CONFIG_KEYS) - set(_SCHEDULE_KEYS))
+    schedule_keys = {f.name for f in dataclasses.fields(TrainSchedule)}
+    unknown = sorted(set(values) - set(CONFIG_KEYS) - schedule_keys)
     if unknown:
         raise ValueError(f"unknown config key(s): {', '.join(unknown)}")
-    kwargs: dict = dataclasses.asdict(two_ms_config(3))
-    del kwargs["delta_s"], kwargs["l_s"]
-    kwargs["variant"] = values.get("variant", kwargs["variant"])
-    for key in _CONFIG_INT_KEYS:
-        if key in values:
-            kwargs[key] = _parse_value(int, key, values[key])
-    return SlowFastConfig(**kwargs)
+    # delta_s = l_s = 0 derives them again from the merged keys
+    changes = {"delta_s": 0, "l_s": 0, **fields_from_text(SlowFastConfig, values)}
+    return dataclasses.replace(two_ms_config(3), **changes)
 
 
 def schedule_from_kv(values: dict[str, str]) -> TrainSchedule:
     """The schedule keys among ``values``; the rest keep TrainSchedule's defaults."""
-    return TrainSchedule(**{key: _parse_value(cast, key, values[key])
-                            for key, cast in _SCHEDULE_KEYS.items() if key in values})
+    return TrainSchedule(**fields_from_text(TrainSchedule, values))
 
 
 def _at_least(cast, low, strict=False):

@@ -186,32 +186,26 @@ def init_single_branch_weights(config: SlowFastConfig, seed: int = 0) -> SlowBra
     return _trunk_weights(_draw(single_branch_shapes(config), seed), config.gru_layers)
 
 
-def named_arrays(weights: ModelWeights) -> list[tuple[str, np.ndarray]]:
+def named_arrays(weights: ModelWeights | SlowBranchWeights) -> list[tuple[str, np.ndarray]]:
     """Canonical (name, array) ordering shared by the optimizer, gradient
-    checks, and the model file format."""
-    out = [
-        ("slow.fc_in.w", weights.slow.fc_in_w),
-        ("slow.fc_in.b", weights.slow.fc_in_b),
-    ]
-    for k, layer in enumerate(weights.slow.gru):
-        for fname in GRU_FIELDS:
-            out.append((f"slow.gru{k}.{fname}", getattr(layer, fname)))
-    out += [
-        ("slow.fc_head.w", weights.slow.fc_head_w),
-        ("slow.fc_head.b", weights.slow.fc_head_b),
-        ("slow.warmup_raw", weights.slow.warmup_packet_raw),
-        ("fast.f_in.w", weights.fast.f_in_w),
-        ("fast.f_in.b", weights.fast.f_in_b),
-        ("fast.f_out.w", weights.fast.f_out_w),
-        ("fast.f_out.b", weights.fast.f_out_b),
-    ]
-    return out
+    checks, and the model file format. A bare trunk, the single-branch
+    baseline's weights, lists its slow.* arrays alone."""
+    trunk = weights if isinstance(weights, SlowBranchWeights) else weights.slow
+    out = [("slow.fc_in.w", trunk.fc_in_w), ("slow.fc_in.b", trunk.fc_in_b)]
+    out += [(f"slow.gru{k}.{fname}", getattr(layer, fname))
+            for k, layer in enumerate(trunk.gru) for fname in GRU_FIELDS]
+    out += [("slow.fc_head.w", trunk.fc_head_w), ("slow.fc_head.b", trunk.fc_head_b),
+            ("slow.warmup_raw", trunk.warmup_packet_raw)]
+    if weights is trunk:  # a bare trunk
+        return out
+    fast = weights.fast
+    return out + [("fast.f_in.w", fast.f_in_w), ("fast.f_in.b", fast.f_in_b),
+                  ("fast.f_out.w", fast.f_out_w), ("fast.f_out.b", fast.f_out_b)]
 
 
-def check_shapes(shapes: dict[str, tuple[int, ...]], config: SlowFastConfig) -> None:
+def check_shapes(shapes: dict[str, tuple], wanted: dict[str, tuple]) -> None:
     """ValueError naming every weight array missing from, extra to or shaped
-    unlike the config's parameter table."""
-    wanted = expected_shapes(config)
+    unlike the parameter table ``wanted``."""
     problems = [f"missing weight {name}" for name in wanted if name not in shapes]
     problems += [f"unexpected weight {name}" for name in shapes if name not in wanted]
     problems += [
@@ -223,16 +217,18 @@ def check_shapes(shapes: dict[str, tuple[int, ...]], config: SlowFastConfig) -> 
         raise ValueError("; ".join(problems))
 
 
-def check_weight_shapes(weights: ModelWeights, config: SlowFastConfig) -> None:
-    """``check_shapes`` of the weights' named arrays."""
-    check_shapes({name: arr.shape for name, arr in named_arrays(weights)}, config)
+def check_weight_shapes(weights: ModelWeights | SlowBranchWeights, config: SlowFastConfig) -> None:
+    """``check_shapes`` of the weights' named arrays against the config's
+    table: ``single_branch_shapes`` for a bare trunk, else ``expected_shapes``."""
+    table = single_branch_shapes if isinstance(weights, SlowBranchWeights) else expected_shapes
+    check_shapes({name: arr.shape for name, arr in named_arrays(weights)}, table(config))
 
 
 def model_weights_from_arrays(
     config: SlowFastConfig, arrays: dict[str, np.ndarray]
 ) -> ModelWeights:
     """Assemble ModelWeights from canonically named arrays (see named_arrays)."""
-    check_shapes({name: arr.shape for name, arr in arrays.items()}, config)
+    check_shapes({name: arr.shape for name, arr in arrays.items()}, expected_shapes(config))
     fast = FastBranchWeights(
         f_in_w=arrays["fast.f_in.w"],
         f_in_b=arrays["fast.f_in.b"],
@@ -438,13 +434,9 @@ def single_branch_forward(
     """Baseline that runs the full FC + GRU trunk once per fast frame.
 
     Same framing, windows, and OLA as the dual-rate path; the head emits L_F
-    time-domain samples directly.
+    samples directly. Weights unlike ``single_branch_shapes`` raise ValueError.
     """
-    if weights.fc_in_w.shape[0] != config.l_f or weights.fc_head_w.shape[1] != config.l_f:
-        raise ValueError(
-            f"single-branch weights map {weights.fc_in_w.shape[0]} -> "
-            f"{weights.fc_head_w.shape[1]}, config wants {config.l_f} -> {config.l_f}"
-        )
+    check_weight_shapes(weights, config)
     samples = as_mono(x)
     n, pad = len(samples), config.fast_pad
     if n == 0:

@@ -9,8 +9,10 @@ payload. Files are written atomically via temp-file rename.
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import tempfile
+import typing
 import zlib
 
 import numpy as np
@@ -20,16 +22,30 @@ from .engine import (
     SlowFastConfig,
     check_shapes,
     check_weight_shapes,
+    expected_shapes,
     model_weights_from_arrays,
     named_arrays,
 )
 
 MAGIC = "SFSE-MODEL v1"
 
-CONFIG_KEYS = (
-    "variant", "l_f", "delta_f", "reuse", "h", "delta_s", "l_s",
-    "gru_width", "gru_layers",
-)
+CONFIG_KEYS = tuple(f.name for f in dataclasses.fields(SlowFastConfig))
+_HEADER_KEYS = CONFIG_KEYS + ("payload_bytes", "payload_crc32")
+
+
+def fields_from_text(cls, values: dict[str, str]) -> dict:
+    """The ``key = value`` strings among ``values`` that name fields of the
+    dataclass ``cls``, each cast by its field's type; other keys are left
+    out. A value its type rejects is a ValueError naming the key and value."""
+    types = typing.get_type_hints(cls)
+    kwargs = {}
+    for key in (f.name for f in dataclasses.fields(cls) if f.name in values):
+        try:
+            kwargs[key] = types[key](values[key])
+        except ValueError:
+            raise ValueError(f"config key {key} = {values[key]!r}: "
+                             f"not a valid {types[key].__name__}") from None
+    return kwargs
 
 
 class ModelFileError(ValueError):
@@ -42,7 +58,7 @@ class ModelVersionError(ModelFileError):
 
 
 class ModelParseError(ModelFileError):
-    """Header is malformed."""
+    """Header or payload values are malformed."""
 
 
 class ModelChecksumError(ModelFileError):
@@ -56,24 +72,22 @@ class ModelShapeError(ModelFileError):
 def save_model(weights: ModelWeights, config: SlowFastConfig, path) -> None:
     """Serialize weights + config; arrays stored as little-endian float32.
 
-    Weights whose shapes the config does not expect raise ValueError, so no
-    file is written that ``load_model`` would reject.
+    Weights whose shapes the config does not expect, or whose float32 values
+    are not finite (NaN, inf, or beyond float32's range), raise ValueError,
+    so no file is written that ``load_model`` would reject.
     """
     check_weight_shapes(weights, config)
-    arrays = named_arrays(weights)
-    for name, arr in arrays:
-        if not np.all(np.isfinite(arr)):
-            raise ValueError(f"array {name} contains non-finite values")
-
     blobs = []
     manifest = []
     offset = 0
-    for name, arr in arrays:
-        blob = np.ascontiguousarray(arr, dtype="<f4").tobytes()
-        shape = " ".join(str(d) for d in arr.shape)
-        manifest.append(f"array = {name} {offset} {shape}")
-        blobs.append(blob)
-        offset += len(blob)
+    for name, arr in named_arrays(weights):
+        with np.errstate(over="ignore"):  # an overflow is refused just below
+            values = np.ascontiguousarray(arr, dtype="<f4")
+        if not np.isfinite(values).all():
+            raise ValueError(f"array {name} holds values that are not finite as float32")
+        manifest.append(f"array = {name} {offset} {' '.join(str(d) for d in arr.shape)}")
+        blobs.append(values.tobytes())
+        offset += values.nbytes
     payload = b"".join(blobs)
 
     lines = [MAGIC]
@@ -134,17 +148,20 @@ def load_model(path) -> tuple[ModelWeights, SlowFastConfig]:
             if parts[0] in manifest:
                 raise ModelParseError(f"{path}: array {parts[0]} listed twice")
             manifest[parts[0]] = offset, shape
+        elif key not in _HEADER_KEYS or key in fields:
+            # the CRC covers only the payload, so a second value must not quietly win
+            raise ModelParseError(
+                f"{path}: {'repeated' if key in fields else 'unknown'} header key {key!r}"
+            )
         else:
             fields[key] = value
 
+    if missing := [key for key in _HEADER_KEYS if key not in fields]:
+        raise ModelParseError(f"{path}: missing header field(s) {', '.join(missing)}")
     try:
-        config = SlowFastConfig(
-            **{key: fields[key] if key == "variant" else int(fields[key]) for key in CONFIG_KEYS}
-        )
+        config = SlowFastConfig(**fields_from_text(SlowFastConfig, fields))
         payload_bytes = int(fields["payload_bytes"])
         payload_crc = int(fields["payload_crc32"])
-    except KeyError as exc:
-        raise ModelParseError(f"{path}: missing header field {exc}") from exc
     except ValueError as exc:  # a non-integer value or an invalid geometry
         raise ModelParseError(f"{path}: {exc}") from exc
 
@@ -159,7 +176,8 @@ def load_model(path) -> tuple[ModelWeights, SlowFastConfig]:
 
     # before any read, so a hostile shape is never allocated
     try:
-        check_shapes({name: shape for name, (_, shape) in manifest.items()}, config)
+        check_shapes({name: shape for name, (_, shape) in manifest.items()},
+                     expected_shapes(config))
     except ValueError as exc:
         raise ModelShapeError(f"{path}: {exc}") from exc
 
@@ -169,6 +187,8 @@ def load_model(path) -> tuple[ModelWeights, SlowFastConfig]:
         if offset + 4 * count > len(payload):
             raise ModelShapeError(f"{path}: array {name} extends past the payload")
         arr = np.frombuffer(payload, dtype="<f4", count=count, offset=offset)
+        if not np.isfinite(arr).all():
+            raise ModelParseError(f"{path}: array {name} holds non-finite values")
         arrays[name] = arr.astype(np.float64).reshape(shape)
 
     return model_weights_from_arrays(config, arrays), config

@@ -11,8 +11,9 @@ deterministic function of the schedule seed.
 
 ``TrainSchedule`` holds the nine knobs a caller sets (epochs and learning
 rate per stage, batch size, corpus sizes, seed, gradient clip) and checks
-their ranges. The plateau rules (``STAGE1_PLATEAU``, ``STAGE2_PLATEAU``), the
-loss weightings, the STFT and the SNR grids of ``data`` are fixed.
+their ranges. The plateau rules (``STAGE1_PLATEAU``, ``STAGE2_PLATEAU``),
+Adam's ``ADAM_*`` constants, the loss weightings, the STFT and the SNR grids
+of ``data`` are fixed.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from typing import ClassVar
 import numpy as np
 
 from ..engine import ModelWeights, SlowFastConfig, init_model_weights, named_arrays
-from .backprop import GradientSet, backward, forward_batch
+from .backprop import GradientSet, NonFiniteLossError, backward, forward_batch
 from .data import EVAL_SNRS_DB, TRAIN_SNRS_DB, make_batch
 from .losses import LossWeights, StftParams, sisnr_grad
 
@@ -34,6 +35,9 @@ from .losses import LossWeights, StftParams, sisnr_grad
 # epoch loss the learning rate is multiplied by `drop`
 STAGE1_PLATEAU = (2, 0.9)
 STAGE2_PLATEAU = (1, 0.75)
+
+# Adam's moment decay rates and the floor of its denominator
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 @dataclass
@@ -86,25 +90,24 @@ class TrainingDivergedError(RuntimeError):
 class AdamOptimizer:
     """Adam with bias correction; moments keyed by canonical array names."""
 
-    def __init__(self, weights: ModelWeights, beta1=0.9, beta2=0.999, eps=1e-8):
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
+    def __init__(self, weights: ModelWeights):
         self.t = 0
         self.m = {name: np.zeros_like(a) for name, a in named_arrays(weights)}
         self.v = {name: np.zeros_like(a) for name, a in named_arrays(weights)}
 
     def step(self, weights: ModelWeights, grads: GradientSet, lr: float) -> None:
         self.t += 1
-        bc1 = 1.0 - self.beta1**self.t
-        bc2 = 1.0 - self.beta2**self.t
+        bc1 = 1.0 - ADAM_BETA1**self.t
+        bc2 = 1.0 - ADAM_BETA2**self.t
         for name, arr in named_arrays(weights):
             g = grads[name]
             m = self.m[name]
             v = self.v[name]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            arr -= lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+            m *= ADAM_BETA1
+            m += (1.0 - ADAM_BETA1) * g
+            v *= ADAM_BETA2
+            v += (1.0 - ADAM_BETA2) * g * g
+            arr -= lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
 
 
 def clip_gradients(grads: GradientSet, max_norm: float) -> float:
@@ -192,11 +195,11 @@ def train(
 ) -> tuple[ModelWeights, list[EpochRecord]]:
     """Train from scratch on the synthetic corpus; returns weights and log.
 
-    Without ``init_weights`` training starts from
-    ``passthrough_start(config, schedule.seed)``; ``init_weights`` overrides
-    that start (mutated in place). The default schedule runs 24 stage-1 and
-    4 stage-2 epochs. ``progress`` may be a callable taking each EpochRecord
-    as it is produced.
+    Training starts from ``init_weights`` (mutated in place), by default
+    ``passthrough_start(config, schedule.seed)``. The default schedule runs
+    24 stage-1 and 4 stage-2 epochs. ``progress`` may be a callable taking
+    each EpochRecord as it is produced. A non-finite loss or evaluation
+    raises TrainingDivergedError; a start of another geometry, ValueError.
     """
     sched = schedule or TrainSchedule()
     rng = np.random.default_rng(sched.seed)
@@ -229,7 +232,7 @@ def train(
                 batch = (noisy_all[idx], clean_all[idx])
                 try:
                     loss, grads = backward(batch, weights, config, lw, sched.stft)
-                except ValueError as exc:
+                except NonFiniteLossError as exc:
                     raise TrainingDivergedError(
                         f"training diverged at epoch {epoch} (lr={lr:.3e}, "
                         f"stage {stage}): {exc}"

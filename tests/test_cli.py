@@ -186,11 +186,10 @@ class TestScheduleKeys:
         return seen
 
     def test_keys_are_the_schedule_fields(self, schedules, tmp_path):
-        assert list(cli._SCHEDULE_KEYS) == [f.name for f in dataclasses.fields(TrainSchedule)]
         values = {"stage1_epochs": 3, "stage2_epochs": 1, "lr_stage1": 0.002,
                   "lr_stage2": 3e-5, "batch_size": 5, "train_pairs": 7, "eval_pairs": 2,
                   "seed": 9, "grad_clip": 0.0}
-        assert set(values) == set(cli._SCHEDULE_KEYS)
+        assert list(values) == [f.name for f in dataclasses.fields(TrainSchedule)]
         cfg_file = tmp_path / "c.cfg"
         cfg_file.write_text("".join(f"{k} = {v}\n" for k, v in values.items()))
         assert run(["train", "--config", str(cfg_file), "--out", str(tmp_path / "m.sfse")]) == 0

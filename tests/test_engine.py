@@ -19,10 +19,11 @@ from slowfast_se.engine import (
     named_arrays,
     sample_level_config,
     single_branch_forward,
+    single_branch_shapes,
     slow_frame_span,
     two_ms_config,
 )
-from slowfast_se.slow_branch import GRU_FIELDS, warmup_packet
+from slowfast_se.slow_branch import warmup_packet
 
 
 def make_passthrough_weights(cfg):
@@ -423,6 +424,12 @@ class TestSingleBranch:
         with pytest.raises(ValueError):
             single_branch_forward(np.zeros(100), w, cfg)
 
+    def test_trunk_of_fewer_layers_names_the_missing_layer(self):
+        cfg = two_ms_config(1)
+        w = init_single_branch_weights(dataclasses.replace(cfg, gru_layers=2), seed=0)
+        with pytest.raises(ValueError, match="missing weight slow.gru2.w_z"):
+            single_branch_forward(np.zeros(100), w, cfg)
+
 
 def assert_uniform_then_zero(arrays, seed):
     """Each matrix uniform +-sqrt(1/rows), drawn in the given order from one
@@ -454,11 +461,8 @@ class TestParameterTable:
     def test_single_branch_init_draws_the_trunk_with_an_l_f_head(self, preset):
         cfg = two_ms_config(3) if preset == "2ms-d3" else sample_level_config()
         w = init_single_branch_weights(cfg, seed=3)
-        arrays = [("fc_in.w", w.fc_in_w), ("fc_in.b", w.fc_in_b)]
-        arrays += [(f"gru{k}.{f}", getattr(layer, f)) for k, layer in enumerate(w.gru)
-                   for f in GRU_FIELDS]
-        arrays += [("fc_head.w", w.fc_head_w), ("fc_head.b", w.fc_head_b),
-                   ("warmup_raw", w.warmup_packet_raw)]
+        arrays = named_arrays(w)
+        assert [name for name, _ in arrays] == list(single_branch_shapes(cfg))
         d = cfg.gru_width
         assert (w.fc_in_w.shape, w.fc_head_w.shape) == ((cfg.l_f, d), (d, cfg.l_f))
         assert len(w.gru) == cfg.gru_layers
@@ -471,10 +475,10 @@ class TestParameterTable:
         shapes["slow.gru9.w_z"] = (64, 64)
         shapes["fast.f_in.w"] = (32, 16)
         with pytest.raises(ValueError, match="weight") as err:
-            check_shapes(shapes, cfg)
+            check_shapes(shapes, expected_shapes(cfg))
         for part in ("slow.gru1.u_r", "slow.gru9.w_z", "fast.f_in.w", "(32, 16)"):
             assert part in str(err.value)
-        check_shapes(expected_shapes(cfg), cfg)  # the table itself passes
+        check_shapes(expected_shapes(cfg), expected_shapes(cfg))  # the table itself passes
 
     def test_assembly_rejects_a_missing_array(self):
         cfg = two_ms_config(3)

@@ -1,5 +1,8 @@
 """Model file round trips and typed rejection of invalid files."""
 
+import re
+import warnings
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -162,6 +165,34 @@ class TestRejection:
         with pytest.raises(ModelParseError):
             load_model(path)
 
+    @pytest.mark.parametrize("old, new, match", [
+        (b"reuse = 3\n", b"reuse = 3\npacket_lag = 1\n", "unknown header key 'packet_lag'"),
+        # film's packet has ssmm's width, so a second variant line that won
+        # would load every array as another variant's
+        (b"variant = ssmm\n", b"variant = ssmm\nvariant = film\n",
+         "repeated header key 'variant'"),
+    ], ids=["unknown key", "repeated config key"])
+    def test_header_key_outside_the_config_fields_is_parse_error(self, model, old, new, match):
+        _, _, path = model
+        data = path.read_bytes()
+        assert old in data
+        path.write_bytes(data.replace(old, new, 1))
+        with pytest.raises(ModelParseError, match=match):
+            load_model(path)
+
+    @pytest.mark.parametrize("value", [np.inf, np.nan])
+    def test_non_finite_payload_value_is_parse_error(self, model, value):
+        # the CRC is recomputed, so only the value is wrong
+        _, _, path = model
+        data = path.read_bytes()
+        start = data.index(b"\nend\n") + len(b"\nend\n")
+        payload = data[start:-4] + np.array([value], "<f4").tobytes()  # last fast.f_out.b
+        header = re.sub(rb"payload_crc32 = \d+", b"payload_crc32 = %d" % zlib.crc32(payload),
+                        data[:start])
+        path.write_bytes(header + payload)
+        with pytest.raises(ModelParseError, match="fast.f_out.b"):
+            load_model(path)
+
     def test_missing_header_field(self, model):
         _, _, path = model
         data = path.read_bytes()
@@ -183,6 +214,17 @@ class TestRejection:
         weights.fast.f_in_w[0, 0] = np.nan
         with pytest.raises(ValueError, match="finite"):
             save_model(weights, cfg, tmp_path / "bad.sfse")
+
+    def test_weight_beyond_float32_refused_on_save(self, tmp_path):
+        # finite in float64, inf once written as float32
+        cfg = two_ms_config(1)
+        weights = init_model_weights(cfg, seed=0)
+        weights.fast.f_out_b[0] = 1e39
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="fast.f_out.b"):
+                save_model(weights, cfg, tmp_path / "big.sfse")
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestAtomicity:

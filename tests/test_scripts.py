@@ -1,8 +1,9 @@
-"""The repository's scripts: argument checks that run nothing."""
+"""The repository's scripts: argument checks that run nothing, and bit_identity's comparison."""
 
 import importlib.util
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -27,3 +28,40 @@ def test_bench_pairs_refuses_trees_at_paths_of_unequal_length(tmp_path, capsys):
     assert exc.value.code == 2
     assert "differ in length" in capsys.readouterr().err
     assert not out.exists()
+
+
+class TestBitIdentityCompare:
+    """``bit_identity.compare``, the gate of refactors that keep every bit."""
+
+    @pytest.fixture(scope="class")
+    def compare(self):
+        return load_script("bit_identity").compare
+
+    def test_equal_inputs_give_no_difference(self, compare):
+        arrays = {"a": np.array([1.0, -0.0, np.nan]), "b": np.arange(3, dtype=np.uint8)}
+        assert compare(arrays, {key: arr.copy() for key, arr in arrays.items()}) == []
+
+    def test_signed_zeros_and_nan_payloads_differ(self, compare):
+        nan = np.array([np.nan])
+        other_nan = (nan.view(np.int64) + 1).view(np.float64)
+        assert np.isnan(other_nan[0])
+        diffs = compare({"zero": np.array([0.0]), "nan": nan},
+                        {"zero": np.array([-0.0]), "nan": other_nan})
+        assert [(key, what.split(",")[0]) for key, what, _ in diffs] == [
+            ("nan", "1 elements differ"), ("zero", "1 elements differ")]
+
+    def test_shape_mismatch_and_missing_keys_have_a_nan_gap(self, compare):
+        diffs = compare({"a": np.zeros(2), "only_parent": np.zeros(1)},
+                        {"a": np.zeros(3), "only_change": np.zeros(1)})
+        assert [(key, what) for key, what, _ in diffs] == [
+            ("a", "shape (2,) against (3,)"),
+            ("only_change", "missing in parent"),
+            ("only_parent", "missing in change"),
+        ]
+        assert all(np.isnan(rel) for _, _, rel in diffs)
+
+    def test_relative_gap_is_over_the_parents_largest_magnitude(self, compare):
+        [(key, what, rel)] = compare({"a": np.array([1.0, -4.0, 2.0])},
+                                     {"a": np.array([1.5, -4.0, 1.75])})
+        assert key == "a" and "2 elements differ" in what
+        assert rel == 0.5 / 4.0

@@ -173,6 +173,12 @@ class TestTrain:
         with pytest.raises(TrainingDivergedError, match="epoch 1"):
             train(cfg, tiny_schedule(), init_weights=w)
 
+    def test_start_of_another_geometry_is_a_value_error(self):
+        # only a non-finite loss is divergence; a wrong start is the caller's error
+        w = init_model_weights(dataclasses.replace(tiny_config(), gru_width=4), seed=0)
+        with pytest.raises(ValueError, match="slow.fc_in.w has shape"):
+            train(tiny_config(), tiny_schedule(stage1_epochs=1, stage2_epochs=0), init_weights=w)
+
     def test_csv_log_format(self, tmp_path):
         _, log = train(tiny_config(), tiny_schedule())
         path = tmp_path / "log.csv"
