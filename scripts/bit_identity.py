@@ -25,6 +25,14 @@ both weightings and ``losses.sisnr``. Per variant and geometry it also
 records ``init_single_branch_weights(seed=1)``'s arrays,
 ``single_branch_forward`` of the clip, and the per-frame MACs and M MACs/s
 of ``mac_count`` and ``single_branch_mac_count``.
+
+Short batches cover the edges of the training GRU stack's wavefront, where
+fewer slow frames than layers run: per variant, the 2 ms reuse 3 geometry
+at 1 and 4 GRU layers (``init_model_weights``, seed 1), and two-clip
+batches of the longest clips with J = 0 slow frames and with each
+1 <= J < layers. Per batch it records ``forward_batch`` and ``backward``'s
+loss and gradients under both weightings, with a 16-point STFT of hop 8 so
+that the short clips fit.
 """
 
 from __future__ import annotations
@@ -41,6 +49,7 @@ import numpy as np
 HERE = Path(__file__).resolve().parent.parent
 CLIP = 1200
 CHUNK_MAX = 333
+SHORT_LAYERS = (1, 4)
 
 
 def compute(tree: Path, model_file: Path) -> dict[str, np.ndarray]:
@@ -114,7 +123,7 @@ def compute(tree: Path, model_file: Path) -> dict[str, np.ndarray]:
 
             trunk = engine.init_single_branch_weights(cfg, seed=1)
             cell = f"{variant}/{geo}/single_branch"
-            for key, arr in trunk_arrays(engine, trunk, w):
+            for key, arr in engine.named_arrays(trunk):
                 out[f"{cell}/weights/{key}"] = arr
             out[f"{cell}/forward"] = engine.single_branch_forward(clip, trunk, cfg).samples
             for name, report in (("macs", eval_bench.mac_count(cfg)),
@@ -122,18 +131,33 @@ def compute(tree: Path, model_file: Path) -> dict[str, np.ndarray]:
                 out[f"{variant}/{geo}/{name}"] = np.array([
                     report.slow_macs_per_frame, report.fast_macs_per_frame,
                     report.total_m_macs_per_s], dtype=np.float64)
+
+        for layers in SHORT_LAYERS:
+            cfg = engine.SlowFastConfig(variant, l_f=32, delta_f=16, reuse=3, h=32,
+                                        gru_layers=layers)
+            w = engine.init_model_weights(cfg, seed=1)
+            for n_slow in range(layers):
+                n = longest_clip(cfg, n_slow)
+                draw = np.random.default_rng(n_slow)
+                noisy_short = draw.standard_normal((2, n)) * 0.3
+                clean_short = noisy_short * 0.5 + draw.standard_normal((2, n)) * 0.05
+                cell = f"{variant}/short-L{layers}-J{n_slow}"
+                out[f"{cell}/forward_batch"] = forward_batch(noisy_short, w, cfg)[0]
+                for name, lw in weightings.items():
+                    loss, grads = backward((noisy_short, clean_short), w, cfg, lw,
+                                           losses.StftParams(16, 8))
+                    out[f"{cell}/{name}/loss"] = np.float64(loss)
+                    for key, g in grads.items():
+                        out[f"{cell}/{name}/grad/{key}"] = g
     return out
 
 
-def trunk_arrays(engine, trunk, weights) -> list[tuple[str, object]]:
-    """``named_arrays`` of a bare trunk. A tree whose ``named_arrays`` takes
-    only whole models (before bare trunks were listed) names the trunk's
-    arrays inside ``weights``' model; drop this once no parent needs it."""
-    try:
-        return engine.named_arrays(trunk)
-    except AttributeError:
-        model = engine.ModelWeights(trunk, weights.fast)
-        return [(key, arr) for key, arr in engine.named_arrays(model) if key.startswith("slow.")]
+def longest_clip(cfg, n_slow: int) -> int:
+    """The longest clip length whose batched forward runs ``n_slow`` slow frames."""
+    n = 1
+    while (cfg.num_fast_frames(n + 1) - 1) // cfg.reuse <= n_slow:
+        n += 1
+    return n
 
 
 def run_tree(tree: Path, dest: Path) -> dict[str, np.ndarray]:

@@ -46,8 +46,12 @@ VERIFICATION_FAILURE = 2
 
 
 def read_kv_file(path) -> dict[str, str]:
-    """Parse `key = value` lines; '#' starts a comment; blank lines ignored."""
+    """Parse `key = value` lines; '#' starts a comment; blank lines ignored.
+
+    A key given twice is an error naming both lines, not a silent override.
+    """
     values: dict[str, str] = {}
+    linenos: dict[str, int] = {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.split("#", 1)[0].strip()
@@ -56,7 +60,11 @@ def read_kv_file(path) -> dict[str, str]:
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
             key, value = (part.strip() for part in line.split("=", 1))
-            values[key] = value
+            if key in linenos:
+                raise ValueError(
+                    f"{path}:{lineno}: key {key!r} given again (first on line {linenos[key]})"
+                )
+            values[key], linenos[key] = value, lineno
     return values
 
 

@@ -6,8 +6,12 @@ warm-up packet covers the stream prefix before the first slow frame exists.
 
 Gate math follows the convention where the reset gate scales the hidden
 matrix product before the tanh: n = tanh(W_n x + r * (U_n h) + b_n). All
-matrix/vector ops broadcast over leading batch axes, so the same functions
-serve the streaming engine (1-D) and batched training (2-D).
+matrix/vector ops broadcast over leading batch axes, so the one cell
+``_gru_cell`` serves both paths. The streaming engine calls it through
+``gru_cell_step``, once per layer per slow frame, on 1-D state and one
+layer's (d, 3d) weights. Batched training (training.backprop) calls it
+directly, once per step of a wavefront over the whole stack: (L, B, d)
+inputs and states against the layers' weights stacked to (L, d, 3d).
 
 Each GRU layer is stored gate-fused: ``w`` (in, 3d), ``u`` (d, 3d) and
 ``b`` (3d,), with the gate blocks in the order z|r|n, so a cell makes two
@@ -26,7 +30,6 @@ from that table.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -67,16 +70,6 @@ class GruLayerWeights:
 GRU_FIELDS = ("w_z", "w_r", "w_n", "u_z", "u_r", "u_n", "b_z", "b_r", "b_n")
 
 
-class GruCache(NamedTuple):
-    """One cell's input, previous state and gate values, kept for backprop."""
-
-    x: np.ndarray
-    h_prev: np.ndarray
-    zr: np.ndarray    # update and reset gates side by side, z|r
-    n: np.ndarray
-    uh_n: np.ndarray  # U_n h_prev, before the reset gate scales it
-
-
 @dataclass
 class SlowBranchWeights:
     """Trunk weights plus the learned warm-up packet parameter.
@@ -94,20 +87,24 @@ class SlowBranchWeights:
 
 
 def _gru_cell(
-    x: np.ndarray, h: np.ndarray, w: GruLayerWeights
+    x: np.ndarray, h: np.ndarray, w: np.ndarray, u: np.ndarray, b: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """z|r = sig(..), n = tanh(W_n x + r*(U_n h) + b_n), h' = (1-z)n + z h.
 
+    ``w``, ``u`` and ``b`` are a layer's fused arrays, or a stack of layers'
+    (w, u (L, d, 3d), b (L, 1, 3d)) run on (L, ..., d) inputs and states.
     Returns (h', z|r, n, U h); training keeps the last three for backprop.
     """
     # Numpy's per-call overhead, not arithmetic, sets a slow frame's time, so
     # the cell makes as few calls as the math allows: the bias joins the input
     # product once, n is built in its own buffer, and h' = n + z (h - n) takes
-    # three calls, not four. .dot is the BLAS call of @ with less overhead.
+    # three calls, not four. One layer's products use .dot, the BLAS call of @
+    # with less overhead; .dot does not broadcast, so a stack takes matmul.
+    product = np.matmul if w.ndim > 2 else np.ndarray.dot
     d = h.shape[-1]
-    a = x.dot(w.w)
-    a += w.b
-    uh = h.dot(w.u)
+    a = product(x, w)
+    a += b
+    uh = product(h, u)
     zr = _sigmoid(a[..., : 2 * d] + uh[..., : 2 * d])
     n = zr[..., d:] * uh[..., 2 * d :]
     n += a[..., 2 * d :]
@@ -122,7 +119,7 @@ def gru_cell_step(x: np.ndarray, h: np.ndarray, w: GruLayerWeights) -> np.ndarra
             f"gru shape mismatch: x has {x.shape[-1]} features (want {w.w.shape[0]}), "
             f"h has {h.shape[-1]} (want {w.u.shape[0]})"
         )
-    return _gru_cell(x, h, w)[0]
+    return _gru_cell(x, h, w.w, w.u, w.b)[0]
 
 
 def activate_head(raw: np.ndarray, variant: str) -> tuple[np.ndarray, ...]:
@@ -140,27 +137,16 @@ def activate_head(raw: np.ndarray, variant: str) -> tuple[np.ndarray, ...]:
 
 
 def trunk_step(
-    x: np.ndarray,
-    hidden: list[np.ndarray],
-    w: SlowBranchWeights,
-    caches: list[GruCache] | None = None,
+    x: np.ndarray, hidden: list[np.ndarray], w: SlowBranchWeights
 ) -> tuple[np.ndarray, list[np.ndarray]]:
     """One frame through FC in and the GRU stack: (top output, new hidden list).
 
-    Each layer runs through ``gru_cell_step``. Given a ``caches`` list, the
-    training path, each layer instead calls the cell directly and appends a
-    GruCache built from the cell's gate values.
+    Each layer runs through ``gru_cell_step``.
     """
     u = x.dot(w.fc_in_w) + w.fc_in_b
     new_hidden = []
     for layer, h_prev in zip(w.gru, hidden):
-        if caches is None:
-            u = gru_cell_step(u, h_prev, layer)
-        else:
-            h, zr, n, uh = _gru_cell(u, h_prev, layer)
-            # a copy, so the cache does not keep the whole (.., 3d) product alive
-            caches.append(GruCache(u, h_prev, zr, n, uh[..., 2 * h.shape[-1] :].copy()))
-            u = h
+        u = gru_cell_step(u, h_prev, layer)
         new_hidden.append(u)
     return u, new_hidden
 

@@ -4,20 +4,31 @@ The forward pass here mirrors the streaming engine but runs batched over
 clips and fully vectorized where the math allows (framing, FC layers,
 overlap-add); only the state recurrences stay sequential. Framing and
 overlap-add are signal_io's ``frame_signal`` and ``overlap_add``, shared with
-the losses, and the slow trunk is slow_branch's ``trunk_step``, the same FC
-and GRU cell the streaming engine runs, here keeping each cell's gate values.
-The backward pass is written by hand and retraces every step: overlap-add
-(whose adjoint is framing), f_out, the modulation, packet reuse (gradients
-from all frames sharing a packet accumulate into its slow frame), the GRU
-stack across slow frames, and the learned warm-up packet. Correctness is
-pinned by central-difference checks in the test suite.
+the losses, and the GRU stack runs slow_branch's ``_gru_cell``, the cell the
+streaming engine runs, here keeping each cell's gate values. The backward
+pass is written by hand and retraces every step: overlap-add (whose adjoint
+is framing), f_out, the modulation, packet reuse (gradients from all frames
+sharing a packet accumulate into its slow frame), the GRU stack across slow
+frames, and the learned warm-up packet. Correctness is pinned by
+central-difference checks in the test suite.
 
-The backward pass, too, loops only over recurrences: the GRU stack in
-reverse over slow frames, and ssmm's scan inside its adjoint. Each FC weight
-gradient (f_in, f_out, the head, fc_in) is one product over all frames
-(``_frame_product``), and the head's gradients for every slow frame are
-known before the GRU loop starts, so that loop runs only the GRU cells'
-adjoints.
+The GRU stack runs as a wavefront (``_trunk_forward``): on step t, layer k
+runs slow frame t - k, whose input layer k - 1 made on step t - 1. So the
+J slow frames of L layers take J + L - 1 steps, each one ``_gru_cell`` call
+on the active layers' (L, B, d) inputs and states against their weights
+stacked to (L, d, 3d); only the first and last L - 1 steps run fewer than
+L layers. That makes L times fewer numpy calls than a loop over frames and
+layers. The backward pass (``_trunk_backward``) runs the same wavefront in
+reverse, one stacked ``_gru_backward`` per step. Each slice of a stacked
+product is the same BLAS call a single layer makes, and every other
+operation is elementwise or sums over the batch axis alone, so the results
+are bit for bit those of ``trunk_step`` frame by frame.
+
+The backward pass, too, loops only over recurrences: the GRU wavefront, and
+ssmm's scan inside its adjoint. Each FC weight gradient (f_in, f_out, the
+head, fc_in) is one product over all frames (``_frame_product``), and the
+head's gradients for every slow frame are known before the GRU loop starts,
+so that loop runs only the GRU cells' adjoints.
 
 No variant code lives here: the modulation and its adjoint come from the
 variant's row of fast_branch.VARIANTS. ``forward_batch`` checks the weights'
@@ -43,7 +54,7 @@ from ..engine import (
 )
 from ..signal_io import frame_signal, make_window, overlap_add
 from ..fast_branch import VARIANTS
-from ..slow_branch import GruCache, GruLayerWeights, trunk_step
+from ..slow_branch import GruLayerWeights, SlowBranchWeights, _gru_cell
 from .losses import LossWeights, StftParams, total_loss_grad
 
 GradientSet = dict[str, np.ndarray]
@@ -63,17 +74,28 @@ class _Cache:
     u: np.ndarray               # (B, NF, H) f_in outputs
     groups: np.ndarray          # (NF,) packet-table index per fast frame
     xs: np.ndarray              # (B, J, LS) slow frames
-    gru: list[list[GruCache]]   # [j][layer]
-    top: np.ndarray             # (B, J, d) trunk outputs feeding the head
+    states: np.ndarray          # (J+L, L+1, B, d) the wavefront's inputs and states
+    gates: list[tuple[np.ndarray, ...]]  # per step: z|r, n, U_n h of the active layers
+    top: np.ndarray             # (B, J, d) trunk outputs feeding the head, a view of states
     packet: tuple[np.ndarray, ...]  # (B, J+1, H) arrays; row 0 is the warm-up packet
     feat: np.ndarray            # (B, NF, width * H) f_out inputs
 
 
 def _gru_backward(
-    cache: GruCache, dh: np.ndarray, w: GruLayerWeights, grad: GruLayerWeights
+    x: np.ndarray,
+    h_prev: np.ndarray,
+    gates: tuple[np.ndarray, ...],
+    dh: np.ndarray,
+    w: np.ndarray,
+    u: np.ndarray,
+    grads: tuple[np.ndarray, np.ndarray, np.ndarray],
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Returns (dx, dh_prev) and accumulates the layer's weight gradients.
+    """Returns (dx, dh_prev) of ``_gru_cell`` and accumulates its weight gradients.
 
+    Every array carries the same leading axes: ``x``, ``h_prev`` and ``dh``
+    are (L, B, d) stacks of layers, ``gates`` the cell's (z|r, n, U_n h) of
+    them, ``w`` and ``u`` the layers' fused (L, d, 3d) weights, and
+    ``grads`` their (w, u, b) gradients, added to in place.
     The gate pre-activation gradients stay side by side in the fused z|r|n
     column order, so each fused array takes one product for its gradient
     and one for the gradient it passes back. The gate gradients are built
@@ -81,22 +103,102 @@ def _gru_backward(
     preallocated array measured about 10% slower at B=16, d=64.
     """
     d = dh.shape[-1]
-    zr, n = cache.zr, cache.n
-    z = zr[:, :d]
+    zr, n, uh_n = gates
+    z = zr[..., :d]
     da_n = dh * (1.0 - z) * (1.0 - n * n)
-    dzr = np.concatenate([dh * (cache.h_prev - n), da_n * cache.uh_n], axis=-1)
+    dzr = np.concatenate([dh * (h_prev - n), da_n * uh_n], axis=-1)
     # through the sigmoids: d sig / d pre-activation = sig * (1 - sig)
     dzr *= zr
     dzr *= 1.0 - zr
     da = np.concatenate([dzr, da_n], axis=-1)
     # U_n h enters n through r * (U_n h), so its column block carries da_n * r
     da_u = da.copy()
-    da_u[:, 2 * d :] *= zr[:, d:]
+    da_u[..., 2 * d :] *= zr[..., d:]
 
-    grad.w += cache.x.T @ da
-    grad.u += cache.h_prev.T @ da_u
-    grad.b += da.sum(0)
-    return da @ w.w.T, dh * z + da_u @ w.u.T
+    grad_w, grad_u, grad_b = grads
+    grad_w += x.swapaxes(-1, -2) @ da
+    grad_u += h_prev.swapaxes(-1, -2) @ da_u
+    grad_b += da.sum(-2)
+    return da @ w.swapaxes(-1, -2), dh * z + da_u @ u.swapaxes(-1, -2)
+
+
+def _stack(layers: list[GruLayerWeights]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The layers' fused w, u (L, d, 3d) and b (L, 3d), stacked on a layer axis."""
+    return tuple(np.stack([getattr(layer, f) for layer in layers]) for f in "wub")
+
+
+def _wavefront(n_slow: int, layers: int):
+    """(t, lo, hi) per step of the wavefront: on step t, layers lo..hi-1 are
+    active, layer k running slow frame t - k. No steps when there are no frames."""
+    for t in range(n_slow + layers - 1 if n_slow else 0):
+        yield t, max(0, t - n_slow + 1), min(layers, t + 1)
+
+
+def _trunk_forward(
+    xs: np.ndarray, sw: SlowBranchWeights
+) -> tuple[np.ndarray, np.ndarray, list[tuple[np.ndarray, ...]]]:
+    """FC in and the GRU stack over (B, J, LS) slow frames, as a wavefront.
+
+    Returns the top layer's outputs (B, J, d), a view of the states array,
+    then that array and each step's gates. ``states[t, 0]`` is slow frame
+    t's FC-in output and ``states[t, k + 1]`` the state layer k made on
+    step t - 1 (zero before its first frame), so step t reads its inputs
+    ``states[t, lo:hi]`` and states ``states[t, lo + 1 : hi + 1]`` as two
+    slices of one row.
+    """
+    b, n_slow, _ = xs.shape
+    layers, d = len(sw.gru), sw.fc_in_w.shape[1]
+    w, u, bias = _stack(sw.gru)
+    bias = bias[:, None]  # broadcasts over the batch axis
+    states = np.zeros((n_slow + layers, layers + 1, b, d))
+    states[:n_slow, 0] = xs.swapaxes(0, 1) @ sw.fc_in_w + sw.fc_in_b
+    gates = []
+    for t, lo, hi in _wavefront(n_slow, layers):
+        h, zr, n, uh = _gru_cell(
+            states[t, lo:hi], states[t, lo + 1 : hi + 1], w[lo:hi], u[lo:hi], bias[lo:hi]
+        )
+        states[t + 1, lo + 1 : hi + 1] = h
+        # a copy, so the cache does not keep the whole (.., 3d) product alive
+        gates.append((zr, n, uh[..., 2 * d :].copy()))
+    return states[layers:, layers].swapaxes(0, 1), states, gates
+
+
+def _trunk_backward(
+    d_top: np.ndarray,
+    states: np.ndarray,
+    gates: list[tuple[np.ndarray, ...]],
+    sw: SlowBranchWeights,
+    grad_gru: list[GruLayerWeights],
+) -> np.ndarray:
+    """The wavefront in reverse: from the gradient at the top layer's outputs
+    (B, J, d), adds each layer's weight gradients to ``grad_gru`` and returns
+    the gradient at the FC-in outputs (B, J, d).
+
+    On step t, layer k's output gradient is the sum of what layer k + 1 passed
+    down and what layer k passed back in time, both made on step t + 1.
+    """
+    b, n_slow, d = d_top.shape
+    layers = len(sw.gru)
+    w, u, bias = _stack(sw.gru)
+    grads = (np.zeros_like(w), np.zeros_like(u), np.zeros_like(bias))
+    down = np.zeros((layers + 1, b, d))  # down[k + 1]: into layer k's output from above
+    carry = np.zeros((layers, b, d))     # carry[k]: into layer k's output from the next frame
+    d_in = np.empty_like(d_top)
+    for t, lo, hi in reversed(list(_wavefront(n_slow, layers))):
+        if hi == layers:
+            down[layers] = d_top[:, t - layers + 1]
+        down[lo:hi], carry[lo:hi] = _gru_backward(
+            states[t, lo:hi], states[t, lo + 1 : hi + 1], gates[t],
+            down[lo + 1 : hi + 1] + carry[lo:hi], w[lo:hi], u[lo:hi],
+            tuple(g[lo:hi] for g in grads),
+        )
+        if lo == 0:
+            d_in[:, t] = down[0]
+    for k, layer in enumerate(grad_gru):
+        layer.w += grads[0][k]
+        layer.u += grads[1][k]
+        layer.b += grads[2][k]
+    return d_in
 
 
 def _frame_product(x: np.ndarray, dy: np.ndarray) -> np.ndarray:
@@ -127,12 +229,7 @@ def forward_batch(
     xs = np.zeros((b, 0, cfg.l_s))
     if n_slow > 0:
         xs = frame_signal(noisy, cfg.l_s, cfg.delta_s, pad + cfg.l_s - cfg.delta_s, n_slow)
-    hidden = [np.zeros((b, cfg.gru_width)) for _ in range(cfg.gru_layers)]
-    tops = np.empty((b, n_slow, cfg.gru_width))
-    gru_caches: list[list[GruCache]] = []
-    for j in range(n_slow):
-        gru_caches.append([])
-        tops[:, j], hidden = trunk_step(xs[:, j], hidden, sw, gru_caches[-1])
+    tops, states, gates = _trunk_forward(xs, sw)
 
     # the packet table: row 0 is the warm-up packet, row j + 1 slow frame j's
     warmup = np.broadcast_to(sw.warmup_packet_raw, (b, 1, len(sw.warmup_packet_raw)))
@@ -141,7 +238,7 @@ def forward_batch(
     groups = np.arange(n_fast) // cfg.reuse
     feat = variant.modulate(u, packet, groups)
     y = feat @ weights.fast.f_out_w + weights.fast.f_out_b
-    cache = _Cache(frames, u, groups, xs, gru_caches, tops, packet, feat)
+    cache = _Cache(frames, u, groups, xs, states, gates, tops, packet, feat)
     return overlap_add(y * window, cfg.delta_f)[:, pad : pad + n], cache
 
 
@@ -198,16 +295,8 @@ def backward(
     grads["slow.fc_head.b"] += draw.sum((0, 1))
     d_top = draw @ sw.fc_head_w.T
 
-    # ---- the GRU stack, in reverse over slow frames, then fc_in for all of them
-    d_in = np.empty_like(d_top)
-    carries = [np.zeros((len(noisy), cfg.gru_width)) for _ in range(cfg.gru_layers)]
-    for j in range(len(cache.gru) - 1, -1, -1):
-        d_act = d_top[:, j]
-        for k in range(cfg.gru_layers - 1, -1, -1):
-            d_act, carries[k] = _gru_backward(
-                cache.gru[j][k], d_act + carries[k], sw.gru[k], grad_weights.slow.gru[k]
-            )
-        d_in[:, j] = d_act
+    # ---- the GRU stack, a reverse wavefront over slow frames, then fc_in for all of them
+    d_in = _trunk_backward(d_top, cache.states, cache.gates, sw, grad_weights.slow.gru)
     grads["slow.fc_in.w"] += _frame_product(cache.xs, d_in)
     grads["slow.fc_in.b"] += d_in.sum((0, 1))
 

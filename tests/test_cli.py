@@ -361,6 +361,19 @@ class TestKvParsing:
         with pytest.raises(ValueError, match="key = value"):
             read_kv_file(path)
 
+    @pytest.mark.parametrize("command", ["bench-mac", "train"])
+    def test_repeated_key_names_the_key_and_both_lines(self, command, capsys, tmp_path):
+        # the second line used to win silently: bench-mac reported reuse 5
+        path = tmp_path / "twice.cfg"
+        path.write_text("reuse = 2\n# comment\nh = 8\nreuse = 5\n")
+        with pytest.raises(ValueError, match=r":4: key 'reuse' given again \(first on line 1\)"):
+            read_kv_file(path)
+        out = ["--out", str(tmp_path / "m.sfse")] if command == "train" else []
+        assert run([command, "--config", str(path), *out]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and "'reuse'" in captured.err
+        assert captured.out == "" and not (tmp_path / "m.sfse").exists()
+
     @pytest.mark.parametrize("command, line", [
         ("bench-mac", "reuse = three"),
         ("train", "batch_size = 1.5"),

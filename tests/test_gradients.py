@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from slowfast_se import slow_branch
 from slowfast_se.engine import (
     SlowFastConfig,
     enhance_offline,
@@ -10,6 +11,8 @@ from slowfast_se.engine import (
     named_arrays,
     two_ms_config,
 )
+from slowfast_se.slow_branch import trunk_step
+from slowfast_se.training import backprop
 from slowfast_se.training.backprop import NonFiniteLossError, backward, forward_batch
 from slowfast_se.training.losses import LossWeights, StftParams
 
@@ -136,3 +139,90 @@ class TestForwardConsistency:
         batched, _ = forward_batch(x, weights, config)
         single = enhance_offline(x[0], weights, config).samples
         assert np.max(np.abs(batched[0] - single)) < 1e-10
+
+
+def clip_of_slow_frames(config, n_slow):
+    """The longest clip length whose batched forward runs ``n_slow`` slow frames."""
+    n = 1
+    while (config.num_fast_frames(n + 1) - 1) // config.reuse <= n_slow:
+        n += 1
+    return n
+
+
+def stack_config(layers, variant="ssmm"):
+    # reuse 4 leaves a clip of no slow frame long enough for a 4-point STFT
+    return SlowFastConfig(variant=variant, l_f=4, delta_f=2, reuse=4, h=3,
+                          gru_width=4, gru_layers=layers)
+
+
+class TestWavefront:
+    """The GRU stack runs as a wavefront: step t runs layer k on slow frame t - k."""
+
+    @pytest.mark.parametrize("layers", [1, 2, 4])
+    @pytest.mark.parametrize("extra", ["0", "1", "L-1", "L", "L+5"])
+    def test_batched_trunk_equals_per_frame_trunk_step(self, layers, extra):
+        n_slow = {"0": 0, "1": 1, "L-1": layers - 1, "L": layers, "L+5": layers + 5}[extra]
+        config = stack_config(layers)
+        sw = randomized_weights(config, seed=layers).slow
+        xs = np.random.default_rng(n_slow).standard_normal((3, n_slow, config.l_s))
+        top, states, _ = backprop._trunk_forward(xs, sw)
+        assert top.shape == (3, n_slow, config.gru_width)
+        hidden = [np.zeros((3, config.gru_width)) for _ in range(layers)]
+        for j in range(n_slow):
+            want, hidden = trunk_step(xs[:, j], hidden, sw)
+            assert np.array_equal(top[:, j], want), j
+            for k, h in enumerate(hidden):
+                # layer k ran frame j on step j + k and handed its state to step j + k + 1
+                assert np.array_equal(states[j + k + 1, k + 1], h), (j, k)
+
+    @pytest.mark.parametrize("n_slow", [1, 3])
+    def test_gru_arrays_match_finite_differences_below_the_stack_depth(self, n_slow):
+        # fewer slow frames than layers: every step is ramp-up or ramp-down.
+        # The gap is sized by the array's largest gradient: some entries sit
+        # near 1e-7, where the difference quotient's own error is 1e-10, and
+        # at one frame the arrays that meet only h_prev = 0 have zero gradients
+        config = stack_config(4)
+        weights = randomized_weights(config, seed=17)
+        batch = tiny_batch(n=clip_of_slow_frames(config, n_slow), seed=19)
+        lw, sp = LossWeights(spec_mse=1.0, sisnr=0.3), StftParams(fft_size=4, hop=2)
+        _, grads = backward(batch, weights, config, lw, sp)
+        checked = 0
+        for name, arr in named_arrays(weights):
+            if not name.startswith("slow.gru"):
+                continue
+            analytic = grads[name]
+            numeric = np.zeros_like(arr)
+            for idx in np.ndindex(arr.shape):
+                numeric[idx] = central_difference(weights, arr, idx, batch, config, lw, sp)
+            rel = np.max(np.abs(analytic - numeric)) / max(np.max(np.abs(numeric)), 1e-6)
+            assert rel < TOLERANCE, f"{name}: rel err {rel:.3e}"
+            checked += 1
+        assert checked == 4 * 9
+        for k in range(4):  # every layer ran its frames
+            assert np.any(grads[f"slow.gru{k}.w_n"] != 0.0), k
+
+    @pytest.mark.parametrize("layers,n_slow", [(1, 0), (1, 3), (4, 0), (4, 2), (4, 4), (4, 9)])
+    def test_one_stacked_cell_and_adjoint_per_step(self, monkeypatch, layers, n_slow):
+        config = stack_config(layers)
+        weights = randomized_weights(config, seed=5)
+        calls = {"cell": 0, "adjoint": 0}
+
+        def counted(key, fn):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        def streaming_cell(*args, **kwargs):
+            raise AssertionError("training called the streaming gru_cell_step")
+
+        monkeypatch.setattr(backprop, "_gru_cell", counted("cell", backprop._gru_cell))
+        monkeypatch.setattr(backprop, "_gru_backward", counted("adjoint", backprop._gru_backward))
+        monkeypatch.setattr(slow_branch, "gru_cell_step", streaming_cell)
+        batch = tiny_batch(n=clip_of_slow_frames(config, n_slow), seed=23)
+        _, cache = forward_batch(batch[0], weights, config)
+        assert cache.xs.shape[1] == n_slow
+        steps = n_slow + layers - 1 if n_slow else 0
+        assert calls == {"cell": steps, "adjoint": 0}
+        backward(batch, weights, config, LossWeights(1.0, 0.3), StftParams(4, 2))
+        assert calls == {"cell": 2 * steps, "adjoint": steps}

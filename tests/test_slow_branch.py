@@ -197,12 +197,11 @@ class TestFusedStorage:
         weights = init_model_weights(cfg, seed=6)
         x = np.random.default_rng(7).standard_normal((2, 400)) * 0.3
         _, cache = forward_batch(x, weights, cfg)
-        assert cache.gru
-        for frame in cache.gru:
-            for cell in frame:
-                for name, arr in zip(cell._fields, cell):
-                    base = arr.base
-                    assert base is None or base.nbytes <= arr.nbytes, name
+        assert cache.gates
+        for step in cache.gates:
+            for name, arr in zip(("zr", "n", "uh_n"), step):
+                base = arr.base
+                assert base is None or base.nbytes <= arr.nbytes, name
 
 
 class TestActivateHead:
