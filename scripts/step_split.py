@@ -1,0 +1,157 @@
+"""Where a training step's time and page faults go, phase by phase, at two presets.
+
+    python3 scripts/step_split.py --steps 9
+
+Runs ssmm training steps as the benchmark's trainer does (``backward`` under
+the stage-1 loss weights, ``clip_gradients``, one Adam step) from
+``passthrough_start``, on a batch of ``CLIPS`` (16) one-second synthetic
+clips, at ``two_ms_config(3)`` and at ``sample_level_config()``. The process
+is pinned to one CPU and runs one BLAS thread. The first step of each
+preset warms up and is not counted; each figure is the median over the
+counted steps.
+
+Every phase is timed by a wrapper around the function that runs it, reading
+wall time and ``getrusage``'s minor page faults before and after:
+
+* trunk fwd:  ``backprop._trunk_forward``, fc_in and the GRU wavefront;
+* rest fwd:   the rest of ``backprop.forward_batch``;
+* loss:       ``backprop.total_loss_grad``;
+* adjoint:    the variant row's ``adjoint`` in ``fast_branch.VARIANTS``;
+* trunk bwd:  ``backprop._trunk_backward``;
+* rest:       the rest of the step: framing of the loss gradient, the other
+  weight gradients, clipping and Adam.
+
+The step columns give the whole step's wall ms, minor faults, and system
+(kernel) ms. A minor fault is a page the kernel maps when fresh memory is
+first written, so faults count the memory a step takes anew, 4 KiB each.
+"""
+
+from __future__ import annotations
+
+import os
+
+# one BLAS thread, set before numpy loads
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import argparse
+import resource
+import sys
+import time
+from pathlib import Path
+
+import numpy as np
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from slowfast_se import fast_branch  # noqa: E402
+from slowfast_se.engine import sample_level_config, two_ms_config  # noqa: E402
+from slowfast_se.training import backprop, data, loop  # noqa: E402
+
+PHASES = ("trunk fwd", "rest fwd", "loss", "adjoint", "trunk bwd", "rest")
+PRESETS = {"2ms-d3": two_ms_config(3), "sample": sample_level_config()}
+CLIPS = 16  # one-second clips per batch, as in the benchmark's training steps
+
+
+def _usage() -> tuple[float, int, float]:
+    ru = resource.getrusage(resource.RUSAGE_SELF)
+    return time.perf_counter(), ru.ru_minflt, ru.ru_stime
+
+
+class Meter:
+    """Wall seconds and minor faults per phase, summed since the last reset."""
+
+    def __init__(self):
+        self.reset()
+
+    def reset(self):
+        self.wall = dict.fromkeys(PHASES, 0.0)
+        self.faults = dict.fromkeys(PHASES, 0)
+
+    def wrap(self, phase: str, fn):
+        def timed(*args, **kwargs):
+            t0, f0, _ = _usage()
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                t1, f1, _ = _usage()
+                self.wall[phase] += t1 - t0
+                self.faults[phase] += f1 - f0
+        return timed
+
+
+def install(meter: Meter) -> None:
+    """Time each phase through wrappers on the functions the step calls.
+
+    ``forward_batch``'s wrapper books its whole time under "rest fwd", so the
+    trunk forward, booked on its own, is taken out of it in ``measure``.
+    """
+    backprop._trunk_forward = meter.wrap("trunk fwd", backprop._trunk_forward)
+    backprop._trunk_backward = meter.wrap("trunk bwd", backprop._trunk_backward)
+    backprop.total_loss_grad = meter.wrap("loss", backprop.total_loss_grad)
+    backprop.forward_batch = meter.wrap("rest fwd", backprop.forward_batch)
+    for name, row in fast_branch.VARIANTS.items():
+        fast_branch.VARIANTS[name] = row._replace(adjoint=meter.wrap("adjoint", row.adjoint))
+
+
+def measure(config, steps: int, meter: Meter) -> dict:
+    """Medians over ``steps`` counted steps of each phase's ms and faults."""
+    snrs = data.TRAIN_SNRS_DB
+    noisy, clean = data.make_batch(list(range(CLIPS)), [snrs[i % len(snrs)] for i in range(CLIPS)])
+    weights = loop.passthrough_start(config, seed=0)
+    optimizer = loop.AdamOptimizer(weights)
+    schedule = loop.TrainSchedule()
+    rows = []
+    for k in range(steps + 1):
+        meter.reset()
+        t0, f0, s0 = _usage()
+        _, grads = backprop.backward((noisy, clean), weights, config,
+                                     schedule.stage1_weights, schedule.stft)
+        loop.clip_gradients(grads, schedule.grad_clip)
+        optimizer.step(weights, grads, schedule.lr_stage1)
+        t1, f1, s1 = _usage()
+        wall, faults = dict(meter.wall), dict(meter.faults)
+        wall["rest fwd"] -= wall["trunk fwd"]
+        faults["rest fwd"] -= faults["trunk fwd"]
+        wall["rest"] = (t1 - t0) - sum(wall[p] for p in PHASES[:-1])
+        faults["rest"] = (f1 - f0) - sum(faults[p] for p in PHASES[:-1])
+        if k:  # the first step warms up
+            rows.append({"ms": {p: 1e3 * wall[p] for p in PHASES},
+                         "faults": {p: faults[p] for p in PHASES},
+                         "step_ms": 1e3 * (t1 - t0), "step_faults": f1 - f0,
+                         "sys_ms": 1e3 * (s1 - s0)})
+    return {
+        "ms": {p: float(np.median([r["ms"][p] for r in rows])) for p in PHASES},
+        "faults": {p: float(np.median([r["faults"][p] for r in rows])) for p in PHASES},
+        **{key: float(np.median([r[key] for r in rows]))
+           for key in ("step_ms", "step_faults", "sys_ms")},
+    }
+
+
+def report(name: str, result: dict) -> str:
+    cells = [f"{result['ms'][p]:.1f} / {result['faults'][p]:.0f}" for p in PHASES]
+    step = (f"{result['step_ms']:.1f} / {result['step_faults']:.0f} / "
+            f"{result['sys_ms']:.1f}")
+    return "| " + " | ".join([name, *cells, step]) + " |"
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--steps", type=int, default=9, help="counted steps per preset")
+    args = ap.parse_args(argv)
+    if args.steps < 1:
+        ap.error("--steps must be at least 1")
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+    meter = Meter()
+    install(meter)
+    print(f"ssmm, {CLIPS} clips, median of {args.steps} steps; "
+          "each cell is wall ms / minor faults")
+    print("| preset | " + " | ".join(PHASES) + " | step ms / faults / sys ms |")
+    print("|---" * (len(PHASES) + 2) + "|")
+    for name, config in PRESETS.items():
+        print(report(name, measure(config, args.steps, meter)), flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -115,16 +115,22 @@ def _affine(raw: np.ndarray) -> tuple[np.ndarray, ...]:
 class Variant(NamedTuple):
     """One row of VARIANTS; ``modulate`` and ``adjoint`` run batched over clips.
 
-    They take ``u`` (B, NF, H), every frame's f_in output, the packet's
-    (B, G, H) arrays, one row per table entry, and ``groups`` (NF,), each
-    frame's row, numbering runs of consecutive frames 0, 1, ... The
-    adjoint's d_raw_table includes the head's derivative.
+    Both run time-major: they take ``u`` (NF, B, H), every frame's f_in
+    output, the packet's (G, B, H) arrays, one row per table entry, and
+    ``groups`` (NF,), each frame's row, numbering runs of consecutive frames
+    0, 1, ..., all of one length but the last. ``modulate`` returns the f_out
+    input (NF, B, feat_width * H) as a fresh C-contiguous array. The adjoint
+    returns ``du`` (NF, B, H) and d_raw_table (G, B, raw width), which
+    includes the head's derivative. It owns its first argument, the gradient
+    at the f_out input: the caller makes it fresh and drops it, so the
+    adjoint may overwrite it and hand it back as ``du``.
 
     Only a true recurrence runs frame by frame: ssmm's modulate loops over
     frames for ``h_i = a_i h_{i-1} + (g u)_i`` alone, and its adjoint for
-    ``dh_i += a_{i+1} dh_{i+1}`` alone; film and ec have no loop. Packet
-    gathers, products and per-group sums (``_group_sums``) are whole-array
-    calls.
+    ``dh_i += a_{i+1} dh_{i+1}`` alone, each reading its frame's packet row
+    ``a[k]`` in place of a gathered copy of the table; film and ec have no
+    loop. Packet gathers, products and per-group sums (``_group_sums``) are
+    whole-array calls.
     """
 
     fields: tuple[str, ...]  # the packet's arrays, in order
@@ -134,82 +140,97 @@ class Variant(NamedTuple):
     mod_macs: int            # multiplies per state channel between f_in and f_out
     modulate: Callable       # (u, packet, groups) -> f_out input
     adjoint: Callable        # (d f_out input, u, packet, groups, f_out input) -> (du, d_raw)
+    start_raw: tuple[float, ...]  # each field's raw head value at the training start
 
 
 def _group_sums(x, groups):
     """Sums of time-major (NF, ...) ``x`` over each group's frames: (G, ...).
 
     ``groups`` numbers the frames' groups 0, 1, ... in runs of consecutive
-    frames. Each group adds its frames last first, in the order a reverse
-    frame loop accumulates them, as one vectorized add per frame position.
+    frames, all of one length but the last, which may be shorter, as
+    ``np.arange(NF) // reuse`` makes them. Each group adds its frames last
+    first, in the order a reverse frame loop accumulates them: position r's
+    frames are every size-th frame from r, a strided view of ``x``, and the
+    groups that have one are a prefix of the result, so the adds gather nothing.
     """
-    starts = np.flatnonzero(np.diff(groups, prepend=-1))
-    sizes = np.diff(starts, append=len(groups))
-    out = np.zeros((len(starts),) + x.shape[1:])
-    for r in range(sizes.max() - 1, -1, -1):
-        k = np.flatnonzero(sizes > r)  # the groups that have an r-th frame
-        out[k] += x[starts[k] + r]
+    size = np.count_nonzero(groups == 0)
+    out = np.zeros((groups[-1] + 1,) + x.shape[1:])
+    for r in range(size - 1, -1, -1):
+        rows = x[r::size]
+        out[: len(rows)] += rows
     return out
 
 
-# The ssmm scan runs time-major, on (NF, B, H) arrays whose rows are one
-# frame's (B, H) block, and hands back (B, NF, H) views of them.
+# The modulations run time-major, on (NF, B, H) arrays whose rows are one
+# frame's (B, H) block. ``np.take`` with ``mode="clip"`` writes its gather
+# straight into ``out``; the default mode gathers into a buffer first.
 
 
 def _ssmm_modulate(u, p, groups):
     a, g = p
-    a_t = a.swapaxes(0, 1)
-    h = g.swapaxes(0, 1)[groups]
-    h *= u.swapaxes(0, 1)  # g*u, then the scan in place
-    for a_i, h_prev, h_i in zip(a_t[groups[1:]], h, h[1:]):
-        h_i += a_i * h_prev
-    return h.swapaxes(0, 1)
+    h = g[groups]
+    h *= u  # g*u, then the scan in place
+    for k, h_prev, h_i in zip(groups[1:].tolist(), h, h[1:]):
+        h_i += a[k] * h_prev
+    return h
 
 
 def _ssmm_adjoint(dfeat, u, p, groups, feat):
     # feat holds the states h_i; h_i = a_i h_{i-1} + g_i u_i gives the
-    # reverse scan dh_i = dfeat_i + a_{i+1} dh_{i+1}
+    # reverse scan dh_i = dfeat_i + a_{i+1} dh_{i+1}, run in dfeat's buffer
     a, g = p
-    a_t = a.swapaxes(0, 1)
-    dh = dfeat.swapaxes(0, 1).copy()
-    for a_i, dh_next, dh_i in zip(a_t[groups[:0:-1]], dh[::-1], dh[-2::-1]):
-        dh_i += a_i * dh_next
-    # one buffer holds each group sum's terms: dh_i h_{i-1} (h_{-1} = 0), then dh_i u_i
-    terms = np.zeros_like(dh)
-    np.multiply(dh[1:], feat.swapaxes(0, 1)[:-1], out=terms[1:])
-    da = _group_sums(terms, groups).swapaxes(0, 1)
-    dg = _group_sums(np.multiply(dh, u.swapaxes(0, 1), out=terms), groups).swapaxes(0, 1)
-    dh *= g.swapaxes(0, 1)[groups]  # now du
+    dh = dfeat
+    for k, dh_next, dh_i in zip(groups[:0:-1].tolist(), dh[::-1], dh[-2::-1]):
+        dh_i += a[k] * dh_next
+    # one buffer holds each group sum's terms: dh_i h_{i-1} (h_{-1} = 0), then
+    # dh_i u_i, then the gathered g_i that turns dh into du
+    terms = np.empty_like(dh)
+    terms[0] = 0.0
+    np.multiply(dh[1:], feat[:-1], out=terms[1:])
+    da = _group_sums(terms, groups)
+    dg = _group_sums(np.multiply(dh, u, out=terms), groups)
+    dh *= np.take(g, groups, axis=0, out=terms, mode="clip")  # now du
     # sigmoid heads: d sig / d raw = sig * (1 - sig)
-    return dh.swapaxes(0, 1), np.concatenate([da * a * (1.0 - a), dg * g * (1.0 - g)], axis=-1)
+    return dh, np.concatenate([da * a * (1.0 - a), dg * g * (1.0 - g)], axis=-1)
 
 
 def _film_modulate(u, p, groups):
     alpha, beta = p
-    return alpha[:, groups] * u + beta[:, groups]
+    feat = alpha[groups]
+    feat *= u
+    feat += beta[groups]
+    return feat
 
 
 def _film_adjoint(dfeat, u, p, groups, feat):
     # alpha = 1 + raw and beta = raw, so the head passes gradients unchanged
-    dfeat_t = dfeat.swapaxes(0, 1)
-    d_raw = np.concatenate([_group_sums(dfeat_t * u.swapaxes(0, 1), groups),
-                            _group_sums(dfeat_t, groups)], axis=-1)
-    return dfeat * p[0][:, groups], d_raw.swapaxes(0, 1)
+    terms = np.multiply(dfeat, u)
+    d_raw = np.concatenate([_group_sums(terms, groups), _group_sums(dfeat, groups)], axis=-1)
+    dfeat *= np.take(p[0], groups, axis=0, out=terms, mode="clip")  # now du
+    return dfeat, d_raw
 
 
 def _ec_modulate(u, p, groups):
-    return np.concatenate([u, p[0][:, groups]], axis=-1)
+    return np.concatenate([u, p[0][groups]], axis=-1)
 
 
 def _ec_adjoint(dfeat, u, p, groups, feat):
     h = u.shape[-1]
-    return dfeat[..., :h], _group_sums(dfeat[..., h:].swapaxes(0, 1), groups).swapaxes(0, 1)
+    return dfeat[..., :h], _group_sums(dfeat[..., h:], groups)
 
+
+# raw head value of the ssmm transition a and input gate g at the training
+# start: sigmoid(-2) ~ 0.12 (short memory), sigmoid(+2) ~ 0.88 (open gate).
+# film's and ec's raw zeros are identity modulation and a zero embedding.
+PASSTHROUGH_RAW_A = -2.0
+PASSTHROUGH_RAW_G = 2.0
 
 # Sessions look the step up by name when they are built, so a wrapper
 # installed on this module before that sees every call.
 VARIANTS = {
-    "ssmm": Variant(("a", "g"), _gates, "ssmm_step", 1, 2, _ssmm_modulate, _ssmm_adjoint),
-    "film": Variant(("alpha", "beta"), _affine, "film_step", 1, 1, _film_modulate, _film_adjoint),
-    "ec": Variant(("e",), lambda raw: (raw,), "ec_step", 2, 0, _ec_modulate, _ec_adjoint),
+    "ssmm": Variant(("a", "g"), _gates, "ssmm_step", 1, 2, _ssmm_modulate, _ssmm_adjoint,
+                    (PASSTHROUGH_RAW_A, PASSTHROUGH_RAW_G)),
+    "film": Variant(("alpha", "beta"), _affine, "film_step", 1, 1, _film_modulate, _film_adjoint,
+                    (0.0, 0.0)),
+    "ec": Variant(("e",), lambda raw: (raw,), "ec_step", 2, 0, _ec_modulate, _ec_adjoint, (0.0,)),
 }

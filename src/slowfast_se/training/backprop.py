@@ -30,6 +30,22 @@ head, fc_in) is one product over all frames (``_frame_product``), and the
 head's gradients for every slow frame are known before the GRU loop starts,
 so that loop runs only the GRU cells' adjoints.
 
+The batch runs time-major from framing to loss: the windowed frames, the
+f_in outputs ``u``, the f_out inputs ``feat``, the outputs ``y`` and the
+gradients ``dy`` and ``du`` are C-contiguous (NF, B, .) arrays, and the
+packet table and the trunk's outputs are (J + 1, B, .) and (J, B, .), the
+layout of the wavefront's states. Each frame's rows for all clips are one
+(B, .) block, so the ssmm scan indexes one row per frame, and each weight
+gradient flattens its frames to (NF * B, .) as a view. Frames are windowed
+straight from ``frame_signal``'s view into a fresh time-major array,
+``overlap_add`` reads the outputs through a (B, NF, L) view, and biases
+and windows are added in place, so no step makes a whole-array temporary
+beyond the arrays it computes. The forward's products keep the bits of a
+clip-major layout (``_clip_product``), and so do the outputs. The
+gradients move by rounding: the weight-gradient products and bias sums add
+their rows in (frame, clip) order, and the products with transposed
+weights run one gemm per frame, whose sums depend on its row count.
+
 No variant code lives here: the modulation and its adjoint come from the
 variant's row of fast_branch.VARIANTS. ``forward_batch`` checks the weights'
 shapes against the config once, on entry.
@@ -70,15 +86,15 @@ class NonFiniteLossError(ValueError):
 
 @dataclass
 class _Cache:
-    frames: np.ndarray          # (B, NF, L) windowed fast frames
-    u: np.ndarray               # (B, NF, H) f_in outputs
+    frames: np.ndarray          # (NF, B, L) windowed fast frames
+    u: np.ndarray               # (NF, B, H) f_in outputs
     groups: np.ndarray          # (NF,) packet-table index per fast frame
-    xs: np.ndarray              # (B, J, LS) slow frames
+    xs: np.ndarray              # (B, J, LS) slow frames, a framing view
     states: np.ndarray          # (J+L, L+1, B, d) the wavefront's inputs and states
     gates: list[tuple[np.ndarray, ...]]  # per step: z|r, n, U_n h of the active layers
-    top: np.ndarray             # (B, J, d) trunk outputs feeding the head, a view of states
-    packet: tuple[np.ndarray, ...]  # (B, J+1, H) arrays; row 0 is the warm-up packet
-    feat: np.ndarray            # (B, NF, width * H) f_out inputs
+    top: np.ndarray             # (J, B, d) trunk outputs feeding the head, a view of states
+    packet: tuple[np.ndarray, ...]  # (J+1, B, H) arrays; row 0 is the warm-up packet
+    feat: np.ndarray            # (NF, B, width * H) f_out inputs
 
 
 def _gru_backward(
@@ -139,7 +155,7 @@ def _trunk_forward(
 ) -> tuple[np.ndarray, np.ndarray, list[tuple[np.ndarray, ...]]]:
     """FC in and the GRU stack over (B, J, LS) slow frames, as a wavefront.
 
-    Returns the top layer's outputs (B, J, d), a view of the states array,
+    Returns the top layer's outputs (J, B, d), a view of the states array,
     then that array and each step's gates. ``states[t, 0]`` is slow frame
     t's FC-in output and ``states[t, k + 1]`` the state layer k made on
     step t - 1 (zero before its first frame), so step t reads its inputs
@@ -151,7 +167,8 @@ def _trunk_forward(
     w, u, bias = _stack(sw.gru)
     bias = bias[:, None]  # broadcasts over the batch axis
     states = np.zeros((n_slow + layers, layers + 1, b, d))
-    states[:n_slow, 0] = xs.swapaxes(0, 1) @ sw.fc_in_w + sw.fc_in_b
+    fc_in = np.matmul(xs.swapaxes(0, 1), sw.fc_in_w, out=states[:n_slow, 0])
+    fc_in += sw.fc_in_b
     gates = []
     for t, lo, hi in _wavefront(n_slow, layers):
         h, zr, n, uh = _gru_cell(
@@ -160,7 +177,7 @@ def _trunk_forward(
         states[t + 1, lo + 1 : hi + 1] = h
         # a copy, so the cache does not keep the whole (.., 3d) product alive
         gates.append((zr, n, uh[..., 2 * d :].copy()))
-    return states[layers:, layers].swapaxes(0, 1), states, gates
+    return states[layers:, layers], states, gates
 
 
 def _trunk_backward(
@@ -171,13 +188,13 @@ def _trunk_backward(
     grad_gru: list[GruLayerWeights],
 ) -> np.ndarray:
     """The wavefront in reverse: from the gradient at the top layer's outputs
-    (B, J, d), adds each layer's weight gradients to ``grad_gru`` and returns
-    the gradient at the FC-in outputs (B, J, d).
+    (J, B, d), adds each layer's weight gradients to ``grad_gru`` and returns
+    the gradient at the FC-in outputs (J, B, d).
 
     On step t, layer k's output gradient is the sum of what layer k + 1 passed
     down and what layer k passed back in time, both made on step t + 1.
     """
-    b, n_slow, d = d_top.shape
+    n_slow, b, d = d_top.shape
     layers = len(sw.gru)
     w, u, bias = _stack(sw.gru)
     grads = (np.zeros_like(w), np.zeros_like(u), np.zeros_like(bias))
@@ -186,14 +203,14 @@ def _trunk_backward(
     d_in = np.empty_like(d_top)
     for t, lo, hi in reversed(list(_wavefront(n_slow, layers))):
         if hi == layers:
-            down[layers] = d_top[:, t - layers + 1]
+            down[layers] = d_top[t - layers + 1]
         down[lo:hi], carry[lo:hi] = _gru_backward(
             states[t, lo:hi], states[t, lo + 1 : hi + 1], gates[t],
             down[lo + 1 : hi + 1] + carry[lo:hi], w[lo:hi], u[lo:hi],
             tuple(g[lo:hi] for g in grads),
         )
         if lo == 0:
-            d_in[:, t] = down[0]
+            d_in[t] = down[0]
     for k, layer in enumerate(grad_gru):
         layer.w += grads[0][k]
         layer.u += grads[1][k]
@@ -201,9 +218,36 @@ def _trunk_backward(
     return d_in
 
 
+def _clip_product(x: np.ndarray, w: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``x @ w`` of time-major (T, B, k) frames into (T, B, n) ``out`` (fresh
+    if None), with the bits of one BLAS product per clip over its T rows.
+
+    gemm's sums over k do not depend on how many rows a call takes (for
+    ``w`` as stored), so when every call has more than one row and column,
+    one (B, k) x (k, n) gemm per frame, the fastest split measured, gives
+    those bits. Otherwise the calls are gemv, whose sums do depend on the
+    row count, and the product runs per clip through (B, T, .) views.
+
+    Keeping these bits keeps the forward's outputs and losses exactly those
+    of the clip-major layout, so ``scripts/bit_identity.py`` holds a layout
+    change to equal outputs and needs a tolerance for gradients alone. The
+    cost is the gemv path's strided rows: at sample level (``l_f = 1``, one
+    f_out column) the per-clip f_out product took 5-8 ms of a 0.7-1 s step,
+    where one gemv per frame took 1.3 ms and rounds differently (timeit,
+    one BLAS thread, 16 one-second clips).
+    """
+    if out is None:
+        out = np.empty(x.shape[:-1] + w.shape[-1:])
+    if min(x.shape[0], x.shape[1], w.shape[-1]) > 1:
+        return np.matmul(x, w, out=out)
+    np.matmul(x.swapaxes(0, 1), w, out=out.swapaxes(0, 1))
+    return out
+
+
 def _frame_product(x: np.ndarray, dy: np.ndarray) -> np.ndarray:
-    """Weight gradient of ``x @ w`` over a (B, F, .) batch of frames: one BLAS
-    product of the flattened frames (einsum without ``optimize`` is no BLAS call)."""
+    """Weight gradient of ``x @ w`` over (F, B, .) frames: one BLAS product of
+    the flattened frames (einsum without ``optimize`` is no BLAS call). For
+    C-contiguous operands the reshapes are views, so nothing is copied."""
     return x.reshape(-1, x.shape[-1]).T @ dy.reshape(-1, dy.shape[-1])
 
 
@@ -220,8 +264,10 @@ def forward_batch(
     pad = cfg.fast_pad
     n_fast = cfg.num_fast_frames(n)
     window = make_window(cfg.l_f)
-    frames = frame_signal(noisy, cfg.l_f, cfg.delta_f, pad, n_fast) * window
-    u = frames @ weights.fast.f_in_w + weights.fast.f_in_b
+    frames = np.multiply(frame_signal(noisy, cfg.l_f, cfg.delta_f, pad, n_fast).swapaxes(0, 1),
+                         window, out=np.empty((n_fast, b, cfg.l_f)))
+    u = _clip_product(frames, weights.fast.f_in_w)
+    u += weights.fast.f_in_b
 
     # slow frame j spans [(j+1)*delta_s - l_s, (j+1)*delta_s) of the padded timeline
     n_slow = (n_fast - 1) // cfg.reuse
@@ -229,17 +275,23 @@ def forward_batch(
     xs = np.zeros((b, 0, cfg.l_s))
     if n_slow > 0:
         xs = frame_signal(noisy, cfg.l_s, cfg.delta_s, pad + cfg.l_s - cfg.delta_s, n_slow)
-    tops, states, gates = _trunk_forward(xs, sw)
+    top, states, gates = _trunk_forward(xs, sw)
 
     # the packet table: row 0 is the warm-up packet, row j + 1 slow frame j's
-    warmup = np.broadcast_to(sw.warmup_packet_raw, (b, 1, len(sw.warmup_packet_raw)))
+    raw = np.empty((n_slow + 1, b, len(sw.warmup_packet_raw)))
+    raw[0] = sw.warmup_packet_raw
+    head = _clip_product(top, sw.fc_head_w, out=raw[1:])
+    head += sw.fc_head_b
     variant = VARIANTS[cfg.variant]
-    packet = variant.head(np.concatenate([warmup, tops @ sw.fc_head_w + sw.fc_head_b], axis=1))
+    # each field contiguous, as the scans read one (B, H) row per frame
+    packet = tuple(np.ascontiguousarray(field) for field in variant.head(raw))
     groups = np.arange(n_fast) // cfg.reuse
     feat = variant.modulate(u, packet, groups)
-    y = feat @ weights.fast.f_out_w + weights.fast.f_out_b
-    cache = _Cache(frames, u, groups, xs, states, gates, tops, packet, feat)
-    return overlap_add(y * window, cfg.delta_f)[:, pad : pad + n], cache
+    y = _clip_product(feat, weights.fast.f_out_w)
+    y += weights.fast.f_out_b
+    y *= window
+    cache = _Cache(frames, u, groups, xs, states, gates, top, packet, feat)
+    return overlap_add(y.swapaxes(0, 1), cfg.delta_f)[:, pad : pad + n], cache
 
 
 def backward(
@@ -276,9 +328,14 @@ def backward(
 
     # ---- loss -> OLA -> per-frame outputs: framing is the adjoint of OLA
     window = make_window(cfg.l_f)
-    dy = frame_signal(d_s_hat, cfg.l_f, cfg.delta_f, cfg.fast_pad, len(cache.groups)) * window
+    n_fast, b = cache.u.shape[:2]
+    dy = np.multiply(
+        frame_signal(d_s_hat, cfg.l_f, cfg.delta_f, cfg.fast_pad, n_fast).swapaxes(0, 1),
+        window, out=np.empty((n_fast, b, cfg.l_f)),
+    )
 
-    # ---- f_out, then the variant's modulation back to f_in and the packet table
+    # ---- f_out, then the variant's modulation back to f_in and the packet table;
+    # the adjoint may overwrite its first argument, made here and dropped
     grads["fast.f_out.w"] += _frame_product(cache.feat, dy)
     grads["fast.f_out.b"] += dy.sum((0, 1))
     du, draw_table = VARIANTS[cfg.variant].adjoint(
@@ -289,15 +346,15 @@ def backward(
 
     # ---- packet table -> warm-up parameter and the head, for all slow frames at once
     sw = weights.slow
-    grads["slow.warmup_raw"] += draw_table[:, 0].sum(0)
-    draw = draw_table[:, 1:]
+    grads["slow.warmup_raw"] += draw_table[0].sum(0)
+    draw = draw_table[1:]
     grads["slow.fc_head.w"] += _frame_product(cache.top, draw)
     grads["slow.fc_head.b"] += draw.sum((0, 1))
     d_top = draw @ sw.fc_head_w.T
 
     # ---- the GRU stack, a reverse wavefront over slow frames, then fc_in for all of them
     d_in = _trunk_backward(d_top, cache.states, cache.gates, sw, grad_weights.slow.gru)
-    grads["slow.fc_in.w"] += _frame_product(cache.xs, d_in)
+    grads["slow.fc_in.w"] += _frame_product(cache.xs.swapaxes(0, 1), d_in)
     grads["slow.fc_in.b"] += d_in.sum((0, 1))
 
     return loss, grads

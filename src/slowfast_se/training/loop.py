@@ -26,6 +26,7 @@ from typing import ClassVar
 import numpy as np
 
 from ..engine import ModelWeights, SlowFastConfig, init_model_weights, named_arrays
+from ..fast_branch import VARIANTS
 from .backprop import GradientSet, NonFiniteLossError, backward, forward_batch
 from .data import EVAL_SNRS_DB, TRAIN_SNRS_DB, make_batch
 from .losses import LossWeights, StftParams, sisnr_grad
@@ -129,12 +130,6 @@ def evaluate_sisnr(
     return float(vals.mean())
 
 
-# raw head value of the ssmm transition a and input gate g at the training
-# start: sigmoid(-2) ~ 0.12 (short memory), sigmoid(+2) ~ 0.88 (open gate)
-PASSTHROUGH_RAW_A = -2.0
-PASSTHROUGH_RAW_G = 2.0
-
-
 def passthrough_start(config: SlowFastConfig, seed: int = 0) -> ModelWeights:
     """Near-passthrough starting point that ``train()`` uses by default.
 
@@ -144,10 +139,12 @@ def passthrough_start(config: SlowFastConfig, seed: int = 0) -> ModelWeights:
     f_in columns keep their random values and get zero f_out rows, so no
     state channel starts at a zero saddle. When ``h < l_f`` the pair is a
     projection onto the first ``h`` samples of each frame, not a passthrough.
-    For ec the embedding rows of f_out start at zero. For ssmm the head bias
-    and the warm-up raw start at (PASSTHROUGH_RAW_A, PASSTHROUGH_RAW_G), so
-    the first packets barely mix in past frames and the network output is
-    close to its input; film and ec already start at identity modulation.
+    For ec the embedding rows of f_out start at zero. The head bias and the
+    warm-up raw start at the variant's ``start_raw`` in ``VARIANTS``, each
+    field's value repeated over its ``h`` channels: for ssmm
+    (PASSTHROUGH_RAW_A, PASSTHROUGH_RAW_G), so the first packets barely mix
+    in past frames and the network output is close to its input; film's and
+    ec's zeros are identity modulation and a zero embedding.
 
     From this start the first gradients into the packet carry information
     about the signal, and the slow branch learns to modulate; from the random
@@ -160,11 +157,9 @@ def passthrough_start(config: SlowFastConfig, seed: int = 0) -> ModelWeights:
     fast.f_in_w[:, :k] = np.eye(config.l_f, k)
     fast.f_out_w[...] = 0.0
     fast.f_out_w[: config.h] = np.eye(config.h, config.l_f)
-    if config.variant == "ssmm":
-        slow = weights.slow
-        for raw in (slow.fc_head_b, slow.warmup_packet_raw):
-            raw[: config.h] = PASSTHROUGH_RAW_A
-            raw[config.h :] = PASSTHROUGH_RAW_G
+    start = np.repeat(VARIANTS[config.variant].start_raw, config.h)
+    weights.slow.fc_head_b[...] = start
+    weights.slow.warmup_packet_raw[...] = start
     return weights
 
 

@@ -199,39 +199,78 @@ class TestModulationPacket:
             packet_size("bogus", 2)
 
 
-# The per-frame loops the batched ssmm kernels replaced: the reference they
-# must match, one frame and one packet row at a time.
+# The per-frame loops the batched kernels replaced: the references they must
+# match, one frame and one packet row at a time. Arrays are time-major: u,
+# dfeat and feat (NF, B, .), the packet's arrays (G, B, H).
 def reference_ssmm_modulate(u, p, groups):
     a, g = p
     feat = np.empty_like(u)
-    h = np.zeros((u.shape[0], u.shape[2]))
+    h = np.zeros(u.shape[1:])
     for i, k in enumerate(groups):
-        h = a[:, k] * h + g[:, k] * u[:, i]
-        feat[:, i] = h
+        h = a[k] * h + g[k] * u[i]
+        feat[i] = h
     return feat
 
 
 def reference_ssmm_adjoint(dfeat, u, p, groups, feat):
     a, g = p
     da, dg, du = np.zeros(a.shape), np.zeros(g.shape), np.empty_like(u)
-    carry = np.zeros((u.shape[0], u.shape[2]))
+    carry = np.zeros(u.shape[1:])
     for i in range(len(groups) - 1, -1, -1):
         k = groups[i]
-        dh = dfeat[:, i] + carry
-        h_prev = feat[:, i - 1] if i > 0 else 0.0
-        da[:, k] += dh * h_prev
-        dg[:, k] += dh * u[:, i]
-        du[:, i] = dh * g[:, k]
-        carry = dh * a[:, k]
+        dh = dfeat[i] + carry
+        h_prev = feat[i - 1] if i > 0 else 0.0
+        da[k] += dh * h_prev
+        dg[k] += dh * u[i]
+        du[i] = dh * g[k]
+        carry = dh * a[k]
     return du, np.concatenate([da * a * (1.0 - a), dg * g * (1.0 - g)], axis=-1)
+
+
+def reference_film_modulate(u, p, groups):
+    alpha, beta = p
+    return np.stack([alpha[k] * u[i] + beta[k] for i, k in enumerate(groups)])
+
+
+def reference_film_adjoint(dfeat, u, p, groups, feat):
+    alpha, _ = p
+    d_alpha, d_beta, du = np.zeros(alpha.shape), np.zeros(alpha.shape), np.empty_like(u)
+    for i in range(len(groups) - 1, -1, -1):
+        k = groups[i]
+        d_alpha[k] += dfeat[i] * u[i]
+        d_beta[k] += dfeat[i]
+        du[i] = dfeat[i] * alpha[k]
+    return du, np.concatenate([d_alpha, d_beta], axis=-1)
+
+
+def reference_ec_modulate(u, p, groups):
+    return np.stack([np.concatenate([u[i], p[0][k]], axis=-1) for i, k in enumerate(groups)])
+
+
+def reference_ec_adjoint(dfeat, u, p, groups, feat):
+    h = u.shape[-1]
+    de = np.zeros(p[0].shape)
+    for i in range(len(groups) - 1, -1, -1):
+        de[groups[i]] += dfeat[i, :, h:]
+    return dfeat[..., :h], de
 
 
 def scan_inputs(b, nf, h, reuse, seed):
     rng = np.random.default_rng(seed)
     groups = np.arange(nf) // reuse
     n_rows = groups[-1] + 1
-    a, g = rng.uniform(0.05, 0.95, (2, b, n_rows, h))
-    return rng.standard_normal((b, nf, h)), (a, g), groups, rng.standard_normal((b, nf, h))
+    a, g = rng.uniform(0.05, 0.95, (2, n_rows, b, h))
+    return rng.standard_normal((nf, b, h)), (a, g), groups, rng.standard_normal((nf, b, h))
+
+
+def head_inputs(variant, b, nf, h, reuse, seed):
+    """u, the packet its head makes of a random raw table, groups, and dfeat."""
+    rng = np.random.default_rng(seed)
+    groups = np.arange(nf) // reuse
+    row = VARIANTS[variant]
+    raw = rng.standard_normal((groups[-1] + 1, b, h * len(row.fields)))
+    dfeat = rng.standard_normal((nf, b, h * row.feat_width))
+    return rng.standard_normal((nf, b, h)), row.head(raw), groups, dfeat
 
 
 def assert_close_relative(got, want, rel):
@@ -242,6 +281,10 @@ def assert_close_relative(got, want, rel):
 # (B, NF, H, reuse): 2 ms reuse 3 with a ragged last group, reuse 1, a
 # sample-level shape, one clip, and a single frame
 SCAN_SHAPES = [(3, 20, 5, 3), (2, 7, 4, 1), (2, 70, 8, 16), (1, 11, 3, 4), (2, 1, 3, 3)]
+REFERENCES = {
+    "film": (reference_film_modulate, reference_film_adjoint),
+    "ec": (reference_ec_modulate, reference_ec_adjoint),
+}
 
 
 class TestBatchedModulation:
@@ -257,12 +300,33 @@ class TestBatchedModulation:
         b, nf, h, reuse = shape
         u, p, groups, dfeat = scan_inputs(b, nf, h, reuse, seed=nf + 1)
         feat = reference_ssmm_modulate(u, p, groups)
-        du, d_raw = VARIANTS["ssmm"].adjoint(dfeat, u, p, groups, feat)
+        # the adjoint owns its first argument and may overwrite it
+        du, d_raw = VARIANTS["ssmm"].adjoint(dfeat.copy(), u, p, groups, feat)
         want_du, want_raw = reference_ssmm_adjoint(dfeat, u, p, groups, feat)
         assert_close_relative(du, want_du, 1e-12)
         assert_close_relative(d_raw, want_raw, 1e-12)
 
-    @pytest.mark.parametrize("groups", [[0, 0, 0, 1, 1, 1, 2], [0, 1, 2], [0, 0, 1, 1, 1, 2], [0]])
+    @pytest.mark.parametrize("variant", ["film", "ec"])
+    @pytest.mark.parametrize("shape", SCAN_SHAPES)
+    def test_stateless_modulate_equals_per_frame_loop(self, variant, shape):
+        b, nf, h, reuse = shape
+        u, p, groups, _ = head_inputs(variant, b, nf, h, reuse, seed=nf + 2)
+        feat = VARIANTS[variant].modulate(u, p, groups)
+        assert feat.flags.c_contiguous
+        assert np.array_equal(feat, REFERENCES[variant][0](u, p, groups))
+
+    @pytest.mark.parametrize("variant", ["film", "ec"])
+    @pytest.mark.parametrize("shape", SCAN_SHAPES)
+    def test_stateless_adjoint_matches_per_frame_loop(self, variant, shape):
+        b, nf, h, reuse = shape
+        u, p, groups, dfeat = head_inputs(variant, b, nf, h, reuse, seed=nf + 3)
+        feat = REFERENCES[variant][0](u, p, groups)
+        du, d_raw = VARIANTS[variant].adjoint(dfeat.copy(), u, p, groups, feat)
+        want_du, want_raw = REFERENCES[variant][1](dfeat, u, p, groups, feat)
+        assert np.array_equal(du, want_du)
+        assert np.array_equal(d_raw, want_raw)
+
+    @pytest.mark.parametrize("groups", [[0, 0, 0, 1, 1, 1, 2], [0, 1, 2], [0, 0, 1, 1, 2, 2], [0]])
     def test_group_sums_add_each_group_of_frames(self, groups):
         groups = np.array(groups)
         x = np.random.default_rng(len(groups)).standard_normal((len(groups), 2, 3))

@@ -141,6 +141,60 @@ class TestForwardConsistency:
         assert np.max(np.abs(batched[0] - single)) < 1e-10
 
 
+class TestTimeMajorLayout:
+    """Training runs time-major from framing to loss: the cached frames, f_in
+    outputs and f_out inputs are C-contiguous (NF, B, .) arrays, so the
+    weight-gradient products flatten them without a copy."""
+
+    @pytest.mark.parametrize("variant", ["ssmm", "film", "ec"])
+    def test_cached_frames_are_contiguous_and_flatten_without_a_copy(self, monkeypatch, variant):
+        config = tiny_config(variant)
+        weights = randomized_weights(config, seed=8)
+        batch = tiny_batch(n=23, b=3, seed=9)
+        n_fast = config.num_fast_frames(23)
+        caches, products = [], []
+
+        def spy_forward(*args):
+            out, cache = forward_batch(*args)
+            caches.append(cache)
+            return out, cache
+
+        def spy_product(x, dy):
+            products.append((x, dy))
+            return frame_product(x, dy)
+
+        frame_product = backprop._frame_product
+        monkeypatch.setattr(backprop, "forward_batch", spy_forward)
+        monkeypatch.setattr(backprop, "_frame_product", spy_product)
+        backward(batch, weights, config, LossWeights(1.0, 0.3), StftParams(4, 2))
+        [cache] = caches
+        width = {"ssmm": 1, "film": 1, "ec": 2}[variant] * config.h
+        for arr, shape in ((cache.frames, (n_fast, 3, config.l_f)),
+                           (cache.u, (n_fast, 3, config.h)), (cache.feat, (n_fast, 3, width))):
+            assert arr.shape == shape and arr.flags.c_contiguous
+        assert cache.top.shape == (cache.xs.shape[1], 3, config.gru_width)
+        # f_out's and f_in's products: the cached operands and the frame
+        # gradients; ec's du is a column slice of its f_out gradient
+        (feat, dy), (frames, du) = products[:2]
+        assert feat is cache.feat and frames is cache.frames
+        for arr in (feat, dy, frames) + ((du,) if variant != "ec" else ()):
+            assert np.shares_memory(arr.reshape(-1, arr.shape[-1]), arr)
+
+
+    # one frame, one clip and one output column make gemv calls, whose sums
+    # depend on the row count; the rest are gemm calls
+    @pytest.mark.parametrize("t, b, k, n", [
+        (1, 2, 64, 16), (33, 1, 64, 16), (33, 16, 32, 1), (75, 3, 32, 8)])
+    def test_clip_product_keeps_the_bits_of_one_product_per_clip(self, t, b, k, n):
+        rng = np.random.default_rng(t + b + n)
+        x, w = rng.standard_normal((t, b, k)), rng.standard_normal((k, n))
+        want = np.matmul(x.swapaxes(0, 1).copy(), w).swapaxes(0, 1)
+        assert np.array_equal(backprop._clip_product(x, w), want)
+        out = np.full((t, b, n), np.nan)
+        assert backprop._clip_product(x, w, out=out) is out
+        assert np.array_equal(out, want)
+
+
 def clip_of_slow_frames(config, n_slow):
     """The longest clip length whose batched forward runs ``n_slow`` slow frames."""
     n = 1
@@ -166,11 +220,11 @@ class TestWavefront:
         sw = randomized_weights(config, seed=layers).slow
         xs = np.random.default_rng(n_slow).standard_normal((3, n_slow, config.l_s))
         top, states, _ = backprop._trunk_forward(xs, sw)
-        assert top.shape == (3, n_slow, config.gru_width)
+        assert top.shape == (n_slow, 3, config.gru_width)
         hidden = [np.zeros((3, config.gru_width)) for _ in range(layers)]
         for j in range(n_slow):
             want, hidden = trunk_step(xs[:, j], hidden, sw)
-            assert np.array_equal(top[:, j], want), j
+            assert np.array_equal(top[j], want), j
             for k, h in enumerate(hidden):
                 # layer k ran frame j on step j + k and handed its state to step j + k + 1
                 assert np.array_equal(states[j + k + 1, k + 1], h), (j, k)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from slowfast_se.signal_io import frame_signal, make_window, overlap_add
 from slowfast_se.training.losses import (
     LossWeights,
     StftParams,
@@ -144,6 +145,52 @@ class TestSpecMse:
         p = StftParams(16, 8)
         assert np.all(np.abs(stft(s_hat, p)[:, 2:4]) == 0.0)
         assert_spec_grad_matches_central_differences(s_hat, s, p)
+
+
+def batched_spec_mse_loss_grad(s_hat, s, p):
+    """The spectral loss with every clip's spectra in one batched array: the
+    formula ``spec_mse_loss_grad`` runs one clip at a time, kept as its
+    bit-for-bit reference."""
+    n_frames = 1 + (s_hat.shape[-1] - p.fft_size) // p.hop
+    window = make_window(p.fft_size) ** 2
+
+    def spectra(x):
+        return np.fft.rfft(frame_signal(x, p.fft_size, p.hop, 0, n_frames) * window, axis=-1)
+
+    x_hat, x_ref = spectra(s_hat), spectra(s)
+    mag = np.abs(x_hat)
+    d_mag, d = mag - np.abs(x_ref), x_hat - x_ref
+    n_bins = x_hat.shape[-1]
+    batch = int(np.prod(x_hat.shape[:-2], dtype=int)) if x_hat.ndim > 2 else 1
+    scale = 1.0 / (n_frames * n_bins * batch)
+    loss = float((d_mag**2 + d.real**2 + d.imag**2).sum() * scale)
+    ratio = np.divide(d_mag, mag, out=np.zeros_like(mag), where=mag > 0)
+    g = x_hat * ratio
+    g += d
+    weight = np.full(n_bins, scale * p.fft_size)
+    weight[[0, -1]] *= 2.0
+    g *= weight
+    ola = overlap_add(np.fft.irfft(g, n=p.fft_size, axis=-1) * window, p.hop)
+    grad = np.zeros(np.shape(s_hat))
+    grad[..., : ola.shape[-1]] = ola
+    return loss, grad
+
+
+class TestSpecMseOneClipAtATime:
+    # a one-second clip under the training STFT, a batch of clips with a
+    # partial last frame, and two leading axes
+    @pytest.mark.parametrize("shape, fft_size, hop", [
+        ((16000,), 256, 128), ((4, 4000), 256, 128), ((2, 3, 1001), 32, 8)])
+    def test_value_and_gradient_equal_the_batched_formula_bit_for_bit(self, shape, fft_size, hop):
+        rng = np.random.default_rng(len(shape))
+        s_hat, s = rng.standard_normal((2,) + shape)
+        s_hat[..., 40:90] = 0.0  # silent frames, where |X| = 0
+        p = StftParams(fft_size, hop)
+        loss, grad = spec_mse_loss_grad(s_hat, s, p)
+        want_loss, want_grad = batched_spec_mse_loss_grad(s_hat, s, p)
+        assert np.float64(loss).view(np.int64) == np.float64(want_loss).view(np.int64)
+        assert grad.shape == shape
+        assert np.array_equal(grad.view(np.int64), want_grad.view(np.int64))
 
 
 def assert_spec_grad_matches_central_differences(s_hat, s, p, eps=1e-6):

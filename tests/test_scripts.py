@@ -1,6 +1,9 @@
-"""The repository's scripts: argument checks that run nothing, and bit_identity's comparison."""
+"""The repository's scripts: argument checks that run nothing, bit_identity's
+comparison, and a seconds-long run of step_split."""
 
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +31,33 @@ def test_bench_pairs_refuses_trees_at_paths_of_unequal_length(tmp_path, capsys):
     assert exc.value.code == 2
     assert "differ in length" in capsys.readouterr().err
     assert not out.exists()
+
+
+def run_step_split(*args):
+    return subprocess.run([sys.executable, str(ROOT / "scripts" / "step_split.py"), *args],
+                          capture_output=True, text=True, timeout=300)
+
+
+def test_step_split_prints_every_phase_of_both_presets():
+    proc = run_step_split("--steps", "1")
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[1].split(" | ")[1:7] == ["trunk fwd", "rest fwd", "loss", "adjoint",
+                                          "trunk bwd", "rest"]
+    rows = [line.strip("| ").split(" | ") for line in lines[3:]]
+    assert [row[0] for row in rows] == ["2ms-d3", "sample"]
+    for row in rows:
+        phases = [[float(v) for v in cell.split(" / ")] for cell in row[1:7]]
+        step_ms, step_faults, sys_ms = (float(v) for v in row[7].split(" / "))
+        assert step_ms > 0 and step_faults >= 0 and sys_ms >= 0
+        # the phases split the step; rest takes what the wrappers did not see
+        assert sum(ms for ms, _ in phases) == pytest.approx(step_ms, abs=0.4)
+        assert min(ms for ms, _ in phases[:5]) > 0
+
+
+def test_step_split_refuses_zero_steps():
+    proc = run_step_split("--steps", "0")
+    assert proc.returncode == 2 and "at least 1" in proc.stderr
 
 
 class TestBitIdentityCompare:

@@ -22,6 +22,7 @@ from slowfast_se.training.loop import (
     TrainSchedule,
     _lr_controller,
     clip_gradients,
+    passthrough_start,
     train,
     write_log_csv,
 )
@@ -142,6 +143,16 @@ class TestTrainingStart:
         enhanced, _ = forward_batch(noisy, weights, config)
         for i in range(len(noisy)):
             assert sisnr(enhanced[i], noisy[i]) >= 15.0
+
+
+    @pytest.mark.parametrize("variant", ["ssmm", "film", "ec"])
+    def test_head_starts_at_the_variants_raw_values(self, variant):
+        config = two_ms_config(3, variant)
+        slow = passthrough_start(config).slow
+        want = {"ssmm": [-2.0] * config.h + [2.0] * config.h,
+                "film": [0.0] * (2 * config.h), "ec": [0.0] * config.h}[variant]
+        assert slow.fc_head_b.tolist() == want
+        assert slow.warmup_packet_raw.tolist() == want
 
 
 class TestTrain:
