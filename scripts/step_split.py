@@ -94,21 +94,36 @@ def install(meter: Meter) -> None:
         fast_branch.VARIANTS[name] = row._replace(adjoint=meter.wrap("adjoint", row.adjoint))
 
 
-def measure(config, steps: int, meter: Meter) -> dict:
-    """Medians over ``steps`` counted steps of each phase's ms and faults."""
+def trainer(config):
+    """A callable that runs one training step, as the benchmark's trainer
+    does, on the batch of ``CLIPS`` clips from ``passthrough_start``, and
+    returns its gradients. Like that trainer, callers keep them until the
+    next step returns, since which step's arrays the heap reuses, and so
+    the page faults, depend on it."""
     snrs = data.TRAIN_SNRS_DB
-    noisy, clean = data.make_batch(list(range(CLIPS)), [snrs[i % len(snrs)] for i in range(CLIPS)])
+    batch = data.make_batch(list(range(CLIPS)), [snrs[i % len(snrs)] for i in range(CLIPS)])
     weights = loop.passthrough_start(config, seed=0)
     optimizer = loop.AdamOptimizer(weights)
     schedule = loop.TrainSchedule()
+
+    def step() -> backprop.GradientSet:
+        _, grads = backprop.backward(batch, weights, config,
+                                     schedule.stage1_weights, schedule.stft)
+        loop.clip_gradients(grads, schedule.grad_clip)
+        optimizer.step(weights, grads, schedule.lr_stage1)
+        return grads
+
+    return step
+
+
+def measure(config, steps: int, meter: Meter) -> dict:
+    """Medians over ``steps`` counted steps of each phase's ms and faults."""
+    step = trainer(config)
     rows = []
     for k in range(steps + 1):
         meter.reset()
         t0, f0, s0 = _usage()
-        _, grads = backprop.backward((noisy, clean), weights, config,
-                                     schedule.stage1_weights, schedule.stft)
-        loop.clip_gradients(grads, schedule.grad_clip)
-        optimizer.step(weights, grads, schedule.lr_stage1)
+        grads = step()  # noqa: F841, kept until the next step returns
         t1, f1, s1 = _usage()
         wall, faults = dict(meter.wall), dict(meter.faults)
         wall["rest fwd"] -= wall["trunk fwd"]

@@ -183,15 +183,23 @@ def _ssmm_adjoint(dfeat, u, p, groups, feat):
     for k, dh_next, dh_i in zip(groups[:0:-1].tolist(), dh[::-1], dh[-2::-1]):
         dh_i += a[k] * dh_next
     # one buffer holds each group sum's terms: dh_i h_{i-1} (h_{-1} = 0), then
-    # dh_i u_i, then the gathered g_i that turns dh into du
+    # dh_i u_i, then the gathered g_i that turns dh into du. The sums are
+    # contiguous: summed straight into the head derivative's column halves,
+    # they took 14 ms against 3 at sample level
     terms = np.empty_like(dh)
     terms[0] = 0.0
     np.multiply(dh[1:], feat[:-1], out=terms[1:])
     da = _group_sums(terms, groups)
     dg = _group_sums(np.multiply(dh, u, out=terms), groups)
     dh *= np.take(g, groups, axis=0, out=terms, mode="clip")  # now du
-    # sigmoid heads: d sig / d raw = sig * (1 - sig)
-    return dh, np.concatenate([da * a * (1.0 - a), dg * g * (1.0 - g)], axis=-1)
+    del terms
+    # sigmoid heads: d sig / d raw = sig * (1 - sig), into the halves of d_raw
+    h = a.shape[-1]
+    d_raw = np.empty(a.shape[:-1] + (2 * h,))
+    for half, d, s in ((d_raw[..., :h], da, a), (d_raw[..., h:], dg, g)):
+        np.multiply(d, s, out=half)
+        half *= 1.0 - s
+    return dh, d_raw
 
 
 def _film_modulate(u, p, groups):

@@ -46,6 +46,17 @@ gradients move by rounding: the weight-gradient products and bias sums add
 their rows in (frame, clip) order, and the products with transposed
 weights run one gemm per frame, whose sums depend on its row count.
 
+A step's peak memory is set by how long its arrays live, so each lives
+only while a later phase reads it. ``forward_batch`` drops the windowed
+frames once ``u`` exists; ``backward`` frames the input again for f_in's
+weight gradient, with the same multiply and so the same bits. ``backward``
+unpacks the cache on entry and drops each array once its last reader
+returns, and ``_trunk_backward`` pops each step's gates off the cache's
+list as the reverse wavefront passes it. So the trunk's backward runs with
+only the trunk's cache alive, and that cache shrinks as it runs (16
+one-second clips at 2 ms: a 78.8 MiB step peak against 95.6 MiB when the
+whole cache lived until ``backward`` returned; ``scripts/step_memory.py``).
+
 No variant code lives here: the modulation and its adjoint come from the
 variant's row of fast_branch.VARIANTS. ``forward_batch`` checks the weights'
 shapes against the config once, on entry.
@@ -56,7 +67,7 @@ Gradients are keyed by the canonical array names from engine.named_arrays;
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -84,9 +95,12 @@ class NonFiniteLossError(ValueError):
         self.diagnostics = diagnostics
 
 
-@dataclass
-class _Cache:
-    frames: np.ndarray          # (NF, B, L) windowed fast frames
+class _Cache(NamedTuple):
+    """What ``forward_batch`` keeps for ``backward``, in the order
+    ``backward`` unpacks it. ``backward`` drops the cache on entry and each
+    array once its last reader returns, and ``_trunk_backward`` pops each
+    step's gates, so a caller that keeps the cache keeps its arrays alive."""
+
     u: np.ndarray               # (NF, B, H) f_in outputs
     groups: np.ndarray          # (NF,) packet-table index per fast frame
     xs: np.ndarray              # (B, J, LS) slow frames, a framing view
@@ -193,6 +207,8 @@ def _trunk_backward(
 
     On step t, layer k's output gradient is the sum of what layer k + 1 passed
     down and what layer k passed back in time, both made on step t + 1.
+    The steps run last first, so each pops its gates off ``gates``, and a
+    step's gates are freed once its ``_gru_backward`` returns.
     """
     n_slow, b, d = d_top.shape
     layers = len(sw.gru)
@@ -205,7 +221,7 @@ def _trunk_backward(
         if hi == layers:
             down[layers] = d_top[t - layers + 1]
         down[lo:hi], carry[lo:hi] = _gru_backward(
-            states[t, lo:hi], states[t, lo + 1 : hi + 1], gates[t],
+            states[t, lo:hi], states[t, lo + 1 : hi + 1], gates.pop(),
             down[lo + 1 : hi + 1] + carry[lo:hi], w[lo:hi], u[lo:hi],
             tuple(g[lo:hi] for g in grads),
         )
@@ -251,6 +267,13 @@ def _frame_product(x: np.ndarray, dy: np.ndarray) -> np.ndarray:
     return x.reshape(-1, x.shape[-1]).T @ dy.reshape(-1, dy.shape[-1])
 
 
+def _windowed_frames(x: np.ndarray, cfg: SlowFastConfig, n_fast: int,
+                     window: np.ndarray) -> np.ndarray:
+    """The windowed fast frames of (B, N) ``x`` as a fresh (NF, B, l_f) array."""
+    return np.multiply(frame_signal(x, cfg.l_f, cfg.delta_f, cfg.fast_pad, n_fast).swapaxes(0, 1),
+                       window, out=np.empty((n_fast, len(x), cfg.l_f)))
+
+
 def forward_batch(
     noisy: np.ndarray, weights: ModelWeights, config: SlowFastConfig
 ) -> tuple[np.ndarray, _Cache]:
@@ -264,9 +287,9 @@ def forward_batch(
     pad = cfg.fast_pad
     n_fast = cfg.num_fast_frames(n)
     window = make_window(cfg.l_f)
-    frames = np.multiply(frame_signal(noisy, cfg.l_f, cfg.delta_f, pad, n_fast).swapaxes(0, 1),
-                         window, out=np.empty((n_fast, b, cfg.l_f)))
-    u = _clip_product(frames, weights.fast.f_in_w)
+    # backward frames the input again for f_in's gradient, so the frames
+    # do not live through the trunk
+    u = _clip_product(_windowed_frames(noisy, cfg, n_fast, window), weights.fast.f_in_w)
     u += weights.fast.f_in_b
 
     # slow frame j spans [(j+1)*delta_s - l_s, (j+1)*delta_s) of the padded timeline
@@ -290,7 +313,7 @@ def forward_batch(
     y = _clip_product(feat, weights.fast.f_out_w)
     y += weights.fast.f_out_b
     y *= window
-    cache = _Cache(frames, u, groups, xs, states, gates, top, packet, feat)
+    cache = _Cache(u, groups, xs, states, gates, top, packet, feat)
     return overlap_add(y.swapaxes(0, 1), cfg.delta_f)[:, pad : pad + n], cache
 
 
@@ -306,6 +329,8 @@ def backward(
     noisy = np.atleast_2d(np.asarray(noisy, dtype=np.float64))
     clean = np.atleast_2d(np.asarray(clean, dtype=np.float64))
     s_hat, cache = forward_batch(noisy, weights, config)
+    u, groups, xs, states, gates, top, packet, feat = cache
+    del cache
     loss, d_s_hat = total_loss_grad(s_hat, clean, lw, stft_params)
     if not np.isfinite(loss):
         raise NonFiniteLossError(
@@ -317,6 +342,7 @@ def backward(
                 "batch_shape": noisy.shape,
             },
         )
+    del s_hat
 
     cfg = config
     # gradients keep the weights' layout, so each GRU layer's nine entries
@@ -326,35 +352,40 @@ def backward(
     )
     grads: GradientSet = dict(named_arrays(grad_weights))
 
+    # Each array is dropped once its last reader returns, so the trunk's
+    # backward runs with only the trunk's own cache alive.
     # ---- loss -> OLA -> per-frame outputs: framing is the adjoint of OLA
     window = make_window(cfg.l_f)
-    n_fast, b = cache.u.shape[:2]
-    dy = np.multiply(
-        frame_signal(d_s_hat, cfg.l_f, cfg.delta_f, cfg.fast_pad, n_fast).swapaxes(0, 1),
-        window, out=np.empty((n_fast, b, cfg.l_f)),
-    )
+    n_fast = len(u)
+    dy = _windowed_frames(d_s_hat, cfg, n_fast, window)
+    del d_s_hat
 
     # ---- f_out, then the variant's modulation back to f_in and the packet table;
-    # the adjoint may overwrite its first argument, made here and dropped
-    grads["fast.f_out.w"] += _frame_product(cache.feat, dy)
+    # the adjoint may overwrite its first argument and hand it back as du
+    grads["fast.f_out.w"] += _frame_product(feat, dy)
     grads["fast.f_out.b"] += dy.sum((0, 1))
-    du, draw_table = VARIANTS[cfg.variant].adjoint(
-        dy @ weights.fast.f_out_w.T, cache.u, cache.packet, cache.groups, cache.feat
-    )
-    grads["fast.f_in.w"] += _frame_product(cache.frames, du)
+    d_feat = dy @ weights.fast.f_out_w.T
+    del dy
+    du, draw_table = VARIANTS[cfg.variant].adjoint(d_feat, u, packet, groups, feat)
+    del d_feat, u, packet, groups, feat
+    # f_in's input frames, made again from the input as forward_batch made them
+    grads["fast.f_in.w"] += _frame_product(_windowed_frames(noisy, cfg, n_fast, window), du)
     grads["fast.f_in.b"] += du.sum((0, 1))
+    del du
 
     # ---- packet table -> warm-up parameter and the head, for all slow frames at once
     sw = weights.slow
     grads["slow.warmup_raw"] += draw_table[0].sum(0)
     draw = draw_table[1:]
-    grads["slow.fc_head.w"] += _frame_product(cache.top, draw)
+    grads["slow.fc_head.w"] += _frame_product(top, draw)
     grads["slow.fc_head.b"] += draw.sum((0, 1))
     d_top = draw @ sw.fc_head_w.T
+    del draw_table, draw, top
 
     # ---- the GRU stack, a reverse wavefront over slow frames, then fc_in for all of them
-    d_in = _trunk_backward(d_top, cache.states, cache.gates, sw, grad_weights.slow.gru)
-    grads["slow.fc_in.w"] += _frame_product(cache.xs.swapaxes(0, 1), d_in)
+    d_in = _trunk_backward(d_top, states, gates, sw, grad_weights.slow.gru)
+    del d_top, states, gates
+    grads["slow.fc_in.w"] += _frame_product(xs.swapaxes(0, 1), d_in)
     grads["slow.fc_in.b"] += d_in.sum((0, 1))
 
     return loss, grads

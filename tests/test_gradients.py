@@ -1,5 +1,7 @@
 """Analytic BPTT gradients against the central-difference oracle."""
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from slowfast_se.engine import (
 from slowfast_se.slow_branch import trunk_step
 from slowfast_se.training import backprop
 from slowfast_se.training.backprop import NonFiniteLossError, backward, forward_batch
+from slowfast_se.signal_io import frame_signal, make_window
 from slowfast_se.training.losses import LossWeights, StftParams
 
 TINY = dict(l_f=4, delta_f=2, reuse=2, h=3, gru_width=6, gru_layers=2)
@@ -142,7 +145,7 @@ class TestForwardConsistency:
 
 
 class TestTimeMajorLayout:
-    """Training runs time-major from framing to loss: the cached frames, f_in
+    """Training runs time-major from framing to loss: the windowed frames, f_in
     outputs and f_out inputs are C-contiguous (NF, B, .) arrays, so the
     weight-gradient products flatten them without a copy."""
 
@@ -154,6 +157,8 @@ class TestTimeMajorLayout:
         n_fast = config.num_fast_frames(23)
         caches, products = [], []
 
+        # backward drops the cache's arrays as it spends them, so they are
+        # read when forward_batch returns
         def spy_forward(*args):
             out, cache = forward_batch(*args)
             caches.append(cache)
@@ -168,17 +173,105 @@ class TestTimeMajorLayout:
         monkeypatch.setattr(backprop, "_frame_product", spy_product)
         backward(batch, weights, config, LossWeights(1.0, 0.3), StftParams(4, 2))
         [cache] = caches
+        # f_out's and f_in's products: the cached f_out inputs, the windowed
+        # frames framed again, and the frame gradients; ec's du is a column
+        # slice of its f_out gradient
+        (feat, dy), (frames, du) = products[:2]
         width = {"ssmm": 1, "film": 1, "ec": 2}[variant] * config.h
-        for arr, shape in ((cache.frames, (n_fast, 3, config.l_f)),
+        for arr, shape in ((frames, (n_fast, 3, config.l_f)),
                            (cache.u, (n_fast, 3, config.h)), (cache.feat, (n_fast, 3, width))):
             assert arr.shape == shape and arr.flags.c_contiguous
         assert cache.top.shape == (cache.xs.shape[1], 3, config.gru_width)
-        # f_out's and f_in's products: the cached operands and the frame
-        # gradients; ec's du is a column slice of its f_out gradient
-        (feat, dy), (frames, du) = products[:2]
-        assert feat is cache.feat and frames is cache.frames
+        window = make_window(config.l_f)
+        want = frame_signal(batch[0], config.l_f, config.delta_f, config.fast_pad, n_fast)
+        assert feat is cache.feat and np.array_equal(frames, want.swapaxes(0, 1) * window)
         for arr in (feat, dy, frames) + ((du,) if variant != "ec" else ()):
             assert np.shares_memory(arr.reshape(-1, arr.shape[-1]), arr)
+
+
+class TestLifetimes:
+    """``backward`` drops each array once its last reader returns: the trunk's
+    backward runs with only the trunk's cache alive, and frees each step's
+    gates as it goes."""
+
+    @pytest.mark.parametrize("variant", ["ssmm", "film", "ec"])
+    def test_trunk_backward_starts_with_the_fast_branch_freed(self, monkeypatch, variant):
+        config = tiny_config(variant)
+        weights = randomized_weights(config, seed=8)
+        batch = tiny_batch(n=23, b=3, seed=9)
+        refs = {}
+
+        def spy_forward(*args):
+            out, cache = forward_batch(*args)
+            refs.update(s_hat=weakref.ref(out), u=weakref.ref(cache.u),
+                        feat=weakref.ref(cache.feat),
+                        **{f"packet{i}": weakref.ref(p) for i, p in enumerate(cache.packet)})
+            return out, cache
+
+        def spy_loss(*args):
+            loss, d_s_hat = total_loss_grad(*args)
+            refs["d_s_hat"] = weakref.ref(d_s_hat)
+            return loss, d_s_hat
+
+        def spy_product(x, dy):
+            refs.update({f"product{len(products)}.x": weakref.ref(x),
+                         f"product{len(products)}.dy": weakref.ref(dy)})
+            products.append(len(products))
+            return frame_product(x, dy)
+
+        def spy_adjoint(dfeat, *args):
+            refs["d_feat"] = weakref.ref(dfeat)
+            du, draw_table = adjoint(dfeat, *args)
+            refs.update(du=weakref.ref(du), draw_table=weakref.ref(draw_table))
+            return du, draw_table
+
+        def spy_trunk_backward(*args):
+            # the products of f_out (feat, dy), f_in (frames, du) and the
+            # head (top, its rows of the draw table) have run
+            assert products == [0, 1, 2] and {"du", "d_feat", "draw_table"} <= set(refs)
+            alive = sorted(key for key, ref in refs.items() if ref() is not None)
+            assert alive == [], alive
+            entered.append(True)
+            return trunk_backward(*args)
+
+        total_loss_grad, frame_product = backprop.total_loss_grad, backprop._frame_product
+        adjoint, trunk_backward = backprop.VARIANTS[variant].adjoint, backprop._trunk_backward
+        entered, products = [], []
+        monkeypatch.setattr(backprop, "forward_batch", spy_forward)
+        monkeypatch.setattr(backprop, "total_loss_grad", spy_loss)
+        monkeypatch.setattr(backprop, "_frame_product", spy_product)
+        monkeypatch.setattr(backprop, "_trunk_backward", spy_trunk_backward)
+        monkeypatch.setitem(backprop.VARIANTS, variant,
+                            backprop.VARIANTS[variant]._replace(adjoint=spy_adjoint))
+        backward(batch, weights, config, LossWeights(1.0, 0.3), StftParams(4, 2))
+        assert entered == [True]
+
+    @pytest.mark.parametrize("variant", ["ssmm", "film", "ec"])
+    def test_each_steps_gates_die_before_the_step_below_runs(self, monkeypatch, variant):
+        config = SlowFastConfig(variant=variant, l_f=4, delta_f=2, reuse=2, h=3,
+                                gru_width=4, gru_layers=3)
+        weights = randomized_weights(config, seed=8)
+        batch = tiny_batch(n=23, b=3, seed=9)
+        steps, seen = [], []
+
+        def spy_forward(xs, sw):
+            top, states, gates = trunk_forward(xs, sw)
+            steps.extend([weakref.ref(arr) for arr in step] for step in gates)
+            return top, states, gates
+
+        def spy_gru_backward(x, h_prev, gates, *args):
+            t = len(steps) - 1 - len(seen)  # the reverse wavefront's step
+            assert all(ref() is gate for ref, gate in zip(steps[t], gates))
+            later = [ref for step in steps[t + 1 :] for ref in step]
+            assert all(ref() is None for ref in later), t
+            seen.append(t)
+            return gru_backward(x, h_prev, gates, *args)
+
+        trunk_forward, gru_backward = backprop._trunk_forward, backprop._gru_backward
+        monkeypatch.setattr(backprop, "_trunk_forward", spy_forward)
+        monkeypatch.setattr(backprop, "_gru_backward", spy_gru_backward)
+        backward(batch, weights, config, LossWeights(1.0, 0.3), StftParams(4, 2))
+        assert len(steps) > config.gru_layers and seen == list(range(len(steps)))[::-1]
 
 
     # one frame, one clip and one output column make gemv calls, whose sums

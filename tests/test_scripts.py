@@ -1,5 +1,5 @@
 """The repository's scripts: argument checks that run nothing, bit_identity's
-comparison, and a seconds-long run of step_split."""
+comparison, and seconds-long runs of step_split and step_memory."""
 
 import importlib.util
 import subprocess
@@ -53,6 +53,23 @@ def test_step_split_prints_every_phase_of_both_presets():
         # the phases split the step; rest takes what the wrappers did not see
         assert sum(ms for ms, _ in phases) == pytest.approx(step_ms, abs=0.4)
         assert min(ms for ms, _ in phases[:5]) > 0
+
+
+def test_step_memory_prints_every_phase_of_both_presets():
+    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "step_memory.py")],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[1].split(" | ")[1:7] == ["trunk fwd", "rest fwd", "loss", "adjoint",
+                                          "trunk bwd", "rest"]
+    rows = [line.strip("| ").split(" | ") for line in lines[3:]]
+    assert [row[0] for row in rows] == ["2ms-d3", "sample"]
+    for row in rows:
+        cells = [[float(v) for v in cell.split(" / ")] for cell in row[1:7]]
+        # a phase's live memory at its last boundary is within its peak,
+        # and the step's peak is the largest phase's
+        assert all(0 <= live <= peak for live, peak in cells)
+        assert float(row[7]) == max(peak for _, peak in cells) > 0
 
 
 def test_step_split_refuses_zero_steps():
