@@ -189,6 +189,20 @@ class TestTimeMajorLayout:
             assert np.shares_memory(arr.reshape(-1, arr.shape[-1]), arr)
 
 
+    # one frame, one clip and one output column make gemv calls, whose sums
+    # depend on the row count; the rest are gemm calls
+    @pytest.mark.parametrize("t, b, k, n", [
+        (1, 2, 64, 16), (33, 1, 64, 16), (33, 16, 32, 1), (75, 3, 32, 8)])
+    def test_clip_product_keeps_the_bits_of_one_product_per_clip(self, t, b, k, n):
+        rng = np.random.default_rng(t + b + n)
+        x, w = rng.standard_normal((t, b, k)), rng.standard_normal((k, n))
+        want = np.matmul(x.swapaxes(0, 1).copy(), w).swapaxes(0, 1)
+        assert np.array_equal(backprop._clip_product(x, w), want)
+        out = np.full((t, b, n), np.nan)
+        assert backprop._clip_product(x, w, out=out) is out
+        assert np.array_equal(out, want)
+
+
 class TestLifetimes:
     """``backward`` drops each array once its last reader returns: the trunk's
     backward runs with only the trunk's cache alive, and frees each step's
@@ -272,20 +286,6 @@ class TestLifetimes:
         monkeypatch.setattr(backprop, "_gru_backward", spy_gru_backward)
         backward(batch, weights, config, LossWeights(1.0, 0.3), StftParams(4, 2))
         assert len(steps) > config.gru_layers and seen == list(range(len(steps)))[::-1]
-
-
-    # one frame, one clip and one output column make gemv calls, whose sums
-    # depend on the row count; the rest are gemm calls
-    @pytest.mark.parametrize("t, b, k, n", [
-        (1, 2, 64, 16), (33, 1, 64, 16), (33, 16, 32, 1), (75, 3, 32, 8)])
-    def test_clip_product_keeps_the_bits_of_one_product_per_clip(self, t, b, k, n):
-        rng = np.random.default_rng(t + b + n)
-        x, w = rng.standard_normal((t, b, k)), rng.standard_normal((k, n))
-        want = np.matmul(x.swapaxes(0, 1).copy(), w).swapaxes(0, 1)
-        assert np.array_equal(backprop._clip_product(x, w), want)
-        out = np.full((t, b, n), np.nan)
-        assert backprop._clip_product(x, w, out=out) is out
-        assert np.array_equal(out, want)
 
 
 def clip_of_slow_frames(config, n_slow):
