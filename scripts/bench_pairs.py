@@ -22,8 +22,12 @@ sides' median and quartiles, every run's value, the number of pairs the
 change won (ties count for neither side), the ratio of the medians, whether
 the change stayed within the metric's bound, and whether a gain holds: the
 change wins at least nine tenths of the pairs and the medians differ by more
-than the parent's interquartile distance. Runs that fail their checks are
-listed and left out of the figures.
+than the parent's interquartile distance. A metric is unresolved when the
+parent's interquartile distance is wider than the bound times the parent's
+median and not every change run beats every parent run: its runs spread too
+widely for the bound to tell a change from the noise, such as a bimodal
+set-up time. Runs that fail their checks are listed and left out of the
+figures.
 """
 
 from __future__ import annotations
@@ -77,6 +81,7 @@ def summarize(spec: dict, pairs: list[dict]) -> dict:
         losses = sum((c > p) if lower else (c < p) for p, c in zip(par, chg))
         a, b = quartiles(par), quartiles(chg)
         worse = (b["median"] - a["median"]) if lower else (a["median"] - b["median"])
+        beats_all = bool(good) and (max(chg) < min(par) if lower else min(chg) > max(par))
         out[name] = {
             "unit": m["unit"], "better": m["better"], "bound": m["bound"],
             "parent": a, "change": b,
@@ -84,6 +89,8 @@ def summarize(spec: dict, pairs: list[dict]) -> dict:
             "change_wins": wins, "change_losses": losses, "pairs": len(good),
             "within_bound": bool(worse <= m["bound"] * abs(a["median"])),
             "gain_holds": bool(good and wins >= 0.9 * len(good) and -worse > a["q3"] - a["q1"]),
+            "unresolved": bool(a["q3"] - a["q1"] > m["bound"] * abs(a["median"])
+                               and not beats_all),
             "parent_runs": par, "change_runs": chg,
         }
     return out
@@ -168,11 +175,13 @@ def main(argv=None) -> int:
                       "change_wall_s": p["change"]["wall_s"]} for p in pairs],
         }
         for name, m in metrics.items():
+            verdict = (", unresolved" if m["unresolved"]
+                       else "" if m["within_bound"] else ", WORSE THAN BOUND")
             print(f"{workload:14s} {name:14s} parent {m['parent']['median']:.6g} -> change "
                   f"{m['change']['median']:.6g} {m['unit']}, "
                   f"change won {m['change_wins']}/{m['pairs']}"
                   f"{', gain holds' if m['gain_holds'] else ''}"
-                  f"{'' if m['within_bound'] else ', WORSE THAN BOUND'}")
+                  f"{verdict}")
         args.out.write_text(json.dumps(report, indent=1) + "\n")  # after each workload
     return 0 if all(not w["failed_runs"] for w in report["workloads"].values()) else 1
 

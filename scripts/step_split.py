@@ -1,4 +1,5 @@
-"""Where a training step's time and page faults go, phase by phase, at two presets.
+"""Where a training step's time, page faults and memory go, phase by phase,
+at two presets.
 
     python3 scripts/step_split.py --steps 9
 
@@ -7,11 +8,10 @@ the stage-1 loss weights, ``clip_gradients``, one Adam step) from
 ``passthrough_start``, on a batch of ``CLIPS`` (16) one-second synthetic
 clips, at ``two_ms_config(3)`` and at ``sample_level_config()``. The process
 is pinned to one CPU and runs one BLAS thread. The first step of each
-preset warms up and is not counted; each figure is the median over the
-counted steps.
+preset warms up and is not counted, then the counted steps run untraced,
+then one more step runs under tracemalloc.
 
-Every phase is timed by a wrapper around the function that runs it, reading
-wall time and ``getrusage``'s minor page faults before and after:
+Every phase is metered by a wrapper around the function that runs it:
 
 * trunk fwd:  ``backprop._trunk_forward``, fc_in and the GRU wavefront;
 * rest fwd:   the rest of ``backprop.forward_batch``;
@@ -21,9 +21,18 @@ wall time and ``getrusage``'s minor page faults before and after:
 * rest:       the rest of the step: framing of the loss gradient, the other
   weight gradients, clipping and Adam.
 
-The step columns give the whole step's wall ms, minor faults, and system
-(kernel) ms. A minor fault is a page the kernel maps when fresh memory is
-first written, so faults count the memory a step takes anew, 4 KiB each.
+The first table gives each phase's wall ms and ``getrusage``'s minor page
+faults, the median over the counted steps. Its step columns give the whole
+step's wall ms, minor faults, and system (kernel) ms. A minor fault is a
+page the kernel maps when fresh memory is first written, so faults count
+the memory a step takes anew, 4 KiB each.
+
+The second table comes from the traced step. tracemalloc traces that step
+only, so it counts the memory the step takes anew, as the benchmark's
+``peak_mib`` does. Each wrapper reads tracemalloc's live and peak memory at
+the phase's boundaries and resets the peak, so each cell gives the live MiB
+at the phase's last boundary (for rest, the end of the step) and the peak
+MiB while the phase ran. The last column is the step's peak.
 """
 
 from __future__ import annotations
@@ -38,6 +47,7 @@ import argparse
 import resource
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -51,6 +61,7 @@ from slowfast_se.training import backprop, data, loop  # noqa: E402
 PHASES = ("trunk fwd", "rest fwd", "loss", "adjoint", "trunk bwd", "rest")
 PRESETS = {"2ms-d3": two_ms_config(3), "sample": sample_level_config()}
 CLIPS = 16  # one-second clips per batch, as in the benchmark's training steps
+MIB = 2**20
 
 
 def _usage() -> tuple[float, int, float]:
@@ -59,7 +70,9 @@ def _usage() -> tuple[float, int, float]:
 
 
 class Meter:
-    """Wall seconds and minor faults per phase, summed since the last reset."""
+    """Per phase since the last reset: wall seconds and minor faults, summed,
+    and tracemalloc's live MiB at the phase's last boundary and peak MiB
+    within it (zero while tracemalloc is not tracing)."""
 
     def __init__(self):
         self.reset()
@@ -67,9 +80,22 @@ class Meter:
     def reset(self):
         self.wall = dict.fromkeys(PHASES, 0.0)
         self.faults = dict.fromkeys(PHASES, 0)
+        self.live = dict.fromkeys(PHASES, 0.0)
+        self.peak = dict.fromkeys(PHASES, 0.0)
+        self._open = ["rest"]  # the phase that runs outside every wrapper
+
+    def boundary(self) -> None:
+        """Book the memory since the last boundary to the open phase."""
+        live, peak = tracemalloc.get_traced_memory()
+        phase = self._open[-1]
+        self.live[phase] = live / MIB
+        self.peak[phase] = max(self.peak[phase], peak / MIB)
+        tracemalloc.reset_peak()
 
     def wrap(self, phase: str, fn):
-        def timed(*args, **kwargs):
+        def metered(*args, **kwargs):
+            self.boundary()
+            self._open.append(phase)
             t0, f0, _ = _usage()
             try:
                 return fn(*args, **kwargs)
@@ -77,11 +103,13 @@ class Meter:
                 t1, f1, _ = _usage()
                 self.wall[phase] += t1 - t0
                 self.faults[phase] += f1 - f0
-        return timed
+                self.boundary()
+                self._open.pop()
+        return metered
 
 
 def install(meter: Meter) -> None:
-    """Time each phase through wrappers on the functions the step calls.
+    """Meter each phase through wrappers on the functions the step calls.
 
     ``forward_batch``'s wrapper books its whole time under "rest fwd", so the
     trunk forward, booked on its own, is taken out of it in ``measure``.
@@ -117,7 +145,8 @@ def trainer(config):
 
 
 def measure(config, steps: int, meter: Meter) -> dict:
-    """Medians over ``steps`` counted steps of each phase's ms and faults."""
+    """Medians over ``steps`` counted steps of each phase's ms and faults,
+    and each phase's live and peak MiB in one more step, traced."""
     step = trainer(config)
     rows = []
     for k in range(steps + 1):
@@ -135,19 +164,31 @@ def measure(config, steps: int, meter: Meter) -> dict:
                          "faults": {p: faults[p] for p in PHASES},
                          "step_ms": 1e3 * (t1 - t0), "step_faults": f1 - f0,
                          "sys_ms": 1e3 * (s1 - s0)})
+    meter.reset()
+    tracemalloc.start()
+    try:
+        step()
+        meter.boundary()
+    finally:
+        tracemalloc.stop()
     return {
         "ms": {p: float(np.median([r["ms"][p] for r in rows])) for p in PHASES},
         "faults": {p: float(np.median([r["faults"][p] for r in rows])) for p in PHASES},
         **{key: float(np.median([r[key] for r in rows]))
            for key in ("step_ms", "step_faults", "sys_ms")},
+        "live": dict(meter.live), "peak": dict(meter.peak),
     }
 
 
-def report(name: str, result: dict) -> str:
+def report(name: str, result: dict) -> tuple[str, str]:
+    """The preset's row of the time table and of the memory table."""
     cells = [f"{result['ms'][p]:.1f} / {result['faults'][p]:.0f}" for p in PHASES]
     step = (f"{result['step_ms']:.1f} / {result['step_faults']:.0f} / "
             f"{result['sys_ms']:.1f}")
-    return "| " + " | ".join([name, *cells, step]) + " |"
+    memory = [f"{result['live'][p]:.1f} / {result['peak'][p]:.1f}" for p in PHASES]
+    peak = f"{max(result['peak'].values()):.1f}"
+    return ("| " + " | ".join([name, *cells, step]) + " |",
+            "| " + " | ".join([name, *memory, peak]) + " |")
 
 
 def main(argv=None) -> int:
@@ -159,12 +200,18 @@ def main(argv=None) -> int:
     os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
     meter = Meter()
     install(meter)
+    rows = [report(name, measure(config, args.steps, meter))
+            for name, config in PRESETS.items()]
     print(f"ssmm, {CLIPS} clips, median of {args.steps} steps; "
           "each cell is wall ms / minor faults")
     print("| preset | " + " | ".join(PHASES) + " | step ms / faults / sys ms |")
     print("|---" * (len(PHASES) + 2) + "|")
-    for name, config in PRESETS.items():
-        print(report(name, measure(config, args.steps, meter)), flush=True)
+    print("\n".join(time_row for time_row, _ in rows))
+    print(f"\nssmm, {CLIPS} clips, one more step traced; "
+          "each cell is live / peak MiB (tracemalloc)")
+    print("| preset | " + " | ".join(PHASES) + " | step peak MiB |")
+    print("|---" * (len(PHASES) + 2) + "|")
+    print("\n".join(memory_row for _, memory_row in rows))
     return 0
 
 

@@ -40,11 +40,8 @@ gradient flattens its frames to (NF * B, .) as a view. Frames are windowed
 straight from ``frame_signal``'s view into a fresh time-major array,
 ``overlap_add`` reads the outputs through a (B, NF, L) view, and biases
 and windows are added in place, so no step makes a whole-array temporary
-beyond the arrays it computes. The forward's products keep the bits of a
-clip-major layout (``_clip_product``), and so do the outputs. The
-gradients move by rounding: the weight-gradient products and bias sums add
-their rows in (frame, clip) order, and the products with transposed
-weights run one gemm per frame, whose sums depend on its row count.
+beyond the arrays it computes. Each of the forward's products (f_in, the
+head, f_out) is one matmul over all frames and clips.
 
 A step's peak memory is set by how long its arrays live, so each lives
 only while a later phase reads it. ``forward_batch`` drops the windowed
@@ -55,7 +52,7 @@ returns, and ``_trunk_backward`` pops each step's gates off the cache's
 list as the reverse wavefront passes it. So the trunk's backward runs with
 only the trunk's cache alive, and that cache shrinks as it runs (16
 one-second clips at 2 ms: a 78.8 MiB step peak against 95.6 MiB when the
-whole cache lived until ``backward`` returned; ``scripts/step_memory.py``).
+whole cache lived until ``backward`` returned; ``scripts/step_split.py``).
 
 No variant code lives here: the modulation and its adjoint come from the
 variant's row of fast_branch.VARIANTS. ``forward_batch`` checks the weights'
@@ -234,32 +231,6 @@ def _trunk_backward(
     return d_in
 
 
-def _clip_product(x: np.ndarray, w: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """``x @ w`` of time-major (T, B, k) frames into (T, B, n) ``out`` (fresh
-    if None), with the bits of one BLAS product per clip over its T rows.
-
-    gemm's sums over k do not depend on how many rows a call takes (for
-    ``w`` as stored), so when every call has more than one row and column,
-    one (B, k) x (k, n) gemm per frame, the fastest split measured, gives
-    those bits. Otherwise the calls are gemv, whose sums do depend on the
-    row count, and the product runs per clip through (B, T, .) views.
-
-    Keeping these bits keeps the forward's outputs and losses exactly those
-    of the clip-major layout, so ``scripts/bit_identity.py`` holds a layout
-    change to equal outputs and needs a tolerance for gradients alone. The
-    cost is the gemv path's strided rows: at sample level (``l_f = 1``, one
-    f_out column) the per-clip f_out product took 5-8 ms of a 0.7-1 s step,
-    where one gemv per frame took 1.3 ms and rounds differently (timeit,
-    one BLAS thread, 16 one-second clips).
-    """
-    if out is None:
-        out = np.empty(x.shape[:-1] + w.shape[-1:])
-    if min(x.shape[0], x.shape[1], w.shape[-1]) > 1:
-        return np.matmul(x, w, out=out)
-    np.matmul(x.swapaxes(0, 1), w, out=out.swapaxes(0, 1))
-    return out
-
-
 def _frame_product(x: np.ndarray, dy: np.ndarray) -> np.ndarray:
     """Weight gradient of ``x @ w`` over (F, B, .) frames: one BLAS product of
     the flattened frames (einsum without ``optimize`` is no BLAS call). For
@@ -289,7 +260,7 @@ def forward_batch(
     window = make_window(cfg.l_f)
     # backward frames the input again for f_in's gradient, so the frames
     # do not live through the trunk
-    u = _clip_product(_windowed_frames(noisy, cfg, n_fast, window), weights.fast.f_in_w)
+    u = _windowed_frames(noisy, cfg, n_fast, window) @ weights.fast.f_in_w
     u += weights.fast.f_in_b
 
     # slow frame j spans [(j+1)*delta_s - l_s, (j+1)*delta_s) of the padded timeline
@@ -303,14 +274,14 @@ def forward_batch(
     # the packet table: row 0 is the warm-up packet, row j + 1 slow frame j's
     raw = np.empty((n_slow + 1, b, len(sw.warmup_packet_raw)))
     raw[0] = sw.warmup_packet_raw
-    head = _clip_product(top, sw.fc_head_w, out=raw[1:])
+    head = np.matmul(top, sw.fc_head_w, out=raw[1:])
     head += sw.fc_head_b
     variant = VARIANTS[cfg.variant]
     # each field contiguous, as the scans read one (B, H) row per frame
     packet = tuple(np.ascontiguousarray(field) for field in variant.head(raw))
     groups = np.arange(n_fast) // cfg.reuse
     feat = variant.modulate(u, packet, groups)
-    y = _clip_product(feat, weights.fast.f_out_w)
+    y = feat @ weights.fast.f_out_w
     y += weights.fast.f_out_b
     y *= window
     cache = _Cache(u, groups, xs, states, gates, top, packet, feat)

@@ -11,6 +11,7 @@ from slowfast_se.engine import (
     enhance_offline,
     init_model_weights,
     named_arrays,
+    sample_level_config,
     two_ms_config,
 )
 from slowfast_se.slow_branch import trunk_step
@@ -20,6 +21,9 @@ from slowfast_se.signal_io import frame_signal, make_window
 from slowfast_se.training.losses import LossWeights, StftParams
 
 TINY = dict(l_f=4, delta_f=2, reuse=2, h=3, gru_width=6, gru_layers=2)
+# one sample per fast frame: f_in has one input row and f_out one output column
+ONE_SAMPLE = dict(l_f=1, delta_f=1, reuse=4, h=3, gru_width=6, gru_layers=2)
+VARIANTS = ["ssmm", "film", "ec"]
 FD_STEP = 1e-5
 TOLERANCE = 1e-4
 
@@ -52,9 +56,11 @@ def central_difference(weights, arr, idx, batch, config, lw, sp):
     return (lp - lm) / (2.0 * FD_STEP)
 
 
-@pytest.mark.parametrize("variant", ["ssmm", "film", "ec"])
-def test_every_weight_array_matches_finite_differences(variant):
-    config = tiny_config(variant)
+@pytest.mark.parametrize("variant, geometry", [
+    *(pytest.param(v, TINY, id=v) for v in VARIANTS),
+    *(pytest.param(v, ONE_SAMPLE, id=f"{v}-one_sample") for v in VARIANTS)])
+def test_every_weight_array_matches_finite_differences(variant, geometry):
+    config = SlowFastConfig(variant=variant, **geometry)
     weights = randomized_weights(config, seed=7)
     batch = tiny_batch()
     lw = LossWeights(spec_mse=1.0, sisnr=0.3)
@@ -118,15 +124,18 @@ def test_non_finite_loss_raises_with_diagnostics():
 class TestForwardConsistency:
     @pytest.mark.parametrize("variant", ["ssmm", "film", "ec"])
     def test_training_forward_matches_streaming_engine(self, variant):
-        # two independent implementations of the same unrolled graph
-        config = two_ms_config(3, variant)
-        weights = init_model_weights(config, seed=21)
+        # two independent implementations of the same unrolled graph; sample
+        # level has one f_out column and one clip one row per frame
         rng = np.random.default_rng(22)
-        x = rng.standard_normal((2, 2500)) * 0.4
-        batched, _ = forward_batch(x, weights, config)
-        for row in range(2):
-            single = enhance_offline(x[row], weights, config).samples
-            assert np.max(np.abs(batched[row] - single)) < 1e-10
+        for config, clips in ((two_ms_config(3, variant), 2),
+                              (sample_level_config(variant), 2),
+                              (two_ms_config(3, variant), 1)):
+            weights = init_model_weights(config, seed=21)
+            x = rng.standard_normal((clips, 2500)) * 0.4
+            batched, _ = forward_batch(x, weights, config)
+            for row in range(clips):
+                single = enhance_offline(x[row], weights, config).samples
+                assert np.max(np.abs(batched[row] - single)) < 1e-10
 
     def test_weights_of_another_geometry_rejected_on_entry(self):
         # checked once against the config, not left to fail inside a product
@@ -187,20 +196,6 @@ class TestTimeMajorLayout:
         assert feat is cache.feat and np.array_equal(frames, want.swapaxes(0, 1) * window)
         for arr in (feat, dy, frames) + ((du,) if variant != "ec" else ()):
             assert np.shares_memory(arr.reshape(-1, arr.shape[-1]), arr)
-
-
-    # one frame, one clip and one output column make gemv calls, whose sums
-    # depend on the row count; the rest are gemm calls
-    @pytest.mark.parametrize("t, b, k, n", [
-        (1, 2, 64, 16), (33, 1, 64, 16), (33, 16, 32, 1), (75, 3, 32, 8)])
-    def test_clip_product_keeps_the_bits_of_one_product_per_clip(self, t, b, k, n):
-        rng = np.random.default_rng(t + b + n)
-        x, w = rng.standard_normal((t, b, k)), rng.standard_normal((k, n))
-        want = np.matmul(x.swapaxes(0, 1).copy(), w).swapaxes(0, 1)
-        assert np.array_equal(backprop._clip_product(x, w), want)
-        out = np.full((t, b, n), np.nan)
-        assert backprop._clip_product(x, w, out=out) is out
-        assert np.array_equal(out, want)
 
 
 class TestLifetimes:

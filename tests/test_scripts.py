@@ -1,5 +1,5 @@
-"""The repository's scripts: argument checks that run nothing, bit_identity's
-comparison, and seconds-long runs of step_split and step_memory."""
+"""The repository's scripts: argument checks that run nothing, the summaries
+of bench_pairs and bit_identity, and a seconds-long run of step_split."""
 
 import importlib.util
 import subprocess
@@ -33,20 +33,70 @@ def test_bench_pairs_refuses_trees_at_paths_of_unequal_length(tmp_path, capsys):
     assert not out.exists()
 
 
+class TestBenchPairsSummarize:
+    """``bench_pairs.summarize``: a metric whose parent runs spread wider than
+    its bound is unresolved, unless every change run beats every parent run."""
+
+    SPEC = {"end_to_end": [{"name": "setup_s", "unit": "s", "better": "lower", "bound": 0.25}]}
+
+    @pytest.fixture(scope="class")
+    def summarize(self):
+        return load_script("bench_pairs").summarize
+
+    def figures(self, summarize, parent, change):
+        pairs = [{"parent": {"ok": True, "metrics": {"setup_s": p}},
+                  "change": {"ok": True, "metrics": {"setup_s": c}}}
+                 for p, c in zip(parent, change)]
+        pairs.append({"parent": {"ok": True, "metrics": {"setup_s": 1e9}},
+                      "change": {"ok": False, "metrics": {}}})  # left out
+        return summarize(self.SPEC, pairs)["setup_s"]
+
+    def test_bimodal_runs_are_unresolved_whatever_the_medians(self, summarize):
+        # parent and change draw from the same two modes: the quartiles span
+        # both, and the change's median lands on the slow one
+        bimodal = [1.0, 2.0] * 5
+        m = self.figures(summarize, bimodal, [2.0, 2.0, 1.0, 2.0, 2.0] * 2)
+        assert m["pairs"] == 10 and m["parent"]["q3"] - m["parent"]["q1"] == 1.0
+        assert m["unresolved"] and not m["within_bound"]
+
+    def test_tight_runs_are_resolved(self, summarize):
+        parent = [1.0, 1.01, 0.99, 1.02, 0.98] * 2
+        m = self.figures(summarize, parent, [1.5] * 10)
+        assert not m["unresolved"] and not m["within_bound"]
+        m = self.figures(summarize, parent, parent)
+        assert not m["unresolved"] and m["within_bound"]
+
+    def test_wide_runs_all_beaten_are_resolved(self, summarize):
+        m = self.figures(summarize, [1.0, 2.0] * 5, [0.1, 0.2] * 5)
+        assert not m["unresolved"] and m["gain_holds"]
+        m = self.figures(summarize, [1.0, 2.0] * 5, [0.5, 1.0] * 5)  # a tie is no win
+        assert m["unresolved"]
+
+
 def run_step_split(*args):
     return subprocess.run([sys.executable, str(ROOT / "scripts" / "step_split.py"), *args],
                           capture_output=True, text=True, timeout=300)
 
 
-def test_step_split_prints_every_phase_of_both_presets():
+@pytest.fixture(scope="module")
+def step_split_tables():
+    """One run of step_split: its time table and its memory table, each the
+    header followed by one row per preset, every row split into its cells."""
     proc = run_step_split("--steps", "1")
     assert proc.returncode == 0, proc.stderr
-    lines = proc.stdout.splitlines()
-    assert lines[1].split(" | ")[1:7] == ["trunk fwd", "rest fwd", "loss", "adjoint",
-                                          "trunk bwd", "rest"]
-    rows = [line.strip("| ").split(" | ") for line in lines[3:]]
-    assert [row[0] for row in rows] == ["2ms-d3", "sample"]
-    for row in rows:
+    # two tables, each a title, a header, a rule and one row per preset
+    tables = [[line.strip("| ").split(" | ") for line in block.splitlines()[1:]]
+              for block in proc.stdout.split("\n\n")]
+    assert len(tables) == 2
+    for header, _, *rows in tables:
+        assert header[1:7] == ["trunk fwd", "rest fwd", "loss", "adjoint", "trunk bwd", "rest"]
+        assert [row[0] for row in rows] == ["2ms-d3", "sample"]
+    return [rows for _, _, *rows in tables]
+
+
+def test_step_split_prints_every_phase_of_both_presets(step_split_tables):
+    time_rows, _ = step_split_tables
+    for row in time_rows:
         phases = [[float(v) for v in cell.split(" / ")] for cell in row[1:7]]
         step_ms, step_faults, sys_ms = (float(v) for v in row[7].split(" / "))
         assert step_ms > 0 and step_faults >= 0 and sys_ms >= 0
@@ -55,16 +105,9 @@ def test_step_split_prints_every_phase_of_both_presets():
         assert min(ms for ms, _ in phases[:5]) > 0
 
 
-def test_step_memory_prints_every_phase_of_both_presets():
-    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "step_memory.py")],
-                          capture_output=True, text=True, timeout=300)
-    assert proc.returncode == 0, proc.stderr
-    lines = proc.stdout.splitlines()
-    assert lines[1].split(" | ")[1:7] == ["trunk fwd", "rest fwd", "loss", "adjoint",
-                                          "trunk bwd", "rest"]
-    rows = [line.strip("| ").split(" | ") for line in lines[3:]]
-    assert [row[0] for row in rows] == ["2ms-d3", "sample"]
-    for row in rows:
+def test_step_memory_prints_every_phase_of_both_presets(step_split_tables):
+    _, memory_rows = step_split_tables
+    for row in memory_rows:
         cells = [[float(v) for v in cell.split(" / ")] for cell in row[1:7]]
         # a phase's live memory at its last boundary is within its peak,
         # and the step's peak is the largest phase's
