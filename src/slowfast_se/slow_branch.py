@@ -93,7 +93,7 @@ def _gru_cell(
 
     ``w``, ``u`` and ``b`` are a layer's fused arrays, or a stack of layers'
     (w, u (L, d, 3d), b (L, 1, 3d)) run on (L, ..., d) inputs and states.
-    Returns (h', z|r, n, U h); training keeps the last three for backprop.
+    Returns (h', z|r, n, U h); training keeps z|r and rebuilds n and U_n h.
     """
     # Numpy's per-call overhead, not arithmetic, sets a slow frame's time, so
     # the cell makes as few calls as the math allows: the bias joins the input

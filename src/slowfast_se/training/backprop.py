@@ -5,7 +5,7 @@ clips and fully vectorized where the math allows (framing, FC layers,
 overlap-add); only the state recurrences stay sequential. Framing and
 overlap-add are signal_io's ``frame_signal`` and ``overlap_add``, shared with
 the losses, and the GRU stack runs slow_branch's ``_gru_cell``, the cell the
-streaming engine runs, here keeping each cell's gate values. The backward
+streaming engine runs, here keeping each cell's z|r gate values. The backward
 pass is written by hand and retraces every step: overlap-add (whose adjoint
 is framing), f_out, the modulation, packet reuse (gradients from all frames
 sharing a packet accumulate into its slow frame), the GRU stack across slow
@@ -50,9 +50,12 @@ weight gradient, with the same multiply and so the same bits. ``backward``
 unpacks the cache on entry and drops each array once its last reader
 returns, and ``_trunk_backward`` pops each step's gates off the cache's
 list as the reverse wavefront passes it. So the trunk's backward runs with
-only the trunk's cache alive, and that cache shrinks as it runs (16
-one-second clips at 2 ms: a 78.8 MiB step peak against 95.6 MiB when the
-whole cache lived until ``backward`` returned; ``scripts/step_split.py``).
+only the trunk's cache alive, and that cache shrinks as it runs. Of each
+step's gates the cache keeps z|r alone, and ``_gru_backward`` rebuilds n
+and U_n h from the step's inputs, states and z|r, two small products per
+layer (``_gru_n``). 16 one-second clips at 2 ms take a 57.8 MiB step peak,
+against 78.8 MiB with n and U_n h cached and 95.6 MiB when the whole cache
+lived until ``backward`` returned (``scripts/step_split.py``).
 
 No variant code lives here: the modulation and its adjoint come from the
 variant's row of fast_branch.VARIANTS. ``forward_batch`` checks the weights'
@@ -102,27 +105,53 @@ class _Cache(NamedTuple):
     groups: np.ndarray          # (NF,) packet-table index per fast frame
     xs: np.ndarray              # (B, J, LS) slow frames, a framing view
     states: np.ndarray          # (J+L, L+1, B, d) the wavefront's inputs and states
-    gates: list[tuple[np.ndarray, ...]]  # per step: z|r, n, U_n h of the active layers
+    gates: list[tuple[np.ndarray]]  # per step: (z|r,) of the active layers
     top: np.ndarray             # (J, B, d) trunk outputs feeding the head, a view of states
     packet: tuple[np.ndarray, ...]  # (J+1, B, H) arrays; row 0 is the warm-up packet
     feat: np.ndarray            # (NF, B, width * H) f_out inputs
 
 
+def _gru_n(
+    x: np.ndarray, h_prev: np.ndarray, zr: np.ndarray,
+    w: np.ndarray, u: np.ndarray, b: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """``_gru_cell``'s n and U_n h, rebuilt from its inputs and its z|r.
+
+    Takes the cell's arguments (fused ``w``, ``u`` and ``b``) and returns
+    (n, U_n h), the products taken against the n column blocks alone. BLAS
+    gemm sums each output entry in an order that does not depend on the
+    number of columns, so these products give the fused products' bits, and
+    n follows ``_gru_cell``'s order of operations: both are bit for bit the
+    cell's (tests/test_gradients.py::TestRebuiltGates checks it).
+    """
+    d = h_prev.shape[-1]
+    uh_n = h_prev @ u[..., 2 * d :]
+    n = zr[..., d:] * uh_n
+    n += x @ w[..., 2 * d :] + b[..., 2 * d :]
+    np.tanh(n, out=n)
+    return n, uh_n
+
+
 def _gru_backward(
     x: np.ndarray,
     h_prev: np.ndarray,
-    gates: tuple[np.ndarray, ...],
+    gates: tuple[np.ndarray],
     dh: np.ndarray,
     w: np.ndarray,
     u: np.ndarray,
+    b: np.ndarray,
     grads: tuple[np.ndarray, np.ndarray, np.ndarray],
 ) -> tuple[np.ndarray, np.ndarray]:
     """Returns (dx, dh_prev) of ``_gru_cell`` and accumulates its weight gradients.
 
     Every array carries the same leading axes: ``x``, ``h_prev`` and ``dh``
-    are (L, B, d) stacks of layers, ``gates`` the cell's (z|r, n, U_n h) of
-    them, ``w`` and ``u`` the layers' fused (L, d, 3d) weights, and
-    ``grads`` their (w, u, b) gradients, added to in place.
+    are (L, B, d) stacks of layers, ``gates`` the cell's (z|r,) of them,
+    ``w``, ``u`` and ``b`` the layers' fused (L, d, 3d) weights and (L, 1, 3d)
+    biases, and ``grads`` their (w, u, b) gradients, added to in place.
+    The cache keeps z|r alone; n and U_n h are rebuilt here (``_gru_n``),
+    two (B, d) x (d, d) products and a tanh per layer. That halves the
+    cache for about 45 us per step at L=4, B=16, d=64 on one BLAS thread,
+    4-10% of a 2 ms training step in the benchmark (BENCH_17.json).
     The gate pre-activation gradients stay side by side in the fused z|r|n
     column order, so each fused array takes one product for its gradient
     and one for the gradient it passes back. The gate gradients are built
@@ -130,7 +159,8 @@ def _gru_backward(
     preallocated array measured about 10% slower at B=16, d=64.
     """
     d = dh.shape[-1]
-    zr, n, uh_n = gates
+    (zr,) = gates
+    n, uh_n = _gru_n(x, h_prev, zr, w, u, b)
     z = zr[..., :d]
     da_n = dh * (1.0 - z) * (1.0 - n * n)
     dzr = np.concatenate([dh * (h_prev - n), da_n * uh_n], axis=-1)
@@ -163,11 +193,13 @@ def _wavefront(n_slow: int, layers: int):
 
 def _trunk_forward(
     xs: np.ndarray, sw: SlowBranchWeights
-) -> tuple[np.ndarray, np.ndarray, list[tuple[np.ndarray, ...]]]:
+) -> tuple[np.ndarray, np.ndarray, list[tuple[np.ndarray]]]:
     """FC in and the GRU stack over (B, J, LS) slow frames, as a wavefront.
 
     Returns the top layer's outputs (J, B, d), a view of the states array,
-    then that array and each step's gates. ``states[t, 0]`` is slow frame
+    then that array and each step's gates: a tuple holding the active
+    layers' z|r alone, (hi - lo, B, 2d), since ``_gru_backward`` rebuilds
+    n and U_n h from the states and z|r. ``states[t, 0]`` is slow frame
     t's FC-in output and ``states[t, k + 1]`` the state layer k made on
     step t - 1 (zero before its first frame), so step t reads its inputs
     ``states[t, lo:hi]`` and states ``states[t, lo + 1 : hi + 1]`` as two
@@ -182,19 +214,19 @@ def _trunk_forward(
     fc_in += sw.fc_in_b
     gates = []
     for t, lo, hi in _wavefront(n_slow, layers):
-        h, zr, n, uh = _gru_cell(
+        h, zr, _, _ = _gru_cell(
             states[t, lo:hi], states[t, lo + 1 : hi + 1], w[lo:hi], u[lo:hi], bias[lo:hi]
         )
         states[t + 1, lo + 1 : hi + 1] = h
-        # a copy, so the cache does not keep the whole (.., 3d) product alive
-        gates.append((zr, n, uh[..., 2 * d :].copy()))
+        # z|r alone: the backward rebuilds n and U_n h (_gru_n)
+        gates.append((zr,))
     return states[layers:, layers], states, gates
 
 
 def _trunk_backward(
     d_top: np.ndarray,
     states: np.ndarray,
-    gates: list[tuple[np.ndarray, ...]],
+    gates: list[tuple[np.ndarray]],
     sw: SlowBranchWeights,
     grad_gru: list[GruLayerWeights],
 ) -> np.ndarray:
@@ -211,6 +243,7 @@ def _trunk_backward(
     layers = len(sw.gru)
     w, u, bias = _stack(sw.gru)
     grads = (np.zeros_like(w), np.zeros_like(u), np.zeros_like(bias))
+    bias = bias[:, None]  # broadcasts over the batch axis, as in the forward
     down = np.zeros((layers + 1, b, d))  # down[k + 1]: into layer k's output from above
     carry = np.zeros((layers, b, d))     # carry[k]: into layer k's output from the next frame
     d_in = np.empty_like(d_top)
@@ -219,7 +252,7 @@ def _trunk_backward(
             down[layers] = d_top[t - layers + 1]
         down[lo:hi], carry[lo:hi] = _gru_backward(
             states[t, lo:hi], states[t, lo + 1 : hi + 1], gates.pop(),
-            down[lo + 1 : hi + 1] + carry[lo:hi], w[lo:hi], u[lo:hi],
+            down[lo + 1 : hi + 1] + carry[lo:hi], w[lo:hi], u[lo:hi], bias[lo:hi],
             tuple(g[lo:hi] for g in grads),
         )
         if lo == 0:

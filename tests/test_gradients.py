@@ -283,6 +283,28 @@ class TestLifetimes:
         assert len(steps) > config.gru_layers and seen == list(range(len(steps)))[::-1]
 
 
+class TestRebuiltGates:
+    """The trunk cache keeps z|r alone; the backward rebuilds n and U_n h."""
+
+    @pytest.mark.parametrize("batch, width", [(16, 64), (3, 4)], ids=["B16-d64", "tiny"])
+    @pytest.mark.parametrize("lo, hi", [(0, 4), (0, 2), (1, 4), (3, 4)],
+                             ids=["full", "ramp_up", "ramp_down", "top_only"])
+    def test_rebuilt_n_and_uh_n_equal_the_cells_bit_for_bit(self, batch, width, lo, hi):
+        config = SlowFastConfig(variant="ssmm", l_f=4, delta_f=2, reuse=4, h=3,
+                                gru_width=width, gru_layers=4)
+        w, u, b = backprop._stack(randomized_weights(config, seed=width).slow.gru)
+        b = b[:, None]
+        rng = np.random.default_rng(batch)
+        # a wavefront step's inputs and states: two slices of one states row
+        row = rng.uniform(-1.0, 1.0, (5, batch, width))
+        x, h = row[lo:hi], row[lo + 1 : hi + 1]
+        _, zr, n, uh = slow_branch._gru_cell(x, h, w[lo:hi], u[lo:hi], b[lo:hi])
+        got_n, got_uh_n = backprop._gru_n(x, h, zr, w[lo:hi], u[lo:hi], b[lo:hi])
+        assert got_n.shape == got_uh_n.shape == (hi - lo, batch, width)
+        assert np.array_equal(got_n, n)
+        assert np.array_equal(got_uh_n, uh[..., 2 * width :])
+
+
 def clip_of_slow_frames(config, n_slow):
     """The longest clip length whose batched forward runs ``n_slow`` slow frames."""
     n = 1

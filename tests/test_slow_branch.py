@@ -191,17 +191,21 @@ class TestFusedStorage:
             assert np.shares_memory(twin.w_n, twin.w)
 
     def test_training_caches_hold_no_wider_views(self):
-        # a cached gate array that views a wider product keeps the whole
-        # product alive for every cell of a training step
+        # each wavefront step keeps z|r alone, (hi - lo, B, 2d); a cached
+        # array that views a wider product keeps the whole product alive
+        # for every cell of a training step
         cfg = two_ms_config(3, "ssmm")
         weights = init_model_weights(cfg, seed=6)
         x = np.random.default_rng(7).standard_normal((2, 400)) * 0.3
         _, cache = forward_batch(x, weights, cfg)
-        assert cache.gates
-        for step in cache.gates:
-            for name, arr in zip(("zr", "n", "uh_n"), step):
-                base = arr.base
-                assert base is None or base.nbytes <= arr.nbytes, name
+        n_slow, layers = cache.xs.shape[1], cfg.gru_layers
+        assert n_slow > layers and len(cache.gates) == n_slow + layers - 1
+        for t, step in enumerate(cache.gates):
+            lo, hi = max(0, t - n_slow + 1), min(layers, t + 1)
+            assert isinstance(step, tuple) and len(step) == 1, t
+            (zr,) = step
+            assert zr.shape == (hi - lo, 2, 2 * cfg.gru_width), t
+            assert zr.base is None or zr.base.nbytes <= zr.nbytes, t
 
 
 class TestActivateHead:
