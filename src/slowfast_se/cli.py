@@ -101,8 +101,9 @@ def _at_least(cast, low, strict=False):
 def _preset_config(name: str, variant: str) -> SlowFastConfig:
     if name == "sample-level":
         return sample_level_config(variant)
-    if name.startswith("2ms-d"):
-        return two_ms_config(int(name[len("2ms-d"):]), variant)
+    reuse = name.removeprefix("2ms-d")
+    if reuse != name and reuse.isdecimal():
+        return two_ms_config(int(reuse), variant)
     raise ValueError(f"unknown preset {name!r}; use 2ms-d<reuse> or sample-level")
 
 
@@ -390,7 +391,7 @@ def run(argv=None) -> int:
         return USAGE_ERROR if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (FileNotFoundError, ValueError, KeyError, TrainingDivergedError) as exc:
+    except (OSError, ValueError, KeyError, TrainingDivergedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

@@ -37,13 +37,7 @@ import numpy as np
 from . import fast_branch, slow_branch
 from .fast_branch import FastBranchWeights, check_variant, packet_size
 from .signal_io import SAMPLE_RATE, AudioBuffer, as_mono, frame_signal, make_window, overlap_add
-from .slow_branch import (
-    GRU_FIELDS,
-    GruLayerWeights,
-    SlowBranchWeights,
-    slow_forward,
-    warmup_packet,
-)
+from .slow_branch import GRU_FIELDS, SlowBranchWeights, slow_forward, warmup_packet
 
 PAPER_DELTAS = (1, 2, 3, 4, 5, 10)
 
@@ -160,12 +154,21 @@ def _draw(shapes: dict[str, tuple[int, ...]], seed: int) -> dict[str, np.ndarray
 
 
 def _trunk_weights(arrays: dict[str, np.ndarray], layers: int) -> SlowBranchWeights:
-    gru = [GruLayerWeights(**{f: arrays[f"slow.gru{k}.{f}"] for f in GRU_FIELDS})
-           for k in range(layers)]
+    """Trunk weights from named arrays: each layer's per-gate arrays fused
+    z|r|n and stacked in layer order, copies of ``arrays``' values."""
+
+    def stack(kind: str) -> np.ndarray:
+        return np.stack([
+            np.concatenate([arrays[f"slow.gru{k}.{kind}_{gate}"] for gate in "zrn"], axis=-1)
+            for k in range(layers)
+        ])
+
     return SlowBranchWeights(
         fc_in_w=arrays["slow.fc_in.w"],
         fc_in_b=arrays["slow.fc_in.b"],
-        gru=gru,
+        gru_w=stack("w"),
+        gru_u=stack("u"),
+        gru_b=stack("b"),
         fc_head_w=arrays["slow.fc_head.w"],
         fc_head_b=arrays["slow.fc_head.b"],
         warmup_packet_raw=arrays["slow.warmup_raw"],
@@ -189,11 +192,17 @@ def init_single_branch_weights(config: SlowFastConfig, seed: int = 0) -> SlowBra
 def named_arrays(weights: ModelWeights | SlowBranchWeights) -> list[tuple[str, np.ndarray]]:
     """Canonical (name, array) ordering shared by the optimizer, gradient
     checks, and the model file format. A bare trunk, the single-branch
-    baseline's weights, lists its slow.* arrays alone."""
+    baseline's weights, lists its slow.* arrays alone. Each GRU entry
+    ``slow.gru{k}.{kind}_{gate}`` is a writable view of gate ``gate``'s
+    column block in layer k of the stack ``gru_{kind}``."""
     trunk = weights if isinstance(weights, SlowBranchWeights) else weights.slow
     out = [("slow.fc_in.w", trunk.fc_in_w), ("slow.fc_in.b", trunk.fc_in_b)]
-    out += [(f"slow.gru{k}.{fname}", getattr(layer, fname))
-            for k, layer in enumerate(trunk.gru) for fname in GRU_FIELDS]
+    stacks = {"w": trunk.gru_w, "u": trunk.gru_u, "b": trunk.gru_b}
+    d = trunk.gru_b.shape[-1] // 3
+    for k in range(len(trunk.gru_b)):
+        for fname in GRU_FIELDS:
+            block = "zrn".index(fname[-1]) * d
+            out.append((f"slow.gru{k}.{fname}", stacks[fname[0]][k, ..., block : block + d]))
     out += [("slow.fc_head.w", trunk.fc_head_w), ("slow.fc_head.b", trunk.fc_head_b),
             ("slow.warmup_raw", trunk.warmup_packet_raw)]
     if weights is trunk:  # a bare trunk

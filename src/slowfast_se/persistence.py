@@ -69,6 +69,12 @@ class ModelShapeError(ModelFileError):
     """The manifest's arrays disagree with the config's parameter table."""
 
 
+class ModelLayoutError(ModelFileError):
+    """The manifest's arrays do not tile the payload: an array starts
+    anywhere but where the one listed before it ends (the first at 0), or
+    the last does not end at the payload's end."""
+
+
 def save_model(weights: ModelWeights, config: SlowFastConfig, path) -> None:
     """Serialize weights + config; arrays stored as little-endian float32.
 
@@ -181,11 +187,22 @@ def load_model(path) -> tuple[ModelWeights, SlowFastConfig]:
     except ValueError as exc:
         raise ModelShapeError(f"{path}: {exc}") from exc
 
+    # the CRC does not cover the offsets, so arrays that overlap or leave a
+    # gap must be refused here, before any is read
+    end = 0
+    for name, (offset, shape) in manifest.items():
+        if offset != end:
+            raise ModelLayoutError(
+                f"{path}: array {name} starts at byte {offset}, where the array "
+                f"before it ends is byte {end}"
+            )
+        end += 4 * int(np.prod(shape))
+    if end != payload_bytes:
+        raise ModelLayoutError(f"{path}: arrays end at byte {end}, the payload at {payload_bytes}")
+
     arrays: dict[str, np.ndarray] = {}
     for name, (offset, shape) in manifest.items():
         count = int(np.prod(shape))
-        if offset + 4 * count > len(payload):
-            raise ModelShapeError(f"{path}: array {name} extends past the payload")
         arr = np.frombuffer(payload, dtype="<f4", count=count, offset=offset)
         if not np.isfinite(arr).all():
             raise ModelParseError(f"{path}: array {name} holds non-finite values")

@@ -9,15 +9,17 @@ matrix product before the tanh: n = tanh(W_n x + r * (U_n h) + b_n). All
 matrix/vector ops broadcast over leading batch axes, so the one cell
 ``_gru_cell`` serves both paths. The streaming engine calls it through
 ``gru_cell_step``, once per layer per slow frame, on 1-D state and one
-layer's (d, 3d) weights. Batched training (training.backprop) calls it
-directly, once per step of a wavefront over the whole stack: (L, B, d)
-inputs and states against the layers' weights stacked to (L, d, 3d).
+layer's (d, 3d) slice of the stack. Batched training (training.backprop)
+calls it directly, once per step of a wavefront over the whole stack:
+(L, B, d) inputs and states against slices of the stack itself.
 
-Each GRU layer is stored gate-fused: ``w`` (in, 3d), ``u`` (d, 3d) and
-``b`` (3d,), with the gate blocks in the order z|r|n, so a cell makes two
-matrix products instead of six. The per-gate names ``w_z`` ... ``b_n``
-(``GRU_FIELDS``, the names in the model file) are properties returning
-writable column views of those three arrays. Everything that reads or
+The GRU stack is stored as three gate-fused arrays: ``gru_w`` and ``gru_u``
+(L, d, 3d) and ``gru_b`` (L, 3d), layer k at index k and the gate blocks of
+each in the order z|r|n, so a cell makes two matrix products instead of
+six. Every GRU matrix is (d, d), layer 0's input being FC in's d outputs,
+so one stack holds all layers. The per-gate arrays ``slow.gru{k}.w_z`` ...
+``b_n`` (``GRU_FIELDS``, the names in the model file) are writable views
+of the stack that engine.named_arrays hands out. Everything that reads or
 updates a gate array by name (the optimizer, gradient clipping, gradient
 checks, the model file) therefore reads and writes the one storage.
 
@@ -36,36 +38,6 @@ import numpy as np
 from .fast_branch import VARIANTS, _sigmoid, check_variant
 
 
-def _gate(fused: str, k: int) -> property:
-    """Property for gate block ``k`` (z|r|n) of the fused array ``fused``."""
-
-    def view(layer: "GruLayerWeights") -> np.ndarray:
-        arr = getattr(layer, fused)
-        d = arr.shape[-1] // 3
-        return arr[..., k * d : (k + 1) * d]
-
-    return property(view, doc=f"Gate {'zrn'[k]} columns of ``{fused}`` (a writable view).")
-
-
-class GruLayerWeights:
-    """One GRU layer, gate-fused: w (in, 3d), u (d, 3d), b (3d,), gates z|r|n.
-
-    Built from the nine per-gate arrays; ``w_z`` ... ``b_n`` are views of the
-    fused arrays, not copies.
-    """
-
-    __slots__ = ("w", "u", "b")
-
-    def __init__(self, w_z, w_r, w_n, u_z, u_r, u_n, b_z, b_r, b_n):
-        self.w = np.concatenate([w_z, w_r, w_n], axis=-1)
-        self.u = np.concatenate([u_z, u_r, u_n], axis=-1)
-        self.b = np.concatenate([b_z, b_r, b_n])
-
-    w_z, w_r, w_n = (_gate("w", k) for k in range(3))
-    u_z, u_r, u_n = (_gate("u", k) for k in range(3))
-    b_z, b_r, b_n = (_gate("b", k) for k in range(3))
-
-
 # canonical order of a layer's arrays, used for names in the model file
 GRU_FIELDS = ("w_z", "w_r", "w_n", "u_z", "u_r", "u_n", "b_z", "b_r", "b_n")
 
@@ -80,7 +52,9 @@ class SlowBranchWeights:
 
     fc_in_w: np.ndarray
     fc_in_b: np.ndarray
-    gru: list[GruLayerWeights]
+    gru_w: np.ndarray  # (L, d, 3d) input weights, gates z|r|n
+    gru_u: np.ndarray  # (L, d, 3d) hidden weights
+    gru_b: np.ndarray  # (L, 3d) biases
     fc_head_w: np.ndarray
     fc_head_b: np.ndarray
     warmup_packet_raw: np.ndarray
@@ -91,8 +65,8 @@ def _gru_cell(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """z|r = sig(..), n = tanh(W_n x + r*(U_n h) + b_n), h' = (1-z)n + z h.
 
-    ``w``, ``u`` and ``b`` are a layer's fused arrays, or a stack of layers'
-    (w, u (L, d, 3d), b (L, 1, 3d)) run on (L, ..., d) inputs and states.
+    ``w``, ``u`` and ``b`` are one layer's slices of the stack, or a run of
+    layers' (w, u (L, d, 3d), b (L, 1, 3d)) on (L, ..., d) inputs and states.
     Returns (h', z|r, n, U h); training keeps z|r and rebuilds n and U_n h.
     """
     # Numpy's per-call overhead, not arithmetic, sets a slow frame's time, so
@@ -112,14 +86,17 @@ def _gru_cell(
     return n + zr[..., :d] * (h - n), zr, n, uh
 
 
-def gru_cell_step(x: np.ndarray, h: np.ndarray, w: GruLayerWeights) -> np.ndarray:
-    """One shape-checked GRU step; returns the new hidden state."""
-    if x.shape[-1] != w.w.shape[0] or h.shape[-1] != w.u.shape[0]:
+def gru_cell_step(
+    x: np.ndarray, h: np.ndarray, w: np.ndarray, u: np.ndarray, b: np.ndarray
+) -> np.ndarray:
+    """One shape-checked GRU step on one layer's (d, 3d) ``w``, ``u`` and
+    (3d,) ``b``; returns the new hidden state."""
+    if x.shape[-1] != w.shape[0] or h.shape[-1] != u.shape[0]:
         raise ValueError(
-            f"gru shape mismatch: x has {x.shape[-1]} features (want {w.w.shape[0]}), "
-            f"h has {h.shape[-1]} (want {w.u.shape[0]})"
+            f"gru shape mismatch: x has {x.shape[-1]} features (want {w.shape[0]}), "
+            f"h has {h.shape[-1]} (want {u.shape[0]})"
         )
-    return _gru_cell(x, h, w.w, w.u, w.b)[0]
+    return _gru_cell(x, h, w, u, b)[0]
 
 
 def activate_head(raw: np.ndarray, variant: str) -> tuple[np.ndarray, ...]:
@@ -141,12 +118,12 @@ def trunk_step(
 ) -> tuple[np.ndarray, list[np.ndarray]]:
     """One frame through FC in and the GRU stack: (top output, new hidden list).
 
-    Each layer runs through ``gru_cell_step``.
+    Each layer runs through ``gru_cell_step`` on its slice of the stack.
     """
     u = x.dot(w.fc_in_w) + w.fc_in_b
     new_hidden = []
-    for layer, h_prev in zip(w.gru, hidden):
-        u = gru_cell_step(u, h_prev, layer)
+    for k, h_prev in enumerate(hidden):
+        u = gru_cell_step(u, h_prev, w.gru_w[k], w.gru_u[k], w.gru_b[k])
         new_hidden.append(u)
     return u, new_hidden
 

@@ -15,14 +15,18 @@ central-difference checks in the test suite.
 The GRU stack runs as a wavefront (``_trunk_forward``): on step t, layer k
 runs slow frame t - k, whose input layer k - 1 made on step t - 1. So the
 J slow frames of L layers take J + L - 1 steps, each one ``_gru_cell`` call
-on the active layers' (L, B, d) inputs and states against their weights
-stacked to (L, d, 3d); only the first and last L - 1 steps run fewer than
-L layers. That makes L times fewer numpy calls than a loop over frames and
-layers. The backward pass (``_trunk_backward``) runs the same wavefront in
-reverse, one stacked ``_gru_backward`` per step. Each slice of a stacked
-product is the same BLAS call a single layer makes, and every other
-operation is elementwise or sums over the batch axis alone, so the results
-are bit for bit those of ``trunk_step`` frame by frame.
+on the active layers' (L, B, d) inputs and states against their slice of
+the stored (L, d, 3d) stack (``SlowBranchWeights.gru_w``, ``gru_u``,
+``gru_b``), a view, so no weight is copied; only the first and last L - 1
+steps run fewer than L layers. That makes L times fewer numpy calls than a
+loop over frames and layers. The backward pass (``_trunk_backward``) runs
+the same wavefront in reverse, one stacked ``_gru_backward`` per step, which
+adds its weight gradients in place into the same slice of the gradient
+set's own stack, whose per-gate entries are views of it as the weights'
+are of theirs. Each slice of a stacked product is the same BLAS call a
+single layer makes, and every other operation is elementwise or sums over
+the batch axis alone, so the results are bit for bit those of
+``trunk_step`` frame by frame.
 
 The backward pass, too, loops only over recurrences: the GRU wavefront, and
 ssmm's scan inside its adjoint. Each FC weight gradient (f_in, f_out, the
@@ -81,7 +85,7 @@ from ..engine import (
 )
 from ..signal_io import frame_signal, make_window, overlap_add
 from ..fast_branch import VARIANTS
-from ..slow_branch import GruLayerWeights, SlowBranchWeights, _gru_cell
+from ..slow_branch import SlowBranchWeights, _gru_cell
 from .losses import LossWeights, StftParams, total_loss_grad
 
 GradientSet = dict[str, np.ndarray]
@@ -105,7 +109,7 @@ class _Cache(NamedTuple):
     groups: np.ndarray          # (NF,) packet-table index per fast frame
     xs: np.ndarray              # (B, J, LS) slow frames, a framing view
     states: np.ndarray          # (J+L, L+1, B, d) the wavefront's inputs and states
-    gates: list[tuple[np.ndarray]]  # per step: (z|r,) of the active layers
+    gates: list[np.ndarray]     # per step: z|r of the active layers
     top: np.ndarray             # (J, B, d) trunk outputs feeding the head, a view of states
     packet: tuple[np.ndarray, ...]  # (J+1, B, H) arrays; row 0 is the warm-up packet
     feat: np.ndarray            # (NF, B, width * H) f_out inputs
@@ -135,7 +139,7 @@ def _gru_n(
 def _gru_backward(
     x: np.ndarray,
     h_prev: np.ndarray,
-    gates: tuple[np.ndarray],
+    zr: np.ndarray,
     dh: np.ndarray,
     w: np.ndarray,
     u: np.ndarray,
@@ -145,9 +149,10 @@ def _gru_backward(
     """Returns (dx, dh_prev) of ``_gru_cell`` and accumulates its weight gradients.
 
     Every array carries the same leading axes: ``x``, ``h_prev`` and ``dh``
-    are (L, B, d) stacks of layers, ``gates`` the cell's (z|r,) of them,
+    are (L, B, d) stacks of layers, ``zr`` the cell's z|r of them,
     ``w``, ``u`` and ``b`` the layers' fused (L, d, 3d) weights and (L, 1, 3d)
-    biases, and ``grads`` their (w, u, b) gradients, added to in place.
+    biases, and ``grads`` the same layers' slices of the gradient stacks,
+    (L, d, 3d), (L, d, 3d) and (L, 3d), added to in place.
     The cache keeps z|r alone; n and U_n h are rebuilt here (``_gru_n``),
     two (B, d) x (d, d) products and a tanh per layer. That halves the
     cache for about 45 us per step at L=4, B=16, d=64 on one BLAS thread,
@@ -159,7 +164,6 @@ def _gru_backward(
     preallocated array measured about 10% slower at B=16, d=64.
     """
     d = dh.shape[-1]
-    (zr,) = gates
     n, uh_n = _gru_n(x, h_prev, zr, w, u, b)
     z = zr[..., :d]
     da_n = dh * (1.0 - z) * (1.0 - n * n)
@@ -179,11 +183,6 @@ def _gru_backward(
     return da @ w.swapaxes(-1, -2), dh * z + da_u @ u.swapaxes(-1, -2)
 
 
-def _stack(layers: list[GruLayerWeights]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The layers' fused w, u (L, d, 3d) and b (L, 3d), stacked on a layer axis."""
-    return tuple(np.stack([getattr(layer, f) for layer in layers]) for f in "wub")
-
-
 def _wavefront(n_slow: int, layers: int):
     """(t, lo, hi) per step of the wavefront: on step t, layers lo..hi-1 are
     active, layer k running slow frame t - k. No steps when there are no frames."""
@@ -193,22 +192,20 @@ def _wavefront(n_slow: int, layers: int):
 
 def _trunk_forward(
     xs: np.ndarray, sw: SlowBranchWeights
-) -> tuple[np.ndarray, np.ndarray, list[tuple[np.ndarray]]]:
+) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
     """FC in and the GRU stack over (B, J, LS) slow frames, as a wavefront.
 
     Returns the top layer's outputs (J, B, d), a view of the states array,
-    then that array and each step's gates: a tuple holding the active
-    layers' z|r alone, (hi - lo, B, 2d), since ``_gru_backward`` rebuilds
-    n and U_n h from the states and z|r. ``states[t, 0]`` is slow frame
-    t's FC-in output and ``states[t, k + 1]`` the state layer k made on
-    step t - 1 (zero before its first frame), so step t reads its inputs
-    ``states[t, lo:hi]`` and states ``states[t, lo + 1 : hi + 1]`` as two
-    slices of one row.
+    then that array and each step's gates: the active layers' z|r alone,
+    (hi - lo, B, 2d), since ``_gru_backward`` rebuilds n and U_n h from the
+    states and z|r. ``states[t, 0]`` is slow frame t's FC-in output and
+    ``states[t, k + 1]`` the state layer k made on step t - 1 (zero before
+    its first frame), so step t reads its inputs ``states[t, lo:hi]`` and
+    states ``states[t, lo + 1 : hi + 1]`` as two slices of one row.
     """
     b, n_slow, _ = xs.shape
-    layers, d = len(sw.gru), sw.fc_in_w.shape[1]
-    w, u, bias = _stack(sw.gru)
-    bias = bias[:, None]  # broadcasts over the batch axis
+    w, u, bias = sw.gru_w, sw.gru_u, sw.gru_b[:, None]  # bias broadcasts over the batch
+    layers, d = len(w), sw.fc_in_w.shape[1]
     states = np.zeros((n_slow + layers, layers + 1, b, d))
     fc_in = np.matmul(xs.swapaxes(0, 1), sw.fc_in_w, out=states[:n_slow, 0])
     fc_in += sw.fc_in_b
@@ -219,20 +216,20 @@ def _trunk_forward(
         )
         states[t + 1, lo + 1 : hi + 1] = h
         # z|r alone: the backward rebuilds n and U_n h (_gru_n)
-        gates.append((zr,))
+        gates.append(zr)
     return states[layers:, layers], states, gates
 
 
 def _trunk_backward(
     d_top: np.ndarray,
     states: np.ndarray,
-    gates: list[tuple[np.ndarray]],
+    gates: list[np.ndarray],
     sw: SlowBranchWeights,
-    grad_gru: list[GruLayerWeights],
+    grad: SlowBranchWeights,
 ) -> np.ndarray:
     """The wavefront in reverse: from the gradient at the top layer's outputs
-    (J, B, d), adds each layer's weight gradients to ``grad_gru`` and returns
-    the gradient at the FC-in outputs (J, B, d).
+    (J, B, d), adds the GRU weight gradients in place to ``grad``'s stack and
+    returns the gradient at the FC-in outputs (J, B, d).
 
     On step t, layer k's output gradient is the sum of what layer k + 1 passed
     down and what layer k passed back in time, both made on step t + 1.
@@ -240,10 +237,9 @@ def _trunk_backward(
     step's gates are freed once its ``_gru_backward`` returns.
     """
     n_slow, b, d = d_top.shape
-    layers = len(sw.gru)
-    w, u, bias = _stack(sw.gru)
-    grads = (np.zeros_like(w), np.zeros_like(u), np.zeros_like(bias))
-    bias = bias[:, None]  # broadcasts over the batch axis, as in the forward
+    w, u, bias = sw.gru_w, sw.gru_u, sw.gru_b[:, None]  # as in the forward
+    grads = grad.gru_w, grad.gru_u, grad.gru_b
+    layers = len(w)
     down = np.zeros((layers + 1, b, d))  # down[k + 1]: into layer k's output from above
     carry = np.zeros((layers, b, d))     # carry[k]: into layer k's output from the next frame
     d_in = np.empty_like(d_top)
@@ -257,10 +253,6 @@ def _trunk_backward(
         )
         if lo == 0:
             d_in[t] = down[0]
-    for k, layer in enumerate(grad_gru):
-        layer.w += grads[0][k]
-        layer.u += grads[1][k]
-        layer.b += grads[2][k]
     return d_in
 
 
@@ -349,8 +341,8 @@ def backward(
     del s_hat
 
     cfg = config
-    # gradients keep the weights' layout, so each GRU layer's nine entries
-    # are views of one fused gradient layer that _gru_backward updates whole
+    # gradients keep the weights' layout, so the GRU entries are views of
+    # one gradient stack that _gru_backward updates in place
     grad_weights = model_weights_from_arrays(
         cfg, {name: np.zeros(shape) for name, shape in expected_shapes(cfg).items()}
     )
@@ -387,7 +379,7 @@ def backward(
     del draw_table, draw, top
 
     # ---- the GRU stack, a reverse wavefront over slow frames, then fc_in for all of them
-    d_in = _trunk_backward(d_top, states, gates, sw, grad_weights.slow.gru)
+    d_in = _trunk_backward(d_top, states, gates, sw, grad_weights.slow)
     del d_top, states, gates
     grads["slow.fc_in.w"] += _frame_product(xs.swapaxes(0, 1), d_in)
     grads["slow.fc_in.b"] += d_in.sum((0, 1))

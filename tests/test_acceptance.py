@@ -168,9 +168,8 @@ def test_criterion_6_passthrough_reconstruction():
         weights = init_model_weights(cfg, seed=0)
         weights.slow.fc_in_w[...] = 0.0
         weights.slow.fc_in_b[...] = 0.0
-        for layer in weights.slow.gru:
-            for f in ("w_z", "w_r", "w_n", "u_z", "u_r", "u_n", "b_z", "b_r", "b_n"):
-                getattr(layer, f)[...] = 0.0
+        for stack in (weights.slow.gru_w, weights.slow.gru_u, weights.slow.gru_b):
+            stack[...] = 0.0
         weights.slow.fc_head_w[...] = 0.0
         weights.slow.fc_head_b[...] = np.concatenate(
             [np.full(cfg.h, -20.0), np.full(cfg.h, 20.0)]

@@ -68,6 +68,22 @@ class TestExitCodes:
         assert code == 1
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("case", ["model is a directory", "config is a directory",
+                                      "corpus out is a file"])
+    def test_unusable_path_reported(self, case, capsys, wav_path, tmp_path):
+        # an OSError beyond a missing file (IsADirectoryError, FileExistsError)
+        # is one error line and exit 1, not a traceback
+        argv = {
+            "model is a directory": ["enhance", "--model", str(tmp_path), "--in", wav_path,
+                                     "--out", str(tmp_path / "o.wav")],
+            "config is a directory": ["bench-mac", "--config", str(tmp_path)],
+            "corpus out is a file": ["make-corpus", "--out", wav_path, "--count", "1"],
+        }[case]
+        assert run(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1, err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("damage, error", [
         ("garbage bytes", ModelVersionError),
         ("malformed header", ModelParseError),
@@ -122,6 +138,13 @@ class TestBenchMac:
         out = capsys.readouterr().out
         total = float(next(line for line in out.splitlines() if "total:" in line).split()[1])
         assert abs(total - 39.0) / 39.0 < 0.20
+
+    @pytest.mark.parametrize("preset", ["2ms-dx", "2ms-d", "2ms-d+3", "2ms-d 3"])
+    def test_preset_without_an_integer_reuse_is_unknown(self, preset, capsys):
+        assert run(["bench-mac", "--preset", preset]) == 1
+        err = capsys.readouterr().err
+        assert err == (f"error: unknown preset {preset!r}; "
+                       "use 2ms-d<reuse> or sample-level\n"), err
 
     def test_sample_level_preset(self, capsys):
         assert run(["bench-mac", "--preset", "sample-level"]) == 0

@@ -1,10 +1,11 @@
 """README.md against the code it documents: well-formed tables, and every
-training setting a caller may change named in it."""
+training setting and config key a caller may change named in it."""
 
 import dataclasses
 import re
 from pathlib import Path
 
+from slowfast_se.engine import SlowFastConfig
 from slowfast_se.training.loop import TrainSchedule
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
@@ -45,4 +46,9 @@ def test_every_table_row_has_as_many_cells_as_its_header():
 
 def test_every_schedule_field_is_named():
     missing = [f.name for f in dataclasses.fields(TrainSchedule) if f"`{f.name}`" not in README]
+    assert missing == []
+
+
+def test_every_config_field_is_named():
+    missing = [f.name for f in dataclasses.fields(SlowFastConfig) if f"`{f.name}`" not in README]
     assert missing == []

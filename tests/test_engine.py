@@ -31,9 +31,8 @@ def make_passthrough_weights(cfg):
     w = init_model_weights(cfg, seed=0)
     w.slow.fc_in_w[...] = 0.0
     w.slow.fc_in_b[...] = 0.0
-    for layer in w.slow.gru:
-        for f in ("w_z", "w_r", "w_n", "u_z", "u_r", "u_n", "b_z", "b_r", "b_n"):
-            getattr(layer, f)[...] = 0.0
+    for stack in (w.slow.gru_w, w.slow.gru_u, w.slow.gru_b):
+        stack[...] = 0.0
     w.slow.fc_head_w[...] = 0.0
     w.slow.fc_head_b[...] = np.concatenate([np.full(cfg.h, -20.0), np.full(cfg.h, 20.0)])
     w.slow.warmup_packet_raw[...] = w.slow.fc_head_b
@@ -403,9 +402,8 @@ class TestSingleBranch:
         w = init_single_branch_weights(cfg, seed=0)
         for name in ("fc_in_w", "fc_in_b", "fc_head_w", "fc_head_b"):
             getattr(w, name)[...] = 0.0
-        for layer in w.gru:
-            for f in ("w_z", "w_r", "w_n", "u_z", "u_r", "u_n", "b_z", "b_r", "b_n"):
-                getattr(layer, f)[...] = 0.0
+        for stack in (w.gru_w, w.gru_u, w.gru_b):
+            stack[...] = 0.0
         out = single_branch_forward(np.random.default_rng(0).standard_normal(500), w, cfg)
         assert np.allclose(out.samples, 0.0)
 
@@ -465,7 +463,8 @@ class TestParameterTable:
         assert [name for name, _ in arrays] == list(single_branch_shapes(cfg))
         d = cfg.gru_width
         assert (w.fc_in_w.shape, w.fc_head_w.shape) == ((cfg.l_f, d), (d, cfg.l_f))
-        assert len(w.gru) == cfg.gru_layers
+        assert w.gru_w.shape == w.gru_u.shape == (cfg.gru_layers, d, 3 * d)
+        assert w.gru_b.shape == (cfg.gru_layers, 3 * d)
         assert_uniform_then_zero(arrays, seed=3)
 
     def test_check_names_missing_extra_and_misshapen_arrays(self):

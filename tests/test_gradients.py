@@ -265,16 +265,15 @@ class TestLifetimes:
 
         def spy_forward(xs, sw):
             top, states, gates = trunk_forward(xs, sw)
-            steps.extend([weakref.ref(arr) for arr in step] for step in gates)
+            steps.extend(weakref.ref(zr) for zr in gates)
             return top, states, gates
 
-        def spy_gru_backward(x, h_prev, gates, *args):
+        def spy_gru_backward(x, h_prev, zr, *args):
             t = len(steps) - 1 - len(seen)  # the reverse wavefront's step
-            assert all(ref() is gate for ref, gate in zip(steps[t], gates))
-            later = [ref for step in steps[t + 1 :] for ref in step]
-            assert all(ref() is None for ref in later), t
+            assert steps[t]() is zr, t
+            assert all(ref() is None for ref in steps[t + 1 :]), t
             seen.append(t)
-            return gru_backward(x, h_prev, gates, *args)
+            return gru_backward(x, h_prev, zr, *args)
 
         trunk_forward, gru_backward = backprop._trunk_forward, backprop._gru_backward
         monkeypatch.setattr(backprop, "_trunk_forward", spy_forward)
@@ -292,8 +291,8 @@ class TestRebuiltGates:
     def test_rebuilt_n_and_uh_n_equal_the_cells_bit_for_bit(self, batch, width, lo, hi):
         config = SlowFastConfig(variant="ssmm", l_f=4, delta_f=2, reuse=4, h=3,
                                 gru_width=width, gru_layers=4)
-        w, u, b = backprop._stack(randomized_weights(config, seed=width).slow.gru)
-        b = b[:, None]
+        sw = randomized_weights(config, seed=width).slow
+        w, u, b = sw.gru_w, sw.gru_u, sw.gru_b[:, None]
         rng = np.random.default_rng(batch)
         # a wavefront step's inputs and states: two slices of one states row
         row = rng.uniform(-1.0, 1.0, (5, batch, width))
@@ -390,3 +389,39 @@ class TestWavefront:
         assert calls == {"cell": steps, "adjoint": 0}
         backward(batch, weights, config, LossWeights(1.0, 0.3), StftParams(4, 2))
         assert calls == {"cell": 2 * steps, "adjoint": steps}
+
+    def test_wavefront_reads_and_writes_the_stored_stacks(self, monkeypatch):
+        # every cell's and adjoint's weight operands are slices of the
+        # weights' own stacks, and every adjoint adds into the gradient set's
+        # stacks, whose per-gate entries are the gradients backward returns
+        config = stack_config(4)
+        weights = randomized_weights(config, seed=5)
+        sw = weights.slow
+        operands = []
+
+        def spy_cell(x, h, w, u, b):
+            operands.append((w, u, b))
+            return cell(x, h, w, u, b)
+
+        def spy_adjoint(x, h_prev, zr, dh, w, u, b, grads):
+            operands.append((w, u, b))
+            grad_operands.append(grads)
+            return adjoint(x, h_prev, zr, dh, w, u, b, grads)
+
+        cell, adjoint, grad_operands = backprop._gru_cell, backprop._gru_backward, []
+        monkeypatch.setattr(backprop, "_gru_cell", spy_cell)
+        monkeypatch.setattr(backprop, "_gru_backward", spy_adjoint)
+        batch = tiny_batch(n=clip_of_slow_frames(config, 6), seed=23)
+        _, grads = backward(batch, weights, config, LossWeights(1.0, 0.3), StftParams(4, 2))
+        assert len(grad_operands) == 6 + 4 - 1 and len(operands) == 2 * len(grad_operands)
+        for w, u, b in operands:
+            assert np.shares_memory(w, sw.gru_w) and np.shares_memory(u, sw.gru_u)
+            assert np.shares_memory(b, sw.gru_b)
+        full = grad_operands[len(grad_operands) // 2]  # a step of every layer
+        assert full[0].shape == sw.gru_w.shape and full[2].shape == sw.gru_b.shape
+        for step in grad_operands:
+            assert all(np.shares_memory(g, stack) for g, stack in zip(step, full))
+        for k in range(4):
+            for f in slow_branch.GRU_FIELDS:
+                stack = full["wub".index(f[0])]
+                assert np.shares_memory(grads[f"slow.gru{k}.{f}"], stack), (k, f)

@@ -16,6 +16,7 @@ from slowfast_se.engine import (
 )
 from slowfast_se.persistence import (
     ModelChecksumError,
+    ModelLayoutError,
     ModelParseError,
     ModelShapeError,
     ModelVersionError,
@@ -148,6 +149,33 @@ class TestRejection:
         assert real in data
         path.write_bytes(data.replace(real, real + b"array = slow.fc_in.b 0 64\n", 1))
         with pytest.raises(ModelParseError, match="twice"):
+            load_model(path)
+
+    @pytest.mark.parametrize("old, new, match", [
+        (b"slow.fc_in.b 24576 64", b"slow.fc_in.b 0 64", "starts at byte 0"),
+        (b"slow.fc_in.b 24576 64", b"slow.fc_in.b 24580 64", "starts at byte 24580"),
+    ], ids=["aliased offset", "gap"])
+    def test_arrays_that_do_not_tile_the_payload_are_layout_errors(self, model, old, new, match):
+        # the CRC covers only the payload: fc_in.b at offset 0 would read
+        # fc_in.w's first 64 floats
+        _, _, path = model
+        data = path.read_bytes()
+        assert old in data
+        path.write_bytes(data.replace(old, new, 1))
+        with pytest.raises(ModelLayoutError, match=match):
+            load_model(path)
+
+    def test_payload_past_the_last_array_is_layout_error(self, model):
+        # a payload with four bytes no array claims, size and CRC kept consistent
+        _, _, path = model
+        data = path.read_bytes()
+        start = data.index(b"\nend\n") + len(b"\nend\n")
+        payload = data[start:] + bytes(4)
+        header = re.sub(rb"payload_crc32 = \d+", b"payload_crc32 = %d" % zlib.crc32(payload),
+                        data[:start])
+        header = re.sub(rb"payload_bytes = \d+", b"payload_bytes = %d" % len(payload), header)
+        path.write_bytes(header + payload)
+        with pytest.raises(ModelLayoutError, match="payload at"):
             load_model(path)
 
     @pytest.mark.parametrize("old, new", [

@@ -1,4 +1,4 @@
-"""GRU cell, fused gate storage, slow trunk, head activations, warm-up packet."""
+"""GRU cell, stacked gate-fused storage, slow trunk, head activations, warm-up packet."""
 
 import copy
 
@@ -8,13 +8,14 @@ import pytest
 from slowfast_se.engine import (
     SlowFastConfig,
     enhance_offline,
+    expected_shapes,
     init_model_weights,
+    model_weights_from_arrays,
     named_arrays,
     two_ms_config,
 )
 from slowfast_se.slow_branch import (
     GRU_FIELDS,
-    GruLayerWeights,
     _sigmoid,
     activate_head,
     gru_cell_step,
@@ -37,12 +38,14 @@ def random_slow(variant, layers, seed):
 
 
 def zero_gru(in_dim, h_dim):
-    return GruLayerWeights(
-        w_z=np.zeros((in_dim, h_dim)), w_r=np.zeros((in_dim, h_dim)),
-        w_n=np.zeros((in_dim, h_dim)), u_z=np.zeros((h_dim, h_dim)),
-        u_r=np.zeros((h_dim, h_dim)), u_n=np.zeros((h_dim, h_dim)),
-        b_z=np.zeros(h_dim), b_r=np.zeros(h_dim), b_n=np.zeros(h_dim),
-    )
+    """One layer's fused (w, u, b), all zero, gate blocks z|r|n."""
+    return np.zeros((in_dim, 3 * h_dim)), np.zeros((h_dim, 3 * h_dim)), np.zeros(3 * h_dim)
+
+
+def fused(parts):
+    """One layer's fused (w, u, b) from its nine per-gate arrays."""
+    return tuple(np.concatenate([parts[f"{kind}_{gate}"] for gate in "zrn"], axis=-1)
+                 for kind in "wub")
 
 
 class TestGruCell:
@@ -53,32 +56,32 @@ class TestGruCell:
         for _ in range(10):
             h = rng.standard_normal(5)
             x = rng.standard_normal(3)
-            assert np.allclose(gru_cell_step(x, h, w), 0.5 * h, atol=1e-12)
+            assert np.allclose(gru_cell_step(x, h, *w), 0.5 * h, atol=1e-12)
 
     def test_saturated_update_gate_freezes_state(self):
-        w = zero_gru(3, 4)
-        w.b_z[...] = 20.0  # z ~ 1
+        w, u, b = zero_gru(3, 4)
+        b[:4] = 20.0  # z ~ 1
         h = np.array([1.0, -2.0, 3.0, 0.5])
         x = np.array([5.0, -5.0, 1.0])
-        assert np.allclose(gru_cell_step(x, h, w), h, atol=1e-8)
+        assert np.allclose(gru_cell_step(x, h, w, u, b), h, atol=1e-8)
 
     def test_open_gates_pass_tanh_of_input(self):
         # z ~ 0 and h = 0 -> h' ~ tanh(W_n x)
-        w = zero_gru(4, 4)
-        w.b_z[...] = -20.0
-        w.w_n[...] = np.eye(4)
+        w, u, b = zero_gru(4, 4)
+        b[:4] = -20.0
+        w[:, 8:] = np.eye(4)
         x = np.array([0.1, -0.2, 0.05, 0.0])
-        got = gru_cell_step(x, np.zeros(4), w)
+        got = gru_cell_step(x, np.zeros(4), w, u, b)
         assert np.allclose(got, np.tanh(x), atol=1e-8)
 
     @staticmethod
-    def textbook(x, h, w):
+    def textbook(x, h, p):
         """The per-gate GRU, one product per gate array, as the equations read."""
         def sig(v):
             return 1.0 / (1.0 + np.exp(-v))
-        z = sig(x @ w.w_z + h @ w.u_z + w.b_z)
-        r = sig(x @ w.w_r + h @ w.u_r + w.b_r)
-        n = np.tanh(x @ w.w_n + r * (h @ w.u_n) + w.b_n)
+        z = sig(x @ p["w_z"] + h @ p["u_z"] + p["b_z"])
+        r = sig(x @ p["w_r"] + h @ p["u_r"] + p["b_r"])
+        n = np.tanh(x @ p["w_n"] + r * (h @ p["u_n"]) + p["b_n"])
         return (1.0 - z) * n + z * h
 
     @pytest.mark.parametrize("seed", range(4))
@@ -86,22 +89,22 @@ class TestGruCell:
     def test_matches_textbook_gru_with_random_weights(self, seed, batch):
         rng = np.random.default_rng(seed)
         in_dim, d = (64, 64) if seed % 2 else (40, 24)
-        w = GruLayerWeights(**{
+        parts = {
             f: rng.uniform(-1.0, 1.0, ((d,) if f.startswith("b_") else
                                        (in_dim if f.startswith("w_") else d, d)))
             for f in GRU_FIELDS
-        })
+        }
         for _ in range(5):
             x = rng.standard_normal(batch + (in_dim,))
             h = rng.uniform(-1.0, 1.0, batch + (d,))
-            got = gru_cell_step(x, h, w)
+            got = gru_cell_step(x, h, *fused(parts))
             assert got.shape == h.shape
-            np.testing.assert_allclose(got, self.textbook(x, h, w), rtol=0, atol=1e-14)
+            np.testing.assert_allclose(got, self.textbook(x, h, parts), rtol=0, atol=1e-14)
 
     def test_shape_mismatch_rejected(self):
         w = zero_gru(3, 4)
         with pytest.raises(ValueError):
-            gru_cell_step(np.zeros(5), np.zeros(4), w)
+            gru_cell_step(np.zeros(5), np.zeros(4), *w)
 
 
 class TestSigmoid:
@@ -141,30 +144,44 @@ class TestSigmoid:
 
 
 class TestFusedStorage:
-    """Each GRU layer owns w (in, 3d), u (d, 3d), b (3d,); the names are views."""
+    """The GRU stack is gru_w, gru_u (L, d, 3d) and gru_b (L, 3d), gates z|r|n;
+    the per-gate names are views of it."""
 
     def test_constructor_places_gates_in_z_r_n_order(self):
+        cfg = two_ms_config(3)
         rng = np.random.default_rng(9)
-        parts = {f: rng.standard_normal((2, 3) if f[0] == "w" else (3, 3) if f[0] == "u" else 3)
-                 for f in GRU_FIELDS}
-        layer = GruLayerWeights(**parts)
-        assert layer.w.shape == (2, 9) and layer.u.shape == (3, 9) and layer.b.shape == (9,)
-        for f in GRU_FIELDS:
-            assert np.array_equal(getattr(layer, f), parts[f]), f
-            assert not np.shares_memory(getattr(layer, f), parts[f]), f
+        arrays = {name: rng.standard_normal(shape) for name, shape in expected_shapes(cfg).items()}
+        slow = model_weights_from_arrays(cfg, arrays).slow
+        layers, d = cfg.gru_layers, cfg.gru_width
+        assert slow.gru_w.shape == slow.gru_u.shape == (layers, d, 3 * d)
+        assert slow.gru_b.shape == (layers, 3 * d)
+        for k in range(layers):
+            for f in GRU_FIELDS:
+                block = "zrn".index(f[-1])
+                stored = getattr(slow, f"gru_{f[0]}")[k, ..., block * d : (block + 1) * d]
+                assert np.array_equal(stored, arrays[f"slow.gru{k}.{f}"]), (k, f)
+                assert not np.shares_memory(stored, arrays[f"slow.gru{k}.{f}"]), (k, f)
 
     def test_named_arrays_share_the_fused_storage(self):
         weights = init_model_weights(two_ms_config(3), seed=0)
+        slow = weights.slow
         entries = dict(named_arrays(weights))
-        for k, layer in enumerate(weights.slow.gru):
-            for f in GRU_FIELDS:
-                fused = {"w": layer.w, "u": layer.u, "b": layer.b}[f[0]]
-                assert np.shares_memory(entries[f"slow.gru{k}.{f}"], fused), f
-
-    def test_gate_names_cannot_be_rebound(self):
-        layer = zero_gru(3, 4)
-        with pytest.raises(AttributeError):
-            layer.w_z = np.ones((3, 4))
+        stacks = {"w": slow.gru_w, "u": slow.gru_u, "b": slow.gru_b}
+        # numbering the entries through their views numbers every stored
+        # value once: the views tile the stacks, z|r|n within each layer
+        for stack in stacks.values():
+            stack[...] = -1.0
+        for i, f in enumerate(GRU_FIELDS):
+            for k in range(len(slow.gru_b)):
+                entry = entries[f"slow.gru{k}.{f}"]
+                assert np.shares_memory(entry, stacks[f[0]]), (k, f)
+                entry[...] = 10 * k + i
+        d = slow.gru_b.shape[-1] // 3
+        for kind, stack in stacks.items():
+            for k in range(len(stack)):
+                for block, gate in enumerate("zrn"):
+                    want = 10 * k + GRU_FIELDS.index(f"{kind}_{gate}")
+                    assert np.all(stack[k, ..., block * d : (block + 1) * d] == want), (kind, k)
 
     @pytest.mark.parametrize("field", ["w_z", "u_n", "b_r"])
     def test_writes_through_a_gate_view_reach_every_path(self, field):
@@ -173,7 +190,7 @@ class TestFusedStorage:
         x = np.random.default_rng(4).standard_normal(600) * 0.3
         offline = enhance_offline(x, weights, cfg).samples
         batch, _ = forward_batch(x[None], weights, cfg)
-        getattr(weights.slow.gru[1], field)[...] += 0.5
+        dict(named_arrays(weights))[f"slow.gru1.{field}"][...] += 0.5
         assert not np.array_equal(enhance_offline(x, weights, cfg).samples, offline)
         assert not np.array_equal(forward_batch(x[None], weights, cfg)[0], batch)
 
@@ -186,9 +203,10 @@ class TestFusedStorage:
             arr += 1.0
         for (name, arr), old in zip(named_arrays(weights), before):
             assert np.array_equal(arr, old), name
-        for layer, twin in zip(weights.slow.gru, clone.slow.gru):
-            assert not np.shares_memory(layer.w, twin.w)
-            assert np.shares_memory(twin.w_n, twin.w)
+        for kind in "wub":
+            stack, twin = getattr(weights.slow, f"gru_{kind}"), getattr(clone.slow, f"gru_{kind}")
+            assert not np.shares_memory(stack, twin), kind
+            assert np.shares_memory(dict(named_arrays(clone))[f"slow.gru2.{kind}_n"], twin), kind
 
     def test_training_caches_hold_no_wider_views(self):
         # each wavefront step keeps z|r alone, (hi - lo, B, 2d); a cached
@@ -200,10 +218,9 @@ class TestFusedStorage:
         _, cache = forward_batch(x, weights, cfg)
         n_slow, layers = cache.xs.shape[1], cfg.gru_layers
         assert n_slow > layers and len(cache.gates) == n_slow + layers - 1
-        for t, step in enumerate(cache.gates):
+        for t, zr in enumerate(cache.gates):
             lo, hi = max(0, t - n_slow + 1), min(layers, t + 1)
-            assert isinstance(step, tuple) and len(step) == 1, t
-            (zr,) = step
+            assert isinstance(zr, np.ndarray), t
             assert zr.shape == (hi - lo, 2, 2 * cfg.gru_width), t
             assert zr.base is None or zr.base.nbytes <= zr.nbytes, t
 
@@ -245,9 +262,8 @@ class TestSlowForward:
         w = random_slow("ssmm", 2, seed=0)
         for name in ("fc_in_w", "fc_in_b", "fc_head_w", "fc_head_b"):
             getattr(w, name)[...] = 0.0
-        for layer in w.gru:
-            for f in ("w_z", "w_r", "w_n", "u_z", "u_r", "u_n", "b_z", "b_r", "b_n"):
-                getattr(layer, f)[...] = 0.0
+        for stack in (w.gru_w, w.gru_u, w.gru_b):
+            stack[...] = 0.0
         (a, g), _ = slow_forward(np.zeros(8), initial_hidden(2, 6), w, "ssmm")
         assert np.allclose(a, 0.5) and np.allclose(g, 0.5)
 
