@@ -127,7 +127,8 @@ def expected_shapes(config: SlowFastConfig) -> dict[str, tuple[int, ...]]:
     """The parameter table: every array's name and shape, in canonical order.
 
     The order is ``named_arrays``' and the model file's, and ``_draw``
-    draws the initial values in it. Nothing else states a shape.
+    draws the initial values in it. Nothing else states a shape:
+    ``zero_weights`` allocates the stored arrays from it.
     """
     l_f, h = config.l_f, config.h
     shapes = _trunk_shapes(
@@ -139,44 +140,37 @@ def expected_shapes(config: SlowFastConfig) -> dict[str, tuple[int, ...]]:
     return shapes
 
 
-def _draw(shapes: dict[str, tuple[int, ...]], seed: int) -> dict[str, np.ndarray]:
-    """Initial values: each matrix uniform +-sqrt(1/rows), drawn in table
-    order from one generator; every vector (bias, warm-up raw) zero."""
-    rng = np.random.default_rng(seed)
-    arrays = {}
-    for name, shape in shapes.items():
-        if len(shape) == 2:
-            bound = np.sqrt(1.0 / shape[0])
-            arrays[name] = rng.uniform(-bound, bound, size=shape)
-        else:
-            arrays[name] = np.zeros(shape)
-    return arrays
-
-
-def _trunk_weights(arrays: dict[str, np.ndarray], layers: int) -> SlowBranchWeights:
-    """Trunk weights from named arrays: each layer's per-gate arrays fused
-    z|r|n and stacked in layer order, copies of ``arrays``' values."""
+def zero_weights(shapes: dict[str, tuple[int, ...]]) -> ModelWeights | SlowBranchWeights:
+    """Zeroed weights for a parameter table, each stored array allocated
+    once: ModelWeights for ``expected_shapes``, a bare trunk for
+    ``single_branch_shapes``. Only ``named_arrays`` knows where a named
+    array lies in them, so every builder fills them through it."""
+    layers = sum(name.endswith(".b_z") for name in shapes)
 
     def stack(kind: str) -> np.ndarray:
-        return np.stack([
-            np.concatenate([arrays[f"slow.gru{k}.{kind}_{gate}"] for gate in "zrn"], axis=-1)
-            for k in range(layers)
-        ])
+        *rows, d = shapes[f"slow.gru0.{kind}_z"]
+        return np.zeros((layers, *rows, 3 * d))
 
-    return SlowBranchWeights(
-        fc_in_w=arrays["slow.fc_in.w"],
-        fc_in_b=arrays["slow.fc_in.b"],
-        gru_w=stack("w"),
-        gru_u=stack("u"),
-        gru_b=stack("b"),
-        fc_head_w=arrays["slow.fc_head.w"],
-        fc_head_b=arrays["slow.fc_head.b"],
-        warmup_packet_raw=arrays["slow.warmup_raw"],
-    )
+    # the dataclasses list their other arrays in table order
+    rest = [np.zeros(shape) for name, shape in shapes.items() if not name.startswith("slow.gru")]
+    trunk = SlowBranchWeights(*rest[:2], stack("w"), stack("u"), stack("b"), *rest[2:5])
+    return ModelWeights(trunk, FastBranchWeights(*rest[5:])) if rest[5:] else trunk
+
+
+def _draw(weights: ModelWeights | SlowBranchWeights, seed: int) -> ModelWeights | SlowBranchWeights:
+    """Initial values, written into zeroed ``weights`` through ``named_arrays``:
+    each matrix uniform +-sqrt(1/rows), drawn in table order from one
+    generator; every vector (bias, warm-up raw) stays zero."""
+    rng = np.random.default_rng(seed)
+    for _, arr in named_arrays(weights):
+        if arr.ndim == 2:
+            bound = np.sqrt(1.0 / arr.shape[0])
+            arr[...] = rng.uniform(-bound, bound, size=arr.shape)
+    return weights
 
 
 def init_model_weights(config: SlowFastConfig, seed: int = 0) -> ModelWeights:
-    return model_weights_from_arrays(config, _draw(expected_shapes(config), seed))
+    return _draw(zero_weights(expected_shapes(config)), seed)
 
 
 def single_branch_shapes(config: SlowFastConfig) -> dict[str, tuple[int, ...]]:
@@ -186,7 +180,7 @@ def single_branch_shapes(config: SlowFastConfig) -> dict[str, tuple[int, ...]]:
 
 
 def init_single_branch_weights(config: SlowFastConfig, seed: int = 0) -> SlowBranchWeights:
-    return _trunk_weights(_draw(single_branch_shapes(config), seed), config.gru_layers)
+    return _draw(zero_weights(single_branch_shapes(config)), seed)
 
 
 def named_arrays(weights: ModelWeights | SlowBranchWeights) -> list[tuple[str, np.ndarray]]:
@@ -236,15 +230,14 @@ def check_weight_shapes(weights: ModelWeights | SlowBranchWeights, config: SlowF
 def model_weights_from_arrays(
     config: SlowFastConfig, arrays: dict[str, np.ndarray]
 ) -> ModelWeights:
-    """Assemble ModelWeights from canonically named arrays (see named_arrays)."""
-    check_shapes({name: arr.shape for name, arr in arrays.items()}, expected_shapes(config))
-    fast = FastBranchWeights(
-        f_in_w=arrays["fast.f_in.w"],
-        f_in_b=arrays["fast.f_in.b"],
-        f_out_w=arrays["fast.f_out.w"],
-        f_out_b=arrays["fast.f_out.b"],
-    )
-    return ModelWeights(slow=_trunk_weights(arrays, config.gru_layers), fast=fast)
+    """ModelWeights holding float64 copies of canonically named arrays (see
+    named_arrays); none shares memory with ``arrays``."""
+    shapes = expected_shapes(config)
+    check_shapes({name: arr.shape for name, arr in arrays.items()}, shapes)
+    weights = zero_weights(shapes)
+    for name, arr in named_arrays(weights):
+        arr[...] = arrays[name]
+    return weights
 
 
 def slow_frame_span(j: int, delta_s: int, l_s: int) -> tuple[int, int]:

@@ -43,7 +43,7 @@ class CostReport:
     algorithmic_latency_us: float
 
     @classmethod
-    def build(cls, slow_macs, fast_macs, slow_fps, fast_fps, l_f) -> "CostReport":
+    def build(cls, slow_macs, fast_macs, slow_fps, fast_fps, latency_us) -> "CostReport":
         total = (slow_macs * slow_fps + fast_macs * fast_fps) / 1e6
         return cls(
             slow_macs_per_frame=slow_macs,
@@ -51,7 +51,7 @@ class CostReport:
             slow_fps=slow_fps,
             fast_fps=fast_fps,
             total_m_macs_per_s=total,
-            algorithmic_latency_us=l_f / SAMPLE_RATE * 1e6,
+            algorithmic_latency_us=latency_us,
         )
 
 
@@ -69,7 +69,7 @@ def mac_count(config: SlowFastConfig) -> CostReport:
         fast_macs=_matrix_macs(shapes, "fast.") + VARIANTS[config.variant].mod_macs * config.h,
         slow_fps=SAMPLE_RATE / config.delta_s,
         fast_fps=SAMPLE_RATE / config.delta_f,
-        l_f=config.l_f,
+        latency_us=config.algorithmic_latency_us(),
     )
 
 
@@ -80,7 +80,7 @@ def single_branch_mac_count(config: SlowFastConfig) -> CostReport:
         fast_macs=_matrix_macs(single_branch_shapes(config), "slow."),
         slow_fps=0.0,
         fast_fps=SAMPLE_RATE / config.delta_f,
-        l_f=config.l_f,
+        latency_us=config.algorithmic_latency_us(),
     )
 
 

@@ -4,7 +4,9 @@ Layout: a text header (magic line, config key = value lines, payload size
 and checksum, one manifest line per array with byte offset and shape, then
 `end`), followed by the concatenated little-endian float32 arrays. The
 header is diff-friendly and language-portable; the checksum covers the
-payload. Files are written atomically via temp-file rename.
+payload. Files are written atomically via temp-file rename. Loading reads
+each array as a float32 view of the file's bytes and copies it once, as
+float64, into weights allocated from the config's parameter table.
 """
 
 from __future__ import annotations
@@ -171,7 +173,7 @@ def load_model(path) -> tuple[ModelWeights, SlowFastConfig]:
     except ValueError as exc:  # a non-integer value or an invalid geometry
         raise ModelParseError(f"{path}: {exc}") from exc
 
-    payload = data[pos:]
+    payload = memoryview(data)[pos:]  # read in place, not copied
     if len(payload) != payload_bytes:
         raise ModelChecksumError(
             f"{path}: payload is {len(payload)} bytes, header says {payload_bytes} "
@@ -202,10 +204,9 @@ def load_model(path) -> tuple[ModelWeights, SlowFastConfig]:
 
     arrays: dict[str, np.ndarray] = {}
     for name, (offset, shape) in manifest.items():
-        count = int(np.prod(shape))
-        arr = np.frombuffer(payload, dtype="<f4", count=count, offset=offset)
+        arr = np.frombuffer(payload, dtype="<f4", count=int(np.prod(shape)), offset=offset)
         if not np.isfinite(arr).all():
             raise ModelParseError(f"{path}: array {name} holds non-finite values")
-        arrays[name] = arr.astype(np.float64).reshape(shape)
+        arrays[name] = arr.reshape(shape)
 
     return model_weights_from_arrays(config, arrays), config

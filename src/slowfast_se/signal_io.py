@@ -152,6 +152,9 @@ def read_wav(path) -> AudioBuffer:
     while pos + 8 <= len(data):
         chunk_id = data[pos : pos + 4]
         (chunk_len,) = struct.unpack_from("<I", data, pos + 4)
+        if pos + 8 + chunk_len > len(data):
+            raise WavFormatError(f"{path}: {chunk_id.decode('latin-1')!r} chunk claims "
+                                 f"{chunk_len} bytes, the file holds {len(data) - pos - 8}")
         body = data[pos + 8 : pos + 8 + chunk_len]
         if chunk_id == b"fmt ":
             fmt = body

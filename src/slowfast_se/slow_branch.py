@@ -24,9 +24,11 @@ updates a gate array by name (the optimizer, gradient clipping, gradient
 checks, the model file) therefore reads and writes the one storage.
 
 This module runs the weights and does not make them: every array's name
-and shape is declared once, in engine.expected_shapes, and engine's
-init_model_weights and init_single_branch_weights draw the initial values
-from that table.
+and shape is declared once, in engine.expected_shapes. engine.zero_weights
+allocates the stored arrays from that table, and every builder (the initial
+draw, model_weights_from_arrays, load_model, backward's gradient set) fills
+them through engine.named_arrays, the only code that knows where a named
+array is stored.
 """
 
 from __future__ import annotations

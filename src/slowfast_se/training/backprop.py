@@ -66,7 +66,8 @@ variant's row of fast_branch.VARIANTS. ``forward_batch`` checks the weights'
 shapes against the config once, on entry.
 
 Gradients are keyed by the canonical array names from engine.named_arrays;
-``backward`` builds them as zeros from the parameter table.
+``backward`` takes them from ``engine.zero_weights`` for the parameter
+table, so the gradient set is laid out as the weights are.
 """
 
 from __future__ import annotations
@@ -80,8 +81,8 @@ from ..engine import (
     SlowFastConfig,
     check_weight_shapes,
     expected_shapes,
-    model_weights_from_arrays,
     named_arrays,
+    zero_weights,
 )
 from ..signal_io import frame_signal, make_window, overlap_add
 from ..fast_branch import VARIANTS
@@ -343,9 +344,7 @@ def backward(
     cfg = config
     # gradients keep the weights' layout, so the GRU entries are views of
     # one gradient stack that _gru_backward updates in place
-    grad_weights = model_weights_from_arrays(
-        cfg, {name: np.zeros(shape) for name, shape in expected_shapes(cfg).items()}
-    )
+    grad_weights = zero_weights(expected_shapes(cfg))
     grads: GradientSet = dict(named_arrays(grad_weights))
 
     # Each array is dropped once its last reader returns, so the trunk's

@@ -84,6 +84,18 @@ class TestExitCodes:
         assert err.startswith("error:") and err.count("\n") == 1, err
         assert "Traceback" not in err
 
+    def test_truncated_wav_reported(self, capsys, model_path, wav_path, tmp_path):
+        with open(wav_path, "rb") as fh:
+            data = fh.read()
+        with open(wav_path, "wb") as fh:
+            fh.write(data[:500])
+        code = run(["enhance", "--model", model_path, "--in", wav_path,
+                    "--out", str(tmp_path / "o.wav")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1, err
+        assert "chunk claims" in err and not (tmp_path / "o.wav").exists()
+
     @pytest.mark.parametrize("damage, error", [
         ("garbage bytes", ModelVersionError),
         ("malformed header", ModelParseError),

@@ -67,6 +67,15 @@ class TestRoundTrip:
         save_model(weights, cfg, again)
         assert again.read_bytes() == path.read_bytes()
 
+    def test_loaded_arrays_do_not_view_the_payload(self):
+        # each array is a float64 copy whose storage the weights own, not a
+        # view of the file's bytes
+        weights, _ = load_model(Path(__file__).parent / "data" / "tiny_ssmm.sfse")
+        for name, arr in named_arrays(weights):
+            owner = arr if arr.base is None else arr.base
+            assert arr.dtype == np.float64, name
+            assert isinstance(owner, np.ndarray) and owner.base is None, name
+
     def test_sample_level_config_roundtrip(self, tmp_path):
         cfg = sample_level_config("ec")
         weights = init_model_weights(cfg, seed=1)

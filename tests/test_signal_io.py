@@ -189,6 +189,15 @@ class TestWav:
         with pytest.raises(WavFormatError, match="RIFF"):
             read_wav(path)
 
+    def test_chunk_longer_than_the_file_rejected(self, tmp_path):
+        # a 1000-sample file cut to 500 bytes: its data chunk still claims 2000
+        path = tmp_path / "cut.wav"
+        write_wav(path, np.zeros(1000))
+        path.write_bytes(path.read_bytes()[:500])
+        message = "'data' chunk claims 2000 bytes, the file holds 456"
+        with pytest.raises(WavFormatError, match=message):
+            read_wav(path)
+
     def test_float32_wav_read(self, tmp_path):
         import struct
 

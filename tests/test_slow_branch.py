@@ -1,6 +1,7 @@
 """GRU cell, stacked gate-fused storage, slow trunk, head activations, warm-up packet."""
 
 import copy
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,8 +11,10 @@ from slowfast_se.engine import (
     enhance_offline,
     expected_shapes,
     init_model_weights,
+    init_single_branch_weights,
     model_weights_from_arrays,
     named_arrays,
+    sample_level_config,
     two_ms_config,
 )
 from slowfast_se.slow_branch import (
@@ -22,7 +25,11 @@ from slowfast_se.slow_branch import (
     slow_forward,
     warmup_packet,
 )
-from slowfast_se.training.backprop import forward_batch
+from slowfast_se.persistence import load_model
+from slowfast_se.training.backprop import backward, forward_batch
+from slowfast_se.training.losses import LossWeights, StftParams
+
+TINY_MODEL = Path(__file__).parent / "data" / "tiny_ssmm.sfse"
 
 
 def initial_hidden(layers, width):
@@ -143,6 +150,31 @@ class TestSigmoid:
             assert np.array_equal(x, before, equal_nan=True)
 
 
+def _stored(weights):
+    """A builder's named arrays and its three GRU stacks."""
+    trunk = getattr(weights, "slow", weights)
+    return dict(named_arrays(weights)), {kind: getattr(trunk, f"gru_{kind}") for kind in "wub"}
+
+
+def _gradient_set():
+    """``backward``'s gradient set, and the stacks its GRU entries view."""
+    cfg = two_ms_config(3)
+    x = np.random.default_rng(8).standard_normal((2, 200)) * 0.3
+    _, grads = backward((x, x), init_model_weights(cfg, seed=8), cfg,
+                        LossWeights(1.0, 0.3), StftParams(8, 4))
+    return grads, {kind: grads[f"slow.gru0.{kind}_z"].base for kind in "wub"}
+
+
+# every builder of a weight set (or a gradient set) and what it returns
+BUILDERS = {
+    "init_model_weights": lambda: _stored(init_model_weights(two_ms_config(3), seed=0)),
+    "init_single_branch_weights": lambda: _stored(
+        init_single_branch_weights(sample_level_config(), seed=0)),
+    "load_model": lambda: _stored(load_model(TINY_MODEL)[0]),
+    "backward": _gradient_set,
+}
+
+
 class TestFusedStorage:
     """The GRU stack is gru_w, gru_u (L, d, 3d) and gru_b (L, 3d), gates z|r|n;
     the per-gate names are views of it."""
@@ -151,7 +183,8 @@ class TestFusedStorage:
         cfg = two_ms_config(3)
         rng = np.random.default_rng(9)
         arrays = {name: rng.standard_normal(shape) for name, shape in expected_shapes(cfg).items()}
-        slow = model_weights_from_arrays(cfg, arrays).slow
+        weights = model_weights_from_arrays(cfg, arrays)
+        slow = weights.slow
         layers, d = cfg.gru_layers, cfg.gru_width
         assert slow.gru_w.shape == slow.gru_u.shape == (layers, d, 3 * d)
         assert slow.gru_b.shape == (layers, 3 * d)
@@ -160,28 +193,33 @@ class TestFusedStorage:
                 block = "zrn".index(f[-1])
                 stored = getattr(slow, f"gru_{f[0]}")[k, ..., block * d : (block + 1) * d]
                 assert np.array_equal(stored, arrays[f"slow.gru{k}.{f}"]), (k, f)
-                assert not np.shares_memory(stored, arrays[f"slow.gru{k}.{f}"]), (k, f)
+        # every array is a copy, so a later write to the input reaches none
+        for name, stored in named_arrays(weights):
+            assert np.array_equal(stored, arrays[name]), name
+            for given in arrays.values():
+                assert not np.shares_memory(stored, given), name
 
     def test_named_arrays_share_the_fused_storage(self):
-        weights = init_model_weights(two_ms_config(3), seed=0)
-        slow = weights.slow
-        entries = dict(named_arrays(weights))
-        stacks = {"w": slow.gru_w, "u": slow.gru_u, "b": slow.gru_b}
-        # numbering the entries through their views numbers every stored
-        # value once: the views tile the stacks, z|r|n within each layer
-        for stack in stacks.values():
-            stack[...] = -1.0
-        for i, f in enumerate(GRU_FIELDS):
-            for k in range(len(slow.gru_b)):
-                entry = entries[f"slow.gru{k}.{f}"]
-                assert np.shares_memory(entry, stacks[f[0]]), (k, f)
-                entry[...] = 10 * k + i
-        d = slow.gru_b.shape[-1] // 3
-        for kind, stack in stacks.items():
-            for k in range(len(stack)):
-                for block, gate in enumerate("zrn"):
-                    want = 10 * k + GRU_FIELDS.index(f"{kind}_{gate}")
-                    assert np.all(stack[k, ..., block * d : (block + 1) * d] == want), (kind, k)
+        for builder, build in BUILDERS.items():
+            entries, stacks = build()
+            for kind, stack in stacks.items():
+                assert stack.flags.c_contiguous and stack.base is None, (builder, kind)
+            # numbering the entries through their views numbers every stored
+            # value once: the views tile the stacks, z|r|n within each layer
+            layers, d = len(stacks["b"]), stacks["b"].shape[-1] // 3
+            for stack in stacks.values():
+                stack[...] = -1.0
+            for i, f in enumerate(GRU_FIELDS):
+                for k in range(layers):
+                    entry = entries[f"slow.gru{k}.{f}"]
+                    assert entry.base is stacks[f[0]], (builder, k, f)
+                    entry[...] = 10 * k + i
+            for kind, stack in stacks.items():
+                for k in range(layers):
+                    for block, gate in enumerate("zrn"):
+                        want = 10 * k + GRU_FIELDS.index(f"{kind}_{gate}")
+                        got = stack[k, ..., block * d : (block + 1) * d]
+                        assert np.all(got == want), (builder, kind, k)
 
     @pytest.mark.parametrize("field", ["w_z", "u_n", "b_r"])
     def test_writes_through_a_gate_view_reach_every_path(self, field):
