@@ -33,6 +33,12 @@ only, so it counts the memory the step takes anew, as the benchmark's
 the phase's boundaries and resets the peak, so each cell gives the live MiB
 at the phase's last boundary (for rest, the end of the step) and the peak
 MiB while the phase ran. The last column is the step's peak.
+
+The third table gives, per preset, tracemalloc's peak MiB over one
+``loop.evaluate_sisnr`` call on the same clips and start, the pass that
+scores a model once per epoch in ``train`` and in ``compare``. A warm-up call
+runs first, untraced. It runs before the phase wrappers go in, since they
+reset tracemalloc's peak at every boundary.
 """
 
 from __future__ import annotations
@@ -122,15 +128,34 @@ def install(meter: Meter) -> None:
         fast_branch.VARIANTS[name] = row._replace(adjoint=meter.wrap("adjoint", row.adjoint))
 
 
-def trainer(config):
-    """A callable that runs one training step, as the benchmark's trainer
-    does, on the batch of ``CLIPS`` clips from ``passthrough_start``, and
-    returns its gradients. Like that trainer, callers keep them until the
-    next step returns, since which step's arrays the heap reuses, and so
-    the page faults, depend on it."""
+def start(config):
+    """The batch of ``CLIPS`` clips and the ``passthrough_start`` weights
+    that every measurement of a preset runs on."""
     snrs = data.TRAIN_SNRS_DB
     batch = data.make_batch(list(range(CLIPS)), [snrs[i % len(snrs)] for i in range(CLIPS)])
-    weights = loop.passthrough_start(config, seed=0)
+    return batch, loop.passthrough_start(config, seed=0)
+
+
+def eval_peak(config) -> float:
+    """tracemalloc's peak MiB over one ``loop.evaluate_sisnr`` call, after
+    an untraced warm-up call."""
+    (noisy, clean), weights = start(config)
+    loop.evaluate_sisnr(weights, config, noisy, clean)
+    tracemalloc.start()
+    try:
+        loop.evaluate_sisnr(weights, config, noisy, clean)
+        return tracemalloc.get_traced_memory()[1] / MIB
+    finally:
+        tracemalloc.stop()
+
+
+def trainer(config):
+    """A callable that runs one training step, as the benchmark's trainer
+    does, on ``start``'s batch and weights, and returns its gradients. Like
+    that trainer, callers keep them until the next step returns, since
+    which step's arrays the heap reuses, and so the page faults, depend
+    on it."""
+    batch, weights = start(config)
     optimizer = loop.AdamOptimizer(weights)
     schedule = loop.TrainSchedule()
 
@@ -198,6 +223,7 @@ def main(argv=None) -> int:
     if args.steps < 1:
         ap.error("--steps must be at least 1")
     os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+    eval_peaks = {name: eval_peak(config) for name, config in PRESETS.items()}
     meter = Meter()
     install(meter)
     rows = [report(name, measure(config, args.steps, meter))
@@ -212,6 +238,10 @@ def main(argv=None) -> int:
     print("| preset | " + " | ".join(PHASES) + " | step peak MiB |")
     print("|---" * (len(PHASES) + 2) + "|")
     print("\n".join(memory_row for _, memory_row in rows))
+    print(f"\nloop.evaluate_sisnr, {CLIPS} clips, one call traced after a warm-up call")
+    print("| preset | peak MiB |")
+    print("|---|---|")
+    print("\n".join(f"| {name} | {peak:.1f} |" for name, peak in eval_peaks.items()))
     return 0
 
 

@@ -69,7 +69,8 @@ def _gru_cell(
 
     ``w``, ``u`` and ``b`` are one layer's slices of the stack, or a run of
     layers' (w, u (L, d, 3d), b (L, 1, 3d)) on (L, ..., d) inputs and states.
-    Returns (h', z|r, n, U h); training keeps z|r and rebuilds n and U_n h.
+    Returns (h', z|r, n, U h). The training forward keeps h' alone, and its
+    backward calls the cell again on the same inputs to rebuild the rest.
     """
     # Numpy's per-call overhead, not arithmetic, sets a slow frame's time, so
     # the cell makes as few calls as the math allows: the bias joins the input

@@ -5,11 +5,11 @@ clips and fully vectorized where the math allows (framing, FC layers,
 overlap-add); only the state recurrences stay sequential. Framing and
 overlap-add are signal_io's ``frame_signal`` and ``overlap_add``, shared with
 the losses, and the GRU stack runs slow_branch's ``_gru_cell``, the cell the
-streaming engine runs, here keeping each cell's z|r gate values. The backward
-pass is written by hand and retraces every step: overlap-add (whose adjoint
-is framing), f_out, the modulation, packet reuse (gradients from all frames
-sharing a packet accumulate into its slow frame), the GRU stack across slow
-frames, and the learned warm-up packet. Correctness is pinned by
+streaming engine runs; the backward runs it again to rebuild the gates. The
+backward pass is written by hand and retraces every step: overlap-add (whose
+adjoint is framing), f_out, the modulation, packet reuse (gradients from all
+frames sharing a packet accumulate into its slow frame), the GRU stack
+across slow frames, and the learned warm-up packet. Correctness is pinned by
 central-difference checks in the test suite.
 
 The GRU stack runs as a wavefront (``_trunk_forward``): on step t, layer k
@@ -52,14 +52,17 @@ only while a later phase reads it. ``forward_batch`` drops the windowed
 frames once ``u`` exists; ``backward`` frames the input again for f_in's
 weight gradient, with the same multiply and so the same bits. ``backward``
 unpacks the cache on entry and drops each array once its last reader
-returns, and ``_trunk_backward`` pops each step's gates off the cache's
-list as the reverse wavefront passes it. So the trunk's backward runs with
-only the trunk's cache alive, and that cache shrinks as it runs. Of each
-step's gates the cache keeps z|r alone, and ``_gru_backward`` rebuilds n
-and U_n h from the step's inputs, states and z|r, two small products per
-layer (``_gru_n``). 16 one-second clips at 2 ms take a 57.8 MiB step peak,
-against 78.8 MiB with n and U_n h cached and 95.6 MiB when the whole cache
-lived until ``backward`` returned (``scripts/step_split.py``).
+returns. The trunk forward keeps the wavefront's ``states`` and no gate
+of any step: the reverse wavefront runs ``_gru_cell`` again on each step's
+stored inputs and states, against the same slices of the stack, so the
+rebuilt z|r, n and U h are the forward's bits, and frees them once that
+step's adjoint returns. So the trunk's backward runs with only ``states``
+and one step's gates alive. The trade is time for memory: the rebuild is
+a second cell per step, about 40 ms of a 2 ms step on 16 one-second clips,
+and that step peaks at 37.0 MiB, against 57.8 MiB with each step's z|r
+cached, 78.8 MiB with all gates cached and 95.6 MiB when the whole cache
+lived until ``backward`` returned (``scripts/step_split.py``). A forward
+alone, as ``loop.evaluate_sisnr`` runs it, keeps no gates either.
 
 No variant code lives here: the modulation and its adjoint come from the
 variant's row of fast_branch.VARIANTS. ``forward_batch`` checks the weights'
@@ -102,45 +105,22 @@ class NonFiniteLossError(ValueError):
 
 class _Cache(NamedTuple):
     """What ``forward_batch`` keeps for ``backward``, in the order
-    ``backward`` unpacks it. ``backward`` drops the cache on entry and each
-    array once its last reader returns, and ``_trunk_backward`` pops each
-    step's gates, so a caller that keeps the cache keeps its arrays alive."""
+    ``backward`` unpacks it: whole-batch arrays alone, none per wavefront
+    step. ``backward`` drops the cache on entry and each array once its last
+    reader returns, so a caller that keeps the cache keeps its arrays alive."""
 
     u: np.ndarray               # (NF, B, H) f_in outputs
     groups: np.ndarray          # (NF,) packet-table index per fast frame
     xs: np.ndarray              # (B, J, LS) slow frames, a framing view
     states: np.ndarray          # (J+L, L+1, B, d) the wavefront's inputs and states
-    gates: list[np.ndarray]     # per step: z|r of the active layers
     top: np.ndarray             # (J, B, d) trunk outputs feeding the head, a view of states
     packet: tuple[np.ndarray, ...]  # (J+1, B, H) arrays; row 0 is the warm-up packet
     feat: np.ndarray            # (NF, B, width * H) f_out inputs
 
 
-def _gru_n(
-    x: np.ndarray, h_prev: np.ndarray, zr: np.ndarray,
-    w: np.ndarray, u: np.ndarray, b: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """``_gru_cell``'s n and U_n h, rebuilt from its inputs and its z|r.
-
-    Takes the cell's arguments (fused ``w``, ``u`` and ``b``) and returns
-    (n, U_n h), the products taken against the n column blocks alone. BLAS
-    gemm sums each output entry in an order that does not depend on the
-    number of columns, so these products give the fused products' bits, and
-    n follows ``_gru_cell``'s order of operations: both are bit for bit the
-    cell's (tests/test_gradients.py::TestRebuiltGates checks it).
-    """
-    d = h_prev.shape[-1]
-    uh_n = h_prev @ u[..., 2 * d :]
-    n = zr[..., d:] * uh_n
-    n += x @ w[..., 2 * d :] + b[..., 2 * d :]
-    np.tanh(n, out=n)
-    return n, uh_n
-
-
 def _gru_backward(
     x: np.ndarray,
     h_prev: np.ndarray,
-    zr: np.ndarray,
     dh: np.ndarray,
     w: np.ndarray,
     u: np.ndarray,
@@ -150,14 +130,14 @@ def _gru_backward(
     """Returns (dx, dh_prev) of ``_gru_cell`` and accumulates its weight gradients.
 
     Every array carries the same leading axes: ``x``, ``h_prev`` and ``dh``
-    are (L, B, d) stacks of layers, ``zr`` the cell's z|r of them,
-    ``w``, ``u`` and ``b`` the layers' fused (L, d, 3d) weights and (L, 1, 3d)
-    biases, and ``grads`` the same layers' slices of the gradient stacks,
-    (L, d, 3d), (L, d, 3d) and (L, 3d), added to in place.
-    The cache keeps z|r alone; n and U_n h are rebuilt here (``_gru_n``),
-    two (B, d) x (d, d) products and a tanh per layer. That halves the
-    cache for about 45 us per step at L=4, B=16, d=64 on one BLAS thread,
-    4-10% of a 2 ms training step in the benchmark (BENCH_17.json).
+    are (L, B, d) stacks of layers, ``w``, ``u`` and ``b`` the layers' fused
+    (L, d, 3d) weights and (L, 1, 3d) biases, and ``grads`` the same layers'
+    slices of the gradient stacks, (L, d, 3d), (L, d, 3d) and (L, 3d), added
+    to in place. The forward keeps no gates: the cell runs again here on the
+    step's stored inputs and states against the same weight slices, so its
+    z|r, n and U h are the forward's own bits. That second cell takes about
+    160 us per step at L=4, B=16, d=64 on one BLAS thread, where rebuilding
+    n and U_n h from a cached z|r took about 45 us.
     The gate pre-activation gradients stay side by side in the fused z|r|n
     column order, so each fused array takes one product for its gradient
     and one for the gradient it passes back. The gate gradients are built
@@ -165,10 +145,10 @@ def _gru_backward(
     preallocated array measured about 10% slower at B=16, d=64.
     """
     d = dh.shape[-1]
-    n, uh_n = _gru_n(x, h_prev, zr, w, u, b)
+    _, zr, n, uh = _gru_cell(x, h_prev, w, u, b)
     z = zr[..., :d]
     da_n = dh * (1.0 - z) * (1.0 - n * n)
-    dzr = np.concatenate([dh * (h_prev - n), da_n * uh_n], axis=-1)
+    dzr = np.concatenate([dh * (h_prev - n), da_n * uh[..., 2 * d :]], axis=-1)
     # through the sigmoids: d sig / d pre-activation = sig * (1 - sig)
     dzr *= zr
     dzr *= 1.0 - zr
@@ -191,18 +171,16 @@ def _wavefront(n_slow: int, layers: int):
         yield t, max(0, t - n_slow + 1), min(layers, t + 1)
 
 
-def _trunk_forward(
-    xs: np.ndarray, sw: SlowBranchWeights
-) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
+def _trunk_forward(xs: np.ndarray, sw: SlowBranchWeights) -> tuple[np.ndarray, np.ndarray]:
     """FC in and the GRU stack over (B, J, LS) slow frames, as a wavefront.
 
     Returns the top layer's outputs (J, B, d), a view of the states array,
-    then that array and each step's gates: the active layers' z|r alone,
-    (hi - lo, B, 2d), since ``_gru_backward`` rebuilds n and U_n h from the
-    states and z|r. ``states[t, 0]`` is slow frame t's FC-in output and
+    and that array; no step's gates outlive its cell, since ``_gru_backward``
+    runs the cell again. ``states[t, 0]`` is slow frame t's FC-in output and
     ``states[t, k + 1]`` the state layer k made on step t - 1 (zero before
     its first frame), so step t reads its inputs ``states[t, lo:hi]`` and
-    states ``states[t, lo + 1 : hi + 1]`` as two slices of one row.
+    states ``states[t, lo + 1 : hi + 1]`` as two slices of one row, which no
+    later step writes.
     """
     b, n_slow, _ = xs.shape
     w, u, bias = sw.gru_w, sw.gru_u, sw.gru_b[:, None]  # bias broadcasts over the batch
@@ -210,21 +188,16 @@ def _trunk_forward(
     states = np.zeros((n_slow + layers, layers + 1, b, d))
     fc_in = np.matmul(xs.swapaxes(0, 1), sw.fc_in_w, out=states[:n_slow, 0])
     fc_in += sw.fc_in_b
-    gates = []
     for t, lo, hi in _wavefront(n_slow, layers):
-        h, zr, _, _ = _gru_cell(
+        states[t + 1, lo + 1 : hi + 1] = _gru_cell(
             states[t, lo:hi], states[t, lo + 1 : hi + 1], w[lo:hi], u[lo:hi], bias[lo:hi]
-        )
-        states[t + 1, lo + 1 : hi + 1] = h
-        # z|r alone: the backward rebuilds n and U_n h (_gru_n)
-        gates.append(zr)
-    return states[layers:, layers], states, gates
+        )[0]
+    return states[layers:, layers], states
 
 
 def _trunk_backward(
     d_top: np.ndarray,
     states: np.ndarray,
-    gates: list[np.ndarray],
     sw: SlowBranchWeights,
     grad: SlowBranchWeights,
 ) -> np.ndarray:
@@ -234,8 +207,8 @@ def _trunk_backward(
 
     On step t, layer k's output gradient is the sum of what layer k + 1 passed
     down and what layer k passed back in time, both made on step t + 1.
-    The steps run last first, so each pops its gates off ``gates``, and a
-    step's gates are freed once its ``_gru_backward`` returns.
+    Each step's ``_gru_backward`` rebuilds its gates from ``states[t]`` and
+    frees them when it returns, so one step's gates are alive at a time.
     """
     n_slow, b, d = d_top.shape
     w, u, bias = sw.gru_w, sw.gru_u, sw.gru_b[:, None]  # as in the forward
@@ -248,7 +221,7 @@ def _trunk_backward(
         if hi == layers:
             down[layers] = d_top[t - layers + 1]
         down[lo:hi], carry[lo:hi] = _gru_backward(
-            states[t, lo:hi], states[t, lo + 1 : hi + 1], gates.pop(),
+            states[t, lo:hi], states[t, lo + 1 : hi + 1],
             down[lo + 1 : hi + 1] + carry[lo:hi], w[lo:hi], u[lo:hi], bias[lo:hi],
             tuple(g[lo:hi] for g in grads),
         )
@@ -295,7 +268,7 @@ def forward_batch(
     xs = np.zeros((b, 0, cfg.l_s))
     if n_slow > 0:
         xs = frame_signal(noisy, cfg.l_s, cfg.delta_s, pad + cfg.l_s - cfg.delta_s, n_slow)
-    top, states, gates = _trunk_forward(xs, sw)
+    top, states = _trunk_forward(xs, sw)
 
     # the packet table: row 0 is the warm-up packet, row j + 1 slow frame j's
     raw = np.empty((n_slow + 1, b, len(sw.warmup_packet_raw)))
@@ -310,7 +283,7 @@ def forward_batch(
     y = feat @ weights.fast.f_out_w
     y += weights.fast.f_out_b
     y *= window
-    cache = _Cache(u, groups, xs, states, gates, top, packet, feat)
+    cache = _Cache(u, groups, xs, states, top, packet, feat)
     return overlap_add(y.swapaxes(0, 1), cfg.delta_f)[:, pad : pad + n], cache
 
 
@@ -326,7 +299,7 @@ def backward(
     noisy = np.atleast_2d(np.asarray(noisy, dtype=np.float64))
     clean = np.atleast_2d(np.asarray(clean, dtype=np.float64))
     s_hat, cache = forward_batch(noisy, weights, config)
-    u, groups, xs, states, gates, top, packet, feat = cache
+    u, groups, xs, states, top, packet, feat = cache
     del cache
     loss, d_s_hat = total_loss_grad(s_hat, clean, lw, stft_params)
     if not np.isfinite(loss):
@@ -378,8 +351,8 @@ def backward(
     del draw_table, draw, top
 
     # ---- the GRU stack, a reverse wavefront over slow frames, then fc_in for all of them
-    d_in = _trunk_backward(d_top, states, gates, sw, grad_weights.slow)
-    del d_top, states, gates
+    d_in = _trunk_backward(d_top, states, sw, grad_weights.slow)
+    del d_top, states
     grads["slow.fc_in.w"] += _frame_product(xs.swapaxes(0, 1), d_in)
     grads["slow.fc_in.b"] += d_in.sum((0, 1))
 

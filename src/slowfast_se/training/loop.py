@@ -241,10 +241,10 @@ def train(
                     f"non-finite epoch loss {epoch_loss} at epoch {epoch} (lr={lr:.3e})"
                 )
             eval_score = evaluate_sisnr(weights, config, eval_noisy, eval_clean)
-            if np.isnan(eval_score):  # the epoch's last step broke the network
+            if not np.isfinite(eval_score):  # the epoch's last step broke the network
                 raise TrainingDivergedError(
                     f"training diverged at epoch {epoch} (lr={lr:.3e}, stage {stage}): "
-                    "evaluation SI-SNR is nan"
+                    f"evaluation SI-SNR is {eval_score}"
                 )
             record = EpochRecord(epoch=epoch, loss=epoch_loss, eval_sisnr=eval_score,
                                  lr=lr, stage=stage)

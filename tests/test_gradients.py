@@ -200,8 +200,8 @@ class TestTimeMajorLayout:
 
 class TestLifetimes:
     """``backward`` drops each array once its last reader returns: the trunk's
-    backward runs with only the trunk's cache alive, and frees each step's
-    gates as it goes."""
+    backward runs with only the trunk's cache alive, which holds no gates,
+    and frees each step's rebuilt gates as it goes."""
 
     @pytest.mark.parametrize("variant", ["ssmm", "film", "ec"])
     def test_trunk_backward_starts_with_the_fast_branch_freed(self, monkeypatch, variant):
@@ -256,52 +256,101 @@ class TestLifetimes:
         assert entered == [True]
 
     @pytest.mark.parametrize("variant", ["ssmm", "film", "ec"])
+    def test_no_cell_output_but_states_outlives_the_forward(self, monkeypatch, variant):
+        # the trunk forward copies each cell's h' into states and keeps no
+        # gate, so every array a forward cell returned is dead on return
+        config = SlowFastConfig(variant=variant, l_f=4, delta_f=2, reuse=2, h=3,
+                                gru_width=4, gru_layers=3)
+        weights = randomized_weights(config, seed=8)
+        x = tiny_batch(n=23, b=3, seed=9)[0]
+        refs = []
+
+        def spy_cell(*args):
+            out = cell(*args)
+            refs.append([weakref.ref(arr) for arr in out])
+            return out
+
+        cell = backprop._gru_cell
+        monkeypatch.setattr(backprop, "_gru_cell", spy_cell)
+        _, cache = forward_batch(x, weights, config)
+        assert len(refs) == cache.xs.shape[1] + config.gru_layers - 1 > config.gru_layers
+        alive = [(t, i) for t, step in enumerate(refs) for i, ref in enumerate(step)
+                 if ref() is not None]
+        assert alive == [], alive
+
+    @pytest.mark.parametrize("variant", ["ssmm", "film", "ec"])
     def test_each_steps_gates_die_before_the_step_below_runs(self, monkeypatch, variant):
+        # the reverse wavefront rebuilds a step's gates with the forward's
+        # cell, and frees them before it rebuilds the step below
         config = SlowFastConfig(variant=variant, l_f=4, delta_f=2, reuse=2, h=3,
                                 gru_width=4, gru_layers=3)
         weights = randomized_weights(config, seed=8)
         batch = tiny_batch(n=23, b=3, seed=9)
-        steps, seen = [], []
+        rebuilds, adjoints = [], []
 
-        def spy_forward(xs, sw):
-            top, states, gates = trunk_forward(xs, sw)
-            steps.extend(weakref.ref(zr) for zr in gates)
-            return top, states, gates
+        def spy_cell(*args):
+            if not adjoints:  # the forward's cells
+                return cell(*args)
+            assert len(rebuilds) == len(adjoints) - 1
+            alive = [(t, i) for t, step in enumerate(rebuilds)
+                     for i, ref in enumerate(step) if ref() is not None]
+            assert alive == [], alive
+            out = cell(*args)
+            rebuilds.append([weakref.ref(arr) for arr in out])
+            return out
 
-        def spy_gru_backward(x, h_prev, zr, *args):
-            t = len(steps) - 1 - len(seen)  # the reverse wavefront's step
-            assert steps[t]() is zr, t
-            assert all(ref() is None for ref in steps[t + 1 :]), t
-            seen.append(t)
-            return gru_backward(x, h_prev, zr, *args)
+        def spy_gru_backward(*args):
+            adjoints.append(True)
+            return gru_backward(*args)
 
-        trunk_forward, gru_backward = backprop._trunk_forward, backprop._gru_backward
-        monkeypatch.setattr(backprop, "_trunk_forward", spy_forward)
+        cell, gru_backward = backprop._gru_cell, backprop._gru_backward
+        monkeypatch.setattr(backprop, "_gru_cell", spy_cell)
         monkeypatch.setattr(backprop, "_gru_backward", spy_gru_backward)
         backward(batch, weights, config, LossWeights(1.0, 0.3), StftParams(4, 2))
-        assert len(steps) > config.gru_layers and seen == list(range(len(steps)))[::-1]
+        assert len(rebuilds) == len(adjoints) > config.gru_layers
+        assert all(ref() is None for step in rebuilds for ref in step)
 
 
 class TestRebuiltGates:
-    """The trunk cache keeps z|r alone; the backward rebuilds n and U_n h."""
+    """The trunk forward keeps no gates; each step of the reverse wavefront
+    runs the forward's cell again on the step's stored inputs and states."""
 
-    @pytest.mark.parametrize("batch, width", [(16, 64), (3, 4)], ids=["B16-d64", "tiny"])
-    @pytest.mark.parametrize("lo, hi", [(0, 4), (0, 2), (1, 4), (3, 4)],
-                             ids=["full", "ramp_up", "ramp_down", "top_only"])
-    def test_rebuilt_n_and_uh_n_equal_the_cells_bit_for_bit(self, batch, width, lo, hi):
+    @pytest.fixture(scope="class", params=[(16, 64), (3, 4)], ids=["B16-d64", "tiny"])
+    def cell_pairs(self, request):
+        """Per wavefront step: (lo, hi), the forward cell's outputs and the
+        outputs of that step's rebuild in the backward, at 4 layers and 6
+        slow frames, so the steps cover both ramps and the full stack."""
+        batch, width = request.param
         config = SlowFastConfig(variant="ssmm", l_f=4, delta_f=2, reuse=4, h=3,
                                 gru_width=width, gru_layers=4)
-        sw = randomized_weights(config, seed=width).slow
-        w, u, b = sw.gru_w, sw.gru_u, sw.gru_b[:, None]
-        rng = np.random.default_rng(batch)
-        # a wavefront step's inputs and states: two slices of one states row
-        row = rng.uniform(-1.0, 1.0, (5, batch, width))
-        x, h = row[lo:hi], row[lo + 1 : hi + 1]
-        _, zr, n, uh = slow_branch._gru_cell(x, h, w[lo:hi], u[lo:hi], b[lo:hi])
-        got_n, got_uh_n = backprop._gru_n(x, h, zr, w[lo:hi], u[lo:hi], b[lo:hi])
-        assert got_n.shape == got_uh_n.shape == (hi - lo, batch, width)
-        assert np.array_equal(got_n, n)
-        assert np.array_equal(got_uh_n, uh[..., 2 * width :])
+        weights = randomized_weights(config, seed=width)
+        clips = tiny_batch(n=clip_of_slow_frames(config, 6), b=batch, seed=batch)
+        outputs = []
+
+        def spy_cell(*args):
+            out = cell(*args)
+            outputs.append(out)
+            return out
+
+        cell = backprop._gru_cell
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(backprop, "_gru_cell", spy_cell)
+            backward(clips, weights, config, LossWeights(1.0, 0.3), StftParams(4, 2))
+        steps = list(backprop._wavefront(6, 4))
+        assert len(outputs) == 2 * len(steps)
+        # forward call t pairs with the t-th rebuild counted from the end
+        return [((lo, hi), outputs[t], outputs[-1 - t]) for t, lo, hi in steps]
+
+    @pytest.mark.parametrize("lo, hi", [(0, 4), (0, 2), (1, 4), (3, 4)],
+                             ids=["full", "ramp_up", "ramp_down", "top_only"])
+    def test_rebuilt_n_and_uh_n_equal_the_cells_bit_for_bit(self, cell_pairs, lo, hi):
+        matched = [(fwd, rebuilt) for span, fwd, rebuilt in cell_pairs if span == (lo, hi)]
+        assert matched
+        for fwd, rebuilt in matched:
+            # h', z|r, n and U h of the active layers
+            assert rebuilt[0].shape[0] == hi - lo
+            for want, got in zip(fwd, rebuilt, strict=True):
+                assert got.shape == want.shape and np.array_equal(got, want)
 
 
 def clip_of_slow_frames(config, n_slow):
@@ -328,7 +377,7 @@ class TestWavefront:
         config = stack_config(layers)
         sw = randomized_weights(config, seed=layers).slow
         xs = np.random.default_rng(n_slow).standard_normal((3, n_slow, config.l_s))
-        top, states, _ = backprop._trunk_forward(xs, sw)
+        top, states = backprop._trunk_forward(xs, sw)
         assert top.shape == (n_slow, 3, config.gru_width)
         hidden = [np.zeros((3, config.gru_width)) for _ in range(layers)]
         for j in range(n_slow):
@@ -388,38 +437,47 @@ class TestWavefront:
         steps = n_slow + layers - 1 if n_slow else 0
         assert calls == {"cell": steps, "adjoint": 0}
         backward(batch, weights, config, LossWeights(1.0, 0.3), StftParams(4, 2))
-        assert calls == {"cell": 2 * steps, "adjoint": steps}
+        # backward's own forward, then one rebuild inside each adjoint
+        assert calls == {"cell": 3 * steps, "adjoint": steps}
 
     def test_wavefront_reads_and_writes_the_stored_stacks(self, monkeypatch):
         # every cell's and adjoint's weight operands are slices of the
-        # weights' own stacks, and every adjoint adds into the gradient set's
-        # stacks, whose per-gate entries are the gradients backward returns
+        # weights' own stacks, each adjoint's rebuild runs on that adjoint's
+        # own inputs, states and weight slices, and every adjoint adds into
+        # the gradient set's stacks, whose per-gate entries are the
+        # gradients backward returns
         config = stack_config(4)
         weights = randomized_weights(config, seed=5)
         sw = weights.slow
-        operands = []
+        cells, adjoints = [], []
 
-        def spy_cell(x, h, w, u, b):
-            operands.append((w, u, b))
-            return cell(x, h, w, u, b)
+        def spy_cell(*args):
+            cells.append(args)
+            return cell(*args)
 
-        def spy_adjoint(x, h_prev, zr, dh, w, u, b, grads):
-            operands.append((w, u, b))
-            grad_operands.append(grads)
-            return adjoint(x, h_prev, zr, dh, w, u, b, grads)
+        def spy_adjoint(x, h_prev, dh, w, u, b, grads):
+            adjoints.append(((x, h_prev, w, u, b), grads))
+            return adjoint(x, h_prev, dh, w, u, b, grads)
 
-        cell, adjoint, grad_operands = backprop._gru_cell, backprop._gru_backward, []
+        cell, adjoint = backprop._gru_cell, backprop._gru_backward
         monkeypatch.setattr(backprop, "_gru_cell", spy_cell)
         monkeypatch.setattr(backprop, "_gru_backward", spy_adjoint)
         batch = tiny_batch(n=clip_of_slow_frames(config, 6), seed=23)
         _, grads = backward(batch, weights, config, LossWeights(1.0, 0.3), StftParams(4, 2))
-        assert len(grad_operands) == 6 + 4 - 1 and len(operands) == 2 * len(grad_operands)
-        for w, u, b in operands:
+        steps = 6 + 4 - 1
+        assert len(adjoints) == steps and len(cells) == 2 * steps
+        for i, (rebuild, (operands, _)) in enumerate(zip(cells[steps:], adjoints, strict=True)):
+            assert all(a is b for a, b in zip(rebuild, operands, strict=True)), i
+            # the reverse wavefront's step i reads the forward's own states row
+            forward = cells[steps - 1 - i]
+            for a, b in zip(rebuild[:2], forward[:2]):
+                assert np.shares_memory(a, b) and np.array_equal(a, b), i
+        for x, h, w, u, b in cells:
             assert np.shares_memory(w, sw.gru_w) and np.shares_memory(u, sw.gru_u)
             assert np.shares_memory(b, sw.gru_b)
-        full = grad_operands[len(grad_operands) // 2]  # a step of every layer
+        full = adjoints[len(adjoints) // 2][1]  # a step of every layer
         assert full[0].shape == sw.gru_w.shape and full[2].shape == sw.gru_b.shape
-        for step in grad_operands:
+        for _, step in adjoints:
             assert all(np.shares_memory(g, stack) for g, stack in zip(step, full))
         for k in range(4):
             for f in slow_branch.GRU_FIELDS:

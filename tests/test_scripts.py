@@ -80,22 +80,25 @@ def run_step_split(*args):
 
 @pytest.fixture(scope="module")
 def step_split_tables():
-    """One run of step_split: its time table and its memory table, each the
-    header followed by one row per preset, every row split into its cells."""
+    """One run of step_split: its time table, its memory table and its
+    evaluation table, each the header followed by one row per preset, every
+    row split into its cells."""
     proc = run_step_split("--steps", "1")
     assert proc.returncode == 0, proc.stderr
-    # two tables, each a title, a header, a rule and one row per preset
+    # three tables, each a title, a header, a rule and one row per preset
     tables = [[line.strip("| ").split(" | ") for line in block.splitlines()[1:]]
               for block in proc.stdout.split("\n\n")]
-    assert len(tables) == 2
-    for header, _, *rows in tables:
+    assert len(tables) == 3
+    for header, _, *rows in tables[:2]:
         assert header[1:7] == ["trunk fwd", "rest fwd", "loss", "adjoint", "trunk bwd", "rest"]
+    assert tables[2][0] == ["preset", "peak MiB"]
+    for _, _, *rows in tables:
         assert [row[0] for row in rows] == ["2ms-d3", "sample"]
     return [rows for _, _, *rows in tables]
 
 
 def test_step_split_prints_every_phase_of_both_presets(step_split_tables):
-    time_rows, _ = step_split_tables
+    time_rows, _, _ = step_split_tables
     for row in time_rows:
         phases = [[float(v) for v in cell.split(" / ")] for cell in row[1:7]]
         step_ms, step_faults, sys_ms = (float(v) for v in row[7].split(" / "))
@@ -106,13 +109,18 @@ def test_step_split_prints_every_phase_of_both_presets(step_split_tables):
 
 
 def test_step_memory_prints_every_phase_of_both_presets(step_split_tables):
-    _, memory_rows = step_split_tables
+    _, memory_rows, _ = step_split_tables
     for row in memory_rows:
         cells = [[float(v) for v in cell.split(" / ")] for cell in row[1:7]]
         # a phase's live memory at its last boundary is within its peak,
         # and the step's peak is the largest phase's
         assert all(0 <= live <= peak for live, peak in cells)
         assert float(row[7]) == max(peak for _, peak in cells) > 0
+
+
+def test_step_split_prints_the_evaluation_peak_of_both_presets(step_split_tables):
+    *_, eval_rows = step_split_tables
+    assert all(len(row) == 2 and float(row[1]) > 0 for row in eval_rows)
 
 
 def test_step_split_refuses_zero_steps():

@@ -26,7 +26,7 @@ from slowfast_se.slow_branch import (
     warmup_packet,
 )
 from slowfast_se.persistence import load_model
-from slowfast_se.training.backprop import backward, forward_batch
+from slowfast_se.training.backprop import _Cache, backward, forward_batch
 from slowfast_se.training.losses import LossWeights, StftParams
 
 TINY_MODEL = Path(__file__).parent / "data" / "tiny_ssmm.sfse"
@@ -247,20 +247,25 @@ class TestFusedStorage:
             assert np.shares_memory(dict(named_arrays(clone))[f"slow.gru2.{kind}_n"], twin), kind
 
     def test_training_caches_hold_no_wider_views(self):
-        # each wavefront step keeps z|r alone, (hi - lo, B, 2d); a cached
-        # array that views a wider product keeps the whole product alive
-        # for every cell of a training step
+        # the cache holds whole-batch arrays alone, no field per wavefront
+        # step: the backward rebuilds each step's gates from the states.
+        # Of the arrays it holds, only top views another, the states
         cfg = two_ms_config(3, "ssmm")
         weights = init_model_weights(cfg, seed=6)
         x = np.random.default_rng(7).standard_normal((2, 400)) * 0.3
         _, cache = forward_batch(x, weights, cfg)
         n_slow, layers = cache.xs.shape[1], cfg.gru_layers
-        assert n_slow > layers and len(cache.gates) == n_slow + layers - 1
-        for t, zr in enumerate(cache.gates):
-            lo, hi = max(0, t - n_slow + 1), min(layers, t + 1)
-            assert isinstance(zr, np.ndarray), t
-            assert zr.shape == (hi - lo, 2, 2 * cfg.gru_width), t
-            assert zr.base is None or zr.base.nbytes <= zr.nbytes, t
+        assert n_slow > layers
+        assert _Cache._fields == ("u", "groups", "xs", "states", "top", "packet", "feat")
+        assert not any(isinstance(field, list) for field in cache)
+        assert cache.states.shape == (n_slow + layers, layers + 1, 2, cfg.gru_width)
+        assert cache.top.base is cache.states
+        for name in ("u", "groups", "states", "feat"):
+            arr = getattr(cache, name)
+            assert arr.base is None or arr.base.nbytes <= arr.nbytes, name
+        for arr in cache.packet:
+            assert len(arr) == n_slow + 1
+            assert arr.base is None or arr.base.nbytes <= arr.nbytes
 
 
 class TestActivateHead:

@@ -13,7 +13,7 @@ from slowfast_se.engine import (
     sample_level_config,
     two_ms_config,
 )
-from slowfast_se.training import LossWeights, StftParams, forward_batch, make_batch, sisnr
+from slowfast_se.training import LossWeights, StftParams, forward_batch, loop, make_batch, sisnr
 from slowfast_se.training.loop import (
     STAGE1_PLATEAU,
     STAGE2_PLATEAU,
@@ -183,6 +183,16 @@ class TestTrain:
         w.fast.f_out_w[...] = 1e200
         with pytest.raises(TrainingDivergedError, match="epoch 1"):
             train(cfg, tiny_schedule(), init_weights=w)
+
+    def test_an_infinite_evaluation_is_divergence(self, monkeypatch):
+        # a network whose output is all zero scores -inf SI-SNR, which must
+        # end the run rather than reach the log
+        monkeypatch.setattr(loop, "evaluate_sisnr", lambda *args: -np.inf)
+        records = []
+        with pytest.raises(TrainingDivergedError, match="epoch 1 .*SI-SNR is -inf"):
+            train(tiny_config(), tiny_schedule(stage1_epochs=1, stage2_epochs=0),
+                  progress=records.append)
+        assert records == []
 
     def test_start_of_another_geometry_is_a_value_error(self):
         # only a non-finite loss is divergence; a wrong start is the caller's error
