@@ -60,9 +60,8 @@ step's adjoint returns. So the trunk's backward runs with only ``states``
 and one step's gates alive. The trade is time for memory: the rebuild is
 a second cell per step, about 40 ms of a 2 ms step on 16 one-second clips,
 and that step peaks at 37.0 MiB, against 57.8 MiB with each step's z|r
-cached, 78.8 MiB with all gates cached and 95.6 MiB when the whole cache
-lived until ``backward`` returned (``scripts/step_split.py``). A forward
-alone, as ``loop.evaluate_sisnr`` runs it, keeps no gates either.
+cached (``scripts/step_split.py``). A forward alone, as
+``loop.evaluate_sisnr`` runs it, keeps no gates either.
 
 No variant code lives here: the modulation and its adjoint come from the
 variant's row of fast_branch.VARIANTS. ``forward_batch`` checks the weights'
@@ -135,9 +134,9 @@ def _gru_backward(
     slices of the gradient stacks, (L, d, 3d), (L, d, 3d) and (L, 3d), added
     to in place. The forward keeps no gates: the cell runs again here on the
     step's stored inputs and states against the same weight slices, so its
-    z|r, n and U h are the forward's own bits. That second cell takes about
-    160 us per step at L=4, B=16, d=64 on one BLAS thread, where rebuilding
-    n and U_n h from a cached z|r took about 45 us.
+    z|r, n and U h are the forward's own bits. That second cell, about
+    160 us per step at L=4, B=16, d=64 on one BLAS thread, is the price of
+    a forward that keeps no gates.
     The gate pre-activation gradients stay side by side in the fused z|r|n
     column order, so each fused array takes one product for its gradient
     and one for the gradient it passes back. The gate gradients are built

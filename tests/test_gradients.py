@@ -1,5 +1,6 @@
 """Analytic BPTT gradients against the central-difference oracle."""
 
+import functools
 import weakref
 
 import numpy as np
@@ -311,44 +312,46 @@ class TestLifetimes:
         assert all(ref() is None for step in rebuilds for ref in step)
 
 
+@functools.cache
+def wavefront_cells(batch, width):
+    """Per wavefront step of one ``backward``: (lo, hi), the forward cell's
+    outputs and the outputs of that step's rebuild, at 4 layers and 6 slow
+    frames, so the steps cover both ramps and the full stack."""
+    config = SlowFastConfig(variant="ssmm", l_f=4, delta_f=2, reuse=4, h=3,
+                            gru_width=width, gru_layers=4)
+    weights = randomized_weights(config, seed=width)
+    clips = tiny_batch(n=clip_of_slow_frames(config, 6), b=batch, seed=batch)
+    outputs = []
+
+    def spy_cell(*args):
+        out = cell(*args)
+        outputs.append(out)
+        return out
+
+    cell = backprop._gru_cell
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(backprop, "_gru_cell", spy_cell)
+        backward(clips, weights, config, LossWeights(1.0, 0.3), StftParams(4, 2))
+    steps = list(backprop._wavefront(6, 4))
+    assert len(outputs) == 2 * len(steps)
+    # forward call t pairs with the t-th rebuild counted from the end
+    return [((lo, hi), outputs[t], outputs[-1 - t]) for t, lo, hi in steps]
+
+
 class TestRebuiltGates:
     """The trunk forward keeps no gates; each step of the reverse wavefront
     runs the forward's cell again on the step's stored inputs and states."""
 
-    @pytest.fixture(scope="class", params=[(16, 64), (3, 4)], ids=["B16-d64", "tiny"])
-    def cell_pairs(self, request):
-        """Per wavefront step: (lo, hi), the forward cell's outputs and the
-        outputs of that step's rebuild in the backward, at 4 layers and 6
-        slow frames, so the steps cover both ramps and the full stack."""
-        batch, width = request.param
-        config = SlowFastConfig(variant="ssmm", l_f=4, delta_f=2, reuse=4, h=3,
-                                gru_width=width, gru_layers=4)
-        weights = randomized_weights(config, seed=width)
-        clips = tiny_batch(n=clip_of_slow_frames(config, 6), b=batch, seed=batch)
-        outputs = []
-
-        def spy_cell(*args):
-            out = cell(*args)
-            outputs.append(out)
-            return out
-
-        cell = backprop._gru_cell
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(backprop, "_gru_cell", spy_cell)
-            backward(clips, weights, config, LossWeights(1.0, 0.3), StftParams(4, 2))
-        steps = list(backprop._wavefront(6, 4))
-        assert len(outputs) == 2 * len(steps)
-        # forward call t pairs with the t-th rebuild counted from the end
-        return [((lo, hi), outputs[t], outputs[-1 - t]) for t, lo, hi in steps]
-
+    @pytest.mark.parametrize("batch, width", [(16, 64), (3, 4)], ids=["B16-d64", "tiny"])
     @pytest.mark.parametrize("lo, hi", [(0, 4), (0, 2), (1, 4), (3, 4)],
                              ids=["full", "ramp_up", "ramp_down", "top_only"])
-    def test_rebuilt_n_and_uh_n_equal_the_cells_bit_for_bit(self, cell_pairs, lo, hi):
-        matched = [(fwd, rebuilt) for span, fwd, rebuilt in cell_pairs if span == (lo, hi)]
+    def test_rebuilt_n_and_uh_n_equal_the_cells_bit_for_bit(self, batch, width, lo, hi):
+        matched = [(fwd, rebuilt) for span, fwd, rebuilt in wavefront_cells(batch, width)
+                   if span == (lo, hi)]
         assert matched
         for fwd, rebuilt in matched:
             # h', z|r, n and U h of the active layers
-            assert rebuilt[0].shape[0] == hi - lo
+            assert rebuilt[0].shape == (hi - lo, batch, width)
             for want, got in zip(fwd, rebuilt, strict=True):
                 assert got.shape == want.shape and np.array_equal(got, want)
 
