@@ -12,8 +12,9 @@ and the last line names the largest relative gap, so a change that moves
 rounding on purpose reports by how much.
 
 The matrix is variant (ssmm, film, ec) x geometry (2 ms reuse 3, sample
-level, and l_f=8/delta_f=3/reuse=2/l_s=11, whose slow frame starts left of
-the first fast frame) x start weights (``passthrough_start`` and
+level, l_f=8/delta_f=3/reuse=2/l_s=11, whose slow frame starts left of the
+first fast frame, and 2 ms reuse 3 with a trunk of other sizes: width 16,
+two GRU layers, l_s=64) x start weights (``passthrough_start`` and
 ``init_model_weights``, seed 1). Per cell it records the start's own named
 arrays, the bytes of its saved ``.sfse`` file and the named arrays
 ``load_model`` reads back from it, ``enhance_offline`` of one clip, the same
@@ -69,6 +70,8 @@ def compute(tree: Path, model_file: Path) -> dict[str, np.ndarray]:
         "2ms-d3": lambda v: engine.two_ms_config(3, v),
         "sample": engine.sample_level_config,
         "lf8-df3-r2-ls11": lambda v: engine.SlowFastConfig(v, l_f=8, delta_f=3, reuse=2, h=6, l_s=11),
+        "2ms-d3-w16-L2-ls64": lambda v: engine.SlowFastConfig(
+            v, l_f=32, delta_f=16, reuse=3, h=32, l_s=64, gru_width=16, gru_layers=2),
     }
     starts = {
         "passthrough": lambda cfg: passthrough_start(cfg, seed=1),

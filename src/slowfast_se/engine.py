@@ -111,50 +111,47 @@ class ModelWeights:
     fast: FastBranchWeights
 
 
-def _trunk_shapes(l_in: int, width: int, layers: int, head: int) -> dict[str, tuple[int, ...]]:
-    """FC in from l_in samples, ``layers`` GRU layers of ``width``, a head of ``head``."""
-    vector, matrix = (width,), (width, width)
-    shapes = {"slow.fc_in.w": (l_in, width), "slow.fc_in.b": vector}
-    for k in range(layers):
-        for fname in GRU_FIELDS:
-            shapes[f"slow.gru{k}.{fname}"] = vector if fname.startswith("b_") else matrix
-    shapes.update({"slow.fc_head.w": (width, head), "slow.fc_head.b": (head,),
-                   "slow.warmup_raw": (head,)})
-    return shapes
+def _trunk(l_in: int, width: int, layers: int, head: int, alloc) -> SlowBranchWeights:
+    """FC in from l_in samples, ``layers`` GRU layers of ``width``, a head of
+    ``head``, each stored array ``alloc(shape)``."""
+    stack = (layers, width, 3 * width)
+    return SlowBranchWeights(alloc((l_in, width)), alloc((width,)), alloc(stack), alloc(stack),
+                             alloc((layers, 3 * width)), alloc((width, head)), alloc((head,)),
+                             alloc((head,)))
+
+
+def _model(config: SlowFastConfig, alloc) -> ModelWeights:
+    """The dual-rate network's stored arrays, each ``alloc(shape)``."""
+    l_f, h = config.l_f, config.h
+    trunk = _trunk(config.l_s, config.gru_width, config.gru_layers,
+                   packet_size(config.variant, h), alloc)  # checks the variant first
+    h_out = fast_branch.VARIANTS[config.variant].feat_width * h
+    return ModelWeights(trunk, FastBranchWeights(alloc((l_f, h)), alloc((h,)),
+                                                 alloc((h_out, l_f)), alloc((l_f,))))
+
+
+_ONE_FLOAT = bytes(8)
+
+
+def _stand_in(shape: tuple[int, ...]) -> np.ndarray:
+    """A read-only float64 array of ``shape`` whose every element is the
+    same 8 bytes: zero strides, no array memory."""
+    return np.ndarray(shape, strides=(0,) * len(shape), buffer=_ONE_FLOAT)
+
+
+def _shapes(weights: ModelWeights | SlowBranchWeights) -> dict[str, tuple[int, ...]]:
+    """Name -> shape of the weights' named arrays, in ``named_arrays`` order."""
+    return {name: arr.shape for name, arr in named_arrays(weights)}
 
 
 def expected_shapes(config: SlowFastConfig) -> dict[str, tuple[int, ...]]:
     """The parameter table: every array's name and shape, in canonical order.
 
-    The order is ``named_arrays``' and the model file's, and ``_draw``
-    draws the initial values in it. Nothing else states a shape:
-    ``zero_weights`` allocates the stored arrays from it.
+    The names and their order are ``named_arrays``' (and the model file's),
+    read over stand-ins from ``_model``, the one statement of each stored
+    array's shape. ``_draw`` draws the initial values in this order.
     """
-    l_f, h = config.l_f, config.h
-    shapes = _trunk_shapes(
-        config.l_s, config.gru_width, config.gru_layers, packet_size(config.variant, h)
-    )
-    h_out = fast_branch.VARIANTS[config.variant].feat_width * h
-    shapes.update({"fast.f_in.w": (l_f, h), "fast.f_in.b": (h,),
-                   "fast.f_out.w": (h_out, l_f), "fast.f_out.b": (l_f,)})
-    return shapes
-
-
-def zero_weights(shapes: dict[str, tuple[int, ...]]) -> ModelWeights | SlowBranchWeights:
-    """Zeroed weights for a parameter table, each stored array allocated
-    once: ModelWeights for ``expected_shapes``, a bare trunk for
-    ``single_branch_shapes``. Only ``named_arrays`` knows where a named
-    array lies in them, so every builder fills them through it."""
-    layers = sum(name.endswith(".b_z") for name in shapes)
-
-    def stack(kind: str) -> np.ndarray:
-        *rows, d = shapes[f"slow.gru0.{kind}_z"]
-        return np.zeros((layers, *rows, 3 * d))
-
-    # the dataclasses list their other arrays in table order
-    rest = [np.zeros(shape) for name, shape in shapes.items() if not name.startswith("slow.gru")]
-    trunk = SlowBranchWeights(*rest[:2], stack("w"), stack("u"), stack("b"), *rest[2:5])
-    return ModelWeights(trunk, FastBranchWeights(*rest[5:])) if rest[5:] else trunk
+    return _shapes(_model(config, _stand_in))
 
 
 def _draw(weights: ModelWeights | SlowBranchWeights, seed: int) -> ModelWeights | SlowBranchWeights:
@@ -170,17 +167,22 @@ def _draw(weights: ModelWeights | SlowBranchWeights, seed: int) -> ModelWeights 
 
 
 def init_model_weights(config: SlowFastConfig, seed: int = 0) -> ModelWeights:
-    return _draw(zero_weights(expected_shapes(config)), seed)
+    return _draw(_model(config, np.zeros), seed)
+
+
+def _single_branch(config: SlowFastConfig, alloc) -> SlowBranchWeights:
+    """The baseline: the same FC + GRU trunk, fed L_F samples, with its head
+    mapping straight to L_F samples."""
+    return _trunk(config.l_f, config.gru_width, config.gru_layers, config.l_f, alloc)
 
 
 def single_branch_shapes(config: SlowFastConfig) -> dict[str, tuple[int, ...]]:
-    """The baseline's parameter table: the same FC + GRU trunk, fed L_F
-    samples, with its head mapping straight to L_F samples."""
-    return _trunk_shapes(config.l_f, config.gru_width, config.gru_layers, config.l_f)
+    """The baseline's parameter table, read as ``expected_shapes`` is."""
+    return _shapes(_single_branch(config, _stand_in))
 
 
 def init_single_branch_weights(config: SlowFastConfig, seed: int = 0) -> SlowBranchWeights:
-    return _draw(zero_weights(single_branch_shapes(config)), seed)
+    return _draw(_single_branch(config, np.zeros), seed)
 
 
 def named_arrays(weights: ModelWeights | SlowBranchWeights) -> list[tuple[str, np.ndarray]]:
@@ -220,11 +222,26 @@ def check_shapes(shapes: dict[str, tuple], wanted: dict[str, tuple]) -> None:
         raise ValueError("; ".join(problems))
 
 
+def _stored_shapes(weights: ModelWeights | SlowBranchWeights) -> list[tuple[int, ...]]:
+    """The stored arrays' shapes, in the dataclasses' field order."""
+    parts = [weights] if isinstance(weights, SlowBranchWeights) else [weights.slow, weights.fast]
+    return [arr.shape for part in parts for arr in vars(part).values()]
+
+
 def check_weight_shapes(weights: ModelWeights | SlowBranchWeights, config: SlowFastConfig) -> None:
     """``check_shapes`` of the weights' named arrays against the config's
-    table: ``single_branch_shapes`` for a bare trunk, else ``expected_shapes``."""
-    table = single_branch_shapes if isinstance(weights, SlowBranchWeights) else expected_shapes
-    check_shapes({name: arr.shape for name, arr in named_arrays(weights)}, table(config))
+    table: ``single_branch_shapes`` for a bare trunk, else ``expected_shapes``.
+
+    Named arrays are views of the stored ones, so stored arrays shaped as
+    the config's stand-ins give every name its table shape. Only weights
+    whose stored shapes differ are named, to report each misshapen array:
+    a session's check makes no view and no table, and its construction
+    peaks lower under tracemalloc than one of its pushes.
+    """
+    bare = isinstance(weights, SlowBranchWeights)
+    wanted = (_single_branch if bare else _model)(config, _stand_in)
+    if _stored_shapes(weights) != _stored_shapes(wanted):
+        check_shapes(_shapes(weights), _shapes(wanted))
 
 
 def model_weights_from_arrays(
@@ -232,9 +249,8 @@ def model_weights_from_arrays(
 ) -> ModelWeights:
     """ModelWeights holding float64 copies of canonically named arrays (see
     named_arrays); none shares memory with ``arrays``."""
-    shapes = expected_shapes(config)
-    check_shapes({name: arr.shape for name, arr in arrays.items()}, shapes)
-    weights = zero_weights(shapes)
+    check_shapes({name: arr.shape for name, arr in arrays.items()}, expected_shapes(config))
+    weights = _model(config, np.zeros)
     for name, arr in named_arrays(weights):
         arr[...] = arrays[name]
     return weights

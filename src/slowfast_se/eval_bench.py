@@ -145,14 +145,18 @@ def output_hash(samples: np.ndarray) -> str:
 def benchmark_rtf(
     weights: ModelWeights, config: SlowFastConfig, seconds: float = 2.0, seed: int = 0
 ) -> RtfReport:
-    """Wall-clock to enhance `seconds` of audio divided by `seconds`.
+    """Wall-clock to enhance `seconds` of audio divided by the audio's length.
 
-    Audio is deterministic in the seed and the output hash matches a plain
-    enhance_offline call on the same input. All math runs on a single thread
-    (the per-frame matrices are far below any BLAS threading threshold).
+    The audio is `seconds` rounded to whole samples, and ``audio_seconds``
+    and the RTF count the samples processed; a duration shorter than one
+    sample raises ValueError. Audio is deterministic in the seed and the
+    output hash matches a plain enhance_offline call on the same input. All
+    math runs on a single thread (the per-frame matrices are far below any
+    BLAS threading threshold).
     """
-    if not (math.isfinite(seconds) and seconds > 0):
-        raise ValueError(f"seconds must be positive and finite, got {seconds}")
+    if not (math.isfinite(seconds) and seconds * SAMPLE_RATE >= 1):
+        raise ValueError(f"seconds must be finite and at least one sample "
+                         f"(1/{SAMPLE_RATE} s), got {seconds}")
     rng = np.random.default_rng(seed)
     n = int(round(seconds * SAMPLE_RATE))
     x = rng.standard_normal(n) * 0.3
@@ -160,9 +164,10 @@ def benchmark_rtf(
     t0 = time.perf_counter()
     out = enhance_offline(x, weights, config, stats)
     wall = time.perf_counter() - t0
+    audio_seconds = n / SAMPLE_RATE
     return RtfReport(
-        rtf=wall / seconds,
-        audio_seconds=seconds,
+        rtf=wall / audio_seconds,
+        audio_seconds=audio_seconds,
         wall_seconds=wall,
         slow_seconds=stats.slow_seconds,
         fast_seconds=stats.fast_seconds,

@@ -11,11 +11,11 @@ What differs between the variants lives in one table, ``VARIANTS``, whose
 columns ``Variant`` lists; the engine, the slow branch's head, training and
 the MAC model read it instead of branching on the variant.
 
-The weights' shapes and initial draw are not stated here: engine's
-parameter table (``expected_shapes``) declares every array, and
-``init_model_weights`` draws them. Weights are immutable after creation and
-shareable across threads. A step takes the state and the packet as plain
-arrays and returns a new state, so nothing it is given is mutated.
+The weights' shapes and initial draw are not stated here: ``engine._model``
+states every stored array's shape, and ``init_model_weights`` draws them.
+Weights are immutable after creation and shareable across threads. A step
+takes the state and the packet as plain arrays and returns a new state, so
+nothing it is given is mutated.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ def packet_size(variant: str, h: int) -> int:
 
 @dataclass
 class FastBranchWeights:
-    """f_in and f_out, each a matrix and a bias (shapes: engine.expected_shapes)."""
+    """f_in and f_out, each a matrix and a bias (shapes: engine._model)."""
 
     f_in_w: np.ndarray
     f_in_b: np.ndarray

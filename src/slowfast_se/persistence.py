@@ -6,7 +6,7 @@ and checksum, one manifest line per array with byte offset and shape, then
 header is diff-friendly and language-portable; the checksum covers the
 payload. Files are written atomically via temp-file rename. Loading reads
 each array as a float32 view of the file's bytes and copies it once, as
-float64, into weights allocated from the config's parameter table.
+float64, into weights allocated for the config.
 """
 
 from __future__ import annotations

@@ -172,18 +172,18 @@ def read_wav(path) -> AudioBuffer:
         raise WavFormatError(f"{path}: unsupported channel count {channels}, expected mono")
     if rate != SAMPLE_RATE:
         raise WavFormatError(f"{path}: unsupported sample rate {rate}, expected {SAMPLE_RATE}")
-    if audio_format == 1 and bits == 16:
-        raw = np.frombuffer(payload[: len(payload) // 2 * 2], dtype="<i2")
-        samples = raw.astype(np.float64) / _INT16_SCALE
-    elif audio_format == 3 and bits == 32:
-        raw = np.frombuffer(payload[: len(payload) // 4 * 4], dtype="<f4")
-        samples = raw.astype(np.float64)
-    else:
+    if (audio_format, bits) not in ((1, 16), (3, 32)):
         raise WavFormatError(
             f"{path}: unsupported codec (format tag {audio_format}, {bits}-bit); "
             "expected PCM 16-bit or IEEE float 32-bit"
         )
-    return AudioBuffer(samples)
+    width = bits // 8
+    if len(payload) % width:
+        raise WavFormatError(f"{path}: data chunk holds {len(payload)} bytes, "
+                             f"not a whole number of {width}-byte samples")
+    if audio_format == 1:
+        return AudioBuffer(np.frombuffer(payload, dtype="<i2").astype(np.float64) / _INT16_SCALE)
+    return AudioBuffer(np.frombuffer(payload, dtype="<f4").astype(np.float64))
 
 
 def write_wav(path, audio: AudioBuffer | np.ndarray) -> None:

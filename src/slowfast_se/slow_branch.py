@@ -23,12 +23,14 @@ of the stack that engine.named_arrays hands out. Everything that reads or
 updates a gate array by name (the optimizer, gradient clipping, gradient
 checks, the model file) therefore reads and writes the one storage.
 
-This module runs the weights and does not make them: every array's name
-and shape is declared once, in engine.expected_shapes. engine.zero_weights
-allocates the stored arrays from that table, and every builder (the initial
-draw, model_weights_from_arrays, load_model, backward's gradient set) fills
-them through engine.named_arrays, the only code that knows where a named
-array is stored.
+This module runs the weights and does not make them: each stored array's
+shape is stated once, in engine._trunk, which takes an allocator, and each
+name once, in engine.named_arrays, the only code that knows where a named
+array is stored. The parameter table, engine.expected_shapes, is the
+shapes of named_arrays over zero-stride stand-ins. Every builder (the
+initial draw, model_weights_from_arrays, load_model, backward's gradient
+set) allocates the arrays with np.zeros and fills them through
+named_arrays.
 """
 
 from __future__ import annotations
@@ -48,8 +50,8 @@ GRU_FIELDS = ("w_z", "w_r", "w_n", "u_z", "u_r", "u_n", "b_z", "b_r", "b_n")
 class SlowBranchWeights:
     """Trunk weights plus the learned warm-up packet parameter.
 
-    engine.expected_shapes gives their shapes: the head is the packet's raw
-    width P, or L_F samples in the single-branch baseline.
+    engine._trunk gives their shapes: the head is the packet's raw width P,
+    or L_F samples in the single-branch baseline.
     """
 
     fc_in_w: np.ndarray

@@ -68,8 +68,8 @@ variant's row of fast_branch.VARIANTS. ``forward_batch`` checks the weights'
 shapes against the config once, on entry.
 
 Gradients are keyed by the canonical array names from engine.named_arrays;
-``backward`` takes them from ``engine.zero_weights`` for the parameter
-table, so the gradient set is laid out as the weights are.
+``backward`` allocates them with ``engine._model``, the builder the
+weights come from, so the gradient set is laid out as the weights are.
 """
 
 from __future__ import annotations
@@ -81,10 +81,9 @@ import numpy as np
 from ..engine import (
     ModelWeights,
     SlowFastConfig,
+    _model,
     check_weight_shapes,
-    expected_shapes,
     named_arrays,
-    zero_weights,
 )
 from ..signal_io import frame_signal, make_window, overlap_add
 from ..fast_branch import VARIANTS
@@ -316,7 +315,7 @@ def backward(
     cfg = config
     # gradients keep the weights' layout, so the GRU entries are views of
     # one gradient stack that _gru_backward updates in place
-    grad_weights = zero_weights(expected_shapes(cfg))
+    grad_weights = _model(cfg, np.zeros)
     grads: GradientSet = dict(named_arrays(grad_weights))
 
     # Each array is dropped once its last reader returns, so the trunk's

@@ -143,6 +143,14 @@ class TestExitCodes:
         assert f"argument {argv[1]}" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_bench_rtf_shorter_than_one_sample_is_one_error_line(self, capsys, model_path):
+        # argparse takes 0.00001 s as positive, but it rounds to no sample
+        assert run(["bench-rtf", "--model", model_path, "--seconds", "0.00001"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: seconds")
+
 
 class TestBenchMac:
     def test_reuse_three_prints_total_near_39(self, capsys):

@@ -441,23 +441,41 @@ def assert_uniform_then_zero(arrays, seed):
             assert arr.ndim == 1 and not arr.any(), name
 
 
+# the presets and trunks of other sizes, each a function of the variant
+TABLE_GEOMETRIES = {
+    "2ms-d3": lambda v: two_ms_config(3, v),
+    "sample": sample_level_config,
+    "gru_layers=1": lambda v: dataclasses.replace(two_ms_config(3, v), gru_layers=1),
+    "gru_layers=2": lambda v: dataclasses.replace(two_ms_config(3, v), gru_layers=2),
+    "gru_width=16": lambda v: dataclasses.replace(two_ms_config(3, v), gru_width=16),
+    "l_s=40": lambda v: dataclasses.replace(two_ms_config(3, v), l_s=40),
+}
+
+
 class TestParameterTable:
     """One table, ``expected_shapes``, declares every array; init, assembly,
     shape checks and model files read it. The initial draw is pinned, since
     trained results (criterion 7's gain) depend on it."""
 
     @pytest.mark.parametrize("variant", ["ssmm", "film", "ec"])
-    @pytest.mark.parametrize("preset", ["2ms-d3", "sample"])
+    @pytest.mark.parametrize("preset", list(TABLE_GEOMETRIES))
     def test_model_init_draws_in_named_arrays_order(self, variant, preset):
-        cfg = two_ms_config(3, variant) if preset == "2ms-d3" else sample_level_config(variant)
-        arrays = named_arrays(init_model_weights(cfg, seed=3))
+        cfg = TABLE_GEOMETRIES[preset](variant)
+        w = init_model_weights(cfg, seed=3)
+        arrays = named_arrays(w)
         assert [name for name, _ in arrays] == list(expected_shapes(cfg))
         assert all(arr.shape == expected_shapes(cfg)[name] for name, arr in arrays)
+        d, layers, head = cfg.gru_width, cfg.gru_layers, fast_branch.packet_size(variant, cfg.h)
+        assert len(arrays) == 2 + 9 * layers + 3 + 4
+        assert (w.slow.fc_in_w.shape, w.slow.fc_head_w.shape) == ((cfg.l_s, d), (d, head))
+        assert w.slow.gru_w.shape == w.slow.gru_u.shape == (layers, d, 3 * d)
+        feat = fast_branch.VARIANTS[variant].feat_width * cfg.h
+        assert (w.fast.f_in_w.shape, w.fast.f_out_w.shape) == ((cfg.l_f, cfg.h), (feat, cfg.l_f))
         assert_uniform_then_zero(arrays, seed=3)
 
-    @pytest.mark.parametrize("preset", ["2ms-d3", "sample"])
+    @pytest.mark.parametrize("preset", list(TABLE_GEOMETRIES))
     def test_single_branch_init_draws_the_trunk_with_an_l_f_head(self, preset):
-        cfg = two_ms_config(3) if preset == "2ms-d3" else sample_level_config()
+        cfg = TABLE_GEOMETRIES[preset]("ssmm")
         w = init_single_branch_weights(cfg, seed=3)
         arrays = named_arrays(w)
         assert [name for name, _ in arrays] == list(single_branch_shapes(cfg))
@@ -466,6 +484,18 @@ class TestParameterTable:
         assert w.gru_w.shape == w.gru_u.shape == (cfg.gru_layers, d, 3 * d)
         assert w.gru_b.shape == (cfg.gru_layers, 3 * d)
         assert_uniform_then_zero(arrays, seed=3)
+
+    def test_tables_allocate_no_array_memory(self):
+        # the model's arrays take about 873 KB; the tables read zero-stride stand-ins
+        cfg = two_ms_config(3)
+        tracemalloc.start()
+        try:
+            expected_shapes(cfg)
+            single_branch_shapes(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
 
     def test_check_names_missing_extra_and_misshapen_arrays(self):
         cfg = two_ms_config(3)

@@ -158,11 +158,19 @@ class TestBenchmarkRtf:
         x = rng.standard_normal(4000) * 0.3
         assert report.output_sha256 == output_hash(enhance_offline(x, w, cfg).samples)
 
-    @pytest.mark.parametrize("seconds", [0.0, -1.0, float("inf"), float("nan")])
+    @pytest.mark.parametrize("seconds", [0.0, -1.0, float("inf"), float("nan"), 1e-5, 3e-5])
     def test_bad_duration_rejected(self, seconds):
+        # 1e-5 and 3e-5 s are shorter than one sample: they ran no audio
         cfg = two_ms_config(3)
         with pytest.raises(ValueError, match="seconds"):
             benchmark_rtf(init_model_weights(cfg, seed=0), cfg, seconds=seconds)
+
+    def test_audio_seconds_count_the_samples_run(self):
+        # 1e-4 s is 1.6 samples, and the run takes two
+        cfg = two_ms_config(3)
+        report = benchmark_rtf(init_model_weights(cfg, seed=0), cfg, seconds=1e-4)
+        assert report.audio_seconds == 2 / 16000
+        assert report.rtf == report.wall_seconds / report.audio_seconds
 
     def test_slow_share_shrinks_with_reuse(self):
         shares = []

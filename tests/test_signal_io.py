@@ -198,6 +198,27 @@ class TestWav:
         with pytest.raises(WavFormatError, match=message):
             read_wav(path)
 
+    @pytest.mark.parametrize("codec", ["pcm16", "float32"])
+    def test_data_chunk_with_a_partial_sample_rejected(self, codec, tmp_path):
+        # a trailing byte that is not a whole sample was dropped without a word
+        import struct
+
+        path = tmp_path / f"{codec}.wav"
+        if codec == "pcm16":
+            write_wav(path, np.array([0.1, 0.2, 0.3]))
+            payload, fmt = path.read_bytes()[44:] + b"\x07", (1, 32000, 2, 16)
+        else:
+            payload, fmt = np.array([0.25, -0.75], dtype="<f4").tobytes() + b"\x00\x00", (3, 64000, 4, 32)
+        path.write_bytes(b"".join([
+            b"RIFF", struct.pack("<I", 36 + len(payload)), b"WAVE",
+            b"fmt ", struct.pack("<IHHIIHH", 16, fmt[0], 1, 16000, *fmt[1:]),
+            b"data", struct.pack("<I", len(payload)), payload,
+        ]))
+        width = fmt[2]
+        message = f"data chunk holds {len(payload)} bytes, not a whole number of {width}-byte"
+        with pytest.raises(WavFormatError, match=message):
+            read_wav(path)
+
     def test_float32_wav_read(self, tmp_path):
         import struct
 
