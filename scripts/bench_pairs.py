@@ -27,7 +27,9 @@ parent's interquartile distance is wider than the bound times the parent's
 median and not every change run beats every parent run: its runs spread too
 widely for the bound to tell a change from the noise, such as a bimodal
 set-up time. Runs that fail their checks are listed and left out of the
-figures.
+figures. Each pair's entry under ``runs`` gives both sides' wall seconds,
+and the minor page faults and kernel seconds that
+``getrusage(RUSAGE_CHILDREN)`` counts for each run.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ import hashlib
 import json
 import os
 import platform
+import resource
 import subprocess
 import sys
 import time
@@ -48,11 +51,15 @@ HERE = Path(__file__).resolve().parent.parent
 
 
 def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+    """One benchmark run in ``tree``: its exit, wall seconds, metrics, and
+    the minor page faults and kernel seconds of the run's process tree."""
     cmd = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", "0"]
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
     t0 = time.perf_counter()
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
     wall = time.perf_counter() - t0
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
     lines = proc.stdout.strip().splitlines()
     try:
         result = json.loads(lines[-1])
@@ -60,6 +67,8 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
         result = {"correct": False, "metrics": {}}
     ok = proc.returncode == 0 and result.get("correct") is True
     return {"ok": ok, "exit": proc.returncode, "wall_s": round(wall, 1),
+            "minflt": after.ru_minflt - before.ru_minflt,
+            "sys_s": round(after.ru_stime - before.ru_stime, 3),
             "metrics": {k: v["value"] for k, v in result.get("metrics", {}).items()},
             "stderr": proc.stderr.strip()[-500:] if not ok else ""}
 
@@ -94,6 +103,16 @@ def summarize(spec: dict, pairs: list[dict]) -> dict:
             "parent_runs": par, "change_runs": chg,
         }
     return out
+
+
+def run_entries(pairs: list[dict]) -> list[dict]:
+    """Per pair: its seed, which side ran first, and each side's wall
+    seconds, minor page faults and kernel seconds. An allocator that hands
+    memory back to the kernel and takes it again shows as faults and kernel
+    time that the metrics do not name."""
+    return [{"seed": p["seed"], "first": p["first"],
+             **{f"{side}_{key}": p[side][key] for side in ("parent", "change")
+                for key in ("wall_s", "minflt", "sys_s")}} for p in pairs]
 
 
 def git_head(tree: Path) -> str | None:
@@ -170,9 +189,7 @@ def main(argv=None) -> int:
             "failed_runs": [{"seed": p["seed"], "side": s, "exit": p[s]["exit"],
                              "stderr": p[s]["stderr"]}
                             for p in pairs for s in ("parent", "change") if not p[s]["ok"]],
-            "runs": [{"seed": p["seed"], "first": p["first"],
-                      "parent_wall_s": p["parent"]["wall_s"],
-                      "change_wall_s": p["change"]["wall_s"]} for p in pairs],
+            "runs": run_entries(pairs),
         }
         for name, m in metrics.items():
             verdict = (", unresolved" if m["unresolved"]

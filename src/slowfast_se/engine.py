@@ -27,8 +27,11 @@ that trivially.
 
 from __future__ import annotations
 
+import dataclasses
+import numbers
 import operator
 import time
+import typing
 from collections import deque
 from dataclasses import dataclass
 
@@ -40,6 +43,18 @@ from .signal_io import SAMPLE_RATE, AudioBuffer, as_mono, frame_signal, make_win
 from .slow_branch import GRU_FIELDS, SlowBranchWeights, slow_forward, warmup_packet
 
 PAPER_DELTAS = (1, 2, 3, 4, 5, 10)
+
+
+def check_integer_fields(obj, kind: str) -> None:
+    """ValueError naming the first ``int`` field of dataclass ``obj`` whose
+    value is not an integer. Any integral type passes, numpy's too, but a
+    bool does not."""
+    types = typing.get_type_hints(type(obj))
+    for field in dataclasses.fields(obj):
+        value = getattr(obj, field.name)
+        if types[field.name] is int and (
+                isinstance(value, bool) or not isinstance(value, numbers.Integral)):
+            raise ValueError(f"{kind} key {field.name} = {value!r}: expected an integer")
 
 
 @dataclass(frozen=True)
@@ -58,6 +73,7 @@ class SlowFastConfig:
 
     def __post_init__(self):
         check_variant(self.variant)
+        check_integer_fields(self, "config")
         if self.delta_s == 0:
             object.__setattr__(self, "delta_s", self.reuse * self.delta_f)
         if self.l_s == 0:
@@ -298,10 +314,10 @@ class StreamSession:
     length, as long as the caller pulls.
 
     Overlap-add is carried in the frame: the carry is the fast_pad sums that
-    earlier frames left on the next frame's span, then delta_f zeros. Each
-    windowed frame output is added to it; the first delta_f sums are final
-    and the rest is the next carry, so every output sample sums its frames
-    in frame order from +0.0, as ``overlap_add`` does.
+    earlier frames left on the next frame's span. Each windowed frame output
+    takes the carry into its first fast_pad samples in place; its first
+    delta_f samples are then final and the rest is the next carry, so every
+    output sample sums its frames in frame order, as ``overlap_add`` does.
 
     The variant is bound once: the constructor looks the step function up by
     name in ``fast_branch.VARIANTS``, so a wrapper installed on
@@ -322,8 +338,8 @@ class StreamSession:
         self._origin = min(0, config.delta_s - config.l_s)
         self._input = np.zeros(config.fast_pad - self._origin)
         self._n_in = 0
-        # OLA sums over the next fast frame's span, zero past fast_pad
-        self._carry = np.zeros(config.l_f)
+        # OLA sums over the next fast frame's first fast_pad samples
+        self._carry = np.zeros(config.fast_pad)
         self._output: deque[np.ndarray] = deque()  # final, not yet pulled, in order
         self._available = 0
         self._next_fast = 0
@@ -364,10 +380,10 @@ class StreamSession:
                 self._run_slow()
             at = i * df - origin
             h, y = step(h, inp[at : at + lf] * window, self._packet, fast)
-            sums = np.zeros(lf + df)  # the tail stays zero for the next carry
-            np.add(carry, y * window, out=sums[:lf])
-            finals.append(sums[:df])
-            carry = sums[df:]
+            y *= window  # a fresh array, which becomes this frame's sums
+            y[:pad] += carry
+            finals.append(y[:df])
+            carry = y[df:]
         stats.fast_seconds += time.perf_counter() - t0 - (stats.slow_seconds - slow_s)
         stats.fast_frames += frames - i0
         self._h, self._carry, self._next_fast = h, carry, frames

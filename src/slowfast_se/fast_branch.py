@@ -120,10 +120,15 @@ class Variant(NamedTuple):
     ``groups`` (NF,), each frame's row, numbering runs of consecutive frames
     0, 1, ..., all of one length but the last. ``modulate`` returns the f_out
     input (NF, B, feat_width * H) as a fresh C-contiguous array. The adjoint
-    returns ``du`` (NF, B, H) and d_raw_table (G, B, raw width), which
-    includes the head's derivative. It owns its first argument, the gradient
-    at the f_out input: the caller makes it fresh and drops it, so the
-    adjoint may overwrite it and hand it back as ``du``.
+    returns ``du`` (NF, B, H) and the derivative at the raw head output as
+    one (G, B, H) table per packet field, in ``fields`` order; concatenated
+    on the last axis, they are the raw table's gradient.
+
+    The adjoint owns three of its arguments: the gradient at the f_out
+    input, ``u`` and the f_out input. The caller hands them over and reads
+    none of them afterwards, so the adjoint may overwrite all three, using
+    them as scratch, and hands the first back as ``du``. It reads the packet
+    and ``groups`` and leaves them as they are.
 
     Only a true recurrence runs frame by frame: ssmm's modulate loops over
     frames for ``h_i = a_i h_{i-1} + (g u)_i`` alone, and its adjoint for
@@ -139,7 +144,7 @@ class Variant(NamedTuple):
     feat_width: int          # f_out input width, in multiples of H
     mod_macs: int            # multiplies per state channel between f_in and f_out
     modulate: Callable       # (u, packet, groups) -> f_out input
-    adjoint: Callable        # (d f_out input, u, packet, groups, f_out input) -> (du, d_raw)
+    adjoint: Callable        # (d f_out input, u, packet, groups, f_out input) -> (du, d_fields)
     start_raw: tuple[float, ...]  # each field's raw head value at the training start
 
 
@@ -182,24 +187,20 @@ def _ssmm_adjoint(dfeat, u, p, groups, feat):
     dh = dfeat
     for k, dh_next, dh_i in zip(groups[:0:-1].tolist(), dh[::-1], dh[-2::-1]):
         dh_i += a[k] * dh_next
-    # one buffer holds each group sum's terms: dh_i h_{i-1} (h_{-1} = 0), then
-    # dh_i u_i, then the gathered g_i that turns dh into du. The sums are
-    # contiguous: summed straight into the head derivative's column halves,
-    # they took 14 ms against 3 at sample level
-    terms = np.empty_like(dh)
-    terms[0] = 0.0
-    np.multiply(dh[1:], feat[:-1], out=terms[1:])
-    da = _group_sums(terms, groups)
-    dg = _group_sums(np.multiply(dh, u, out=terms), groups)
-    dh *= np.take(g, groups, axis=0, out=terms, mode="clip")  # now du
-    del terms
-    # sigmoid heads: d sig / d raw = sig * (1 - sig), into the halves of d_raw
-    h = a.shape[-1]
-    d_raw = np.empty(a.shape[:-1] + (2 * h,))
-    for half, d, s in ((d_raw[..., :h], da, a), (d_raw[..., h:], dg, g)):
-        np.multiply(d, s, out=half)
-        half *= 1.0 - s
-    return dh, d_raw
+    # u holds each group sum's terms, dh_i u_i and then dh_i h_{i-1} (h_{-1}
+    # = 0), and feat the gathered g_i that turns dh into du
+    dg = _group_sums(np.multiply(dh, u, out=u), groups)
+    u[0] = 0.0
+    np.multiply(dh[1:], feat[:-1], out=u[1:])
+    da = _group_sums(u, groups)
+    dh *= np.take(g, groups, axis=0, out=feat, mode="clip")  # now du
+    # sigmoid heads: d sig / d raw = sig * (1 - sig), in the sums' own
+    # tables, with 1 - sig formed in u's first rows
+    one_minus = u[: len(a)]
+    for d, s in ((da, a), (dg, g)):
+        d *= s
+        d *= np.subtract(1.0, s, out=one_minus)
+    return dh, (da, dg)
 
 
 def _film_modulate(u, p, groups):
@@ -212,10 +213,10 @@ def _film_modulate(u, p, groups):
 
 def _film_adjoint(dfeat, u, p, groups, feat):
     # alpha = 1 + raw and beta = raw, so the head passes gradients unchanged
-    terms = np.multiply(dfeat, u)
-    d_raw = np.concatenate([_group_sums(terms, groups), _group_sums(dfeat, groups)], axis=-1)
-    dfeat *= np.take(p[0], groups, axis=0, out=terms, mode="clip")  # now du
-    return dfeat, d_raw
+    d_alpha = _group_sums(np.multiply(dfeat, u, out=u), groups)
+    d_beta = _group_sums(dfeat, groups)
+    dfeat *= np.take(p[0], groups, axis=0, out=u, mode="clip")  # now du
+    return dfeat, (d_alpha, d_beta)
 
 
 def _ec_modulate(u, p, groups):
@@ -224,7 +225,7 @@ def _ec_modulate(u, p, groups):
 
 def _ec_adjoint(dfeat, u, p, groups, feat):
     h = u.shape[-1]
-    return dfeat[..., :h], _group_sums(dfeat[..., h:], groups)
+    return dfeat[..., :h], (_group_sums(dfeat[..., h:], groups),)
 
 
 # raw head value of the ssmm transition a and input gate g at the training

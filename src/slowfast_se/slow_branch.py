@@ -11,7 +11,10 @@ matrix/vector ops broadcast over leading batch axes, so the one cell
 ``gru_cell_step``, once per layer per slow frame, on 1-D state and one
 layer's (d, 3d) slice of the stack. Batched training (training.backprop)
 calls it directly, once per step of a wavefront over the whole stack:
-(L, B, d) inputs and states against slices of the stack itself.
+(L, B, d) inputs and states against slices of the stack itself. The cell
+is its gates, ``_gru_gates``, and the update h' made of them; training's
+backward runs ``_gru_gates`` alone to rebuild a step's gates, so it makes
+no h' it would throw away.
 
 The GRU stack is stored as three gate-fused arrays: ``gru_w`` and ``gru_u``
 (L, d, 3d) and ``gru_b`` (L, 3d), layer k at index k and the gate blocks of
@@ -64,21 +67,21 @@ class SlowBranchWeights:
     warmup_packet_raw: np.ndarray
 
 
-def _gru_cell(
+def _gru_gates(
     x: np.ndarray, h: np.ndarray, w: np.ndarray, u: np.ndarray, b: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """z|r = sig(..), n = tanh(W_n x + r*(U_n h) + b_n), h' = (1-z)n + z h.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """z|r = sig(..) and n = tanh(W_n x + r*(U_n h) + b_n): returns (z|r, n, U h).
 
     ``w``, ``u`` and ``b`` are one layer's slices of the stack, or a run of
     layers' (w, u (L, d, 3d), b (L, 1, 3d)) on (L, ..., d) inputs and states.
-    Returns (h', z|r, n, U h). The training forward keeps h' alone, and its
-    backward calls the cell again on the same inputs to rebuild the rest.
+    ``_gru_cell`` makes h' of them; the training backward calls this alone
+    to rebuild a step's gates from the step's stored inputs and states.
     """
     # Numpy's per-call overhead, not arithmetic, sets a slow frame's time, so
-    # the cell makes as few calls as the math allows: the bias joins the input
-    # product once, n is built in its own buffer, and h' = n + z (h - n) takes
-    # three calls, not four. One layer's products use .dot, the BLAS call of @
-    # with less overhead; .dot does not broadcast, so a stack takes matmul.
+    # the gates take as few calls as the math allows: the bias joins the input
+    # product once and n is built in its own buffer. One layer's products use
+    # .dot, the BLAS call of @ with less overhead; .dot does not broadcast, so
+    # a stack takes matmul.
     product = np.matmul if w.ndim > 2 else np.ndarray.dot
     d = h.shape[-1]
     a = product(x, w)
@@ -88,7 +91,16 @@ def _gru_cell(
     n = zr[..., d:] * uh[..., 2 * d :]
     n += a[..., 2 * d :]
     np.tanh(n, out=n)
-    return n + zr[..., :d] * (h - n), zr, n, uh
+    return zr, n, uh
+
+
+def _gru_cell(
+    x: np.ndarray, h: np.ndarray, w: np.ndarray, u: np.ndarray, b: np.ndarray
+) -> np.ndarray:
+    """h' = (1-z)n + z h of ``_gru_gates``' z and n, on the same operands;
+    h' = n + z (h - n) takes three calls, not four."""
+    zr, n, _ = _gru_gates(x, h, w, u, b)
+    return n + zr[..., : h.shape[-1]] * (h - n)
 
 
 def gru_cell_step(
@@ -101,7 +113,7 @@ def gru_cell_step(
             f"gru shape mismatch: x has {x.shape[-1]} features (want {w.shape[0]}), "
             f"h has {h.shape[-1]} (want {u.shape[0]})"
         )
-    return _gru_cell(x, h, w, u, b)[0]
+    return _gru_cell(x, h, w, u, b)
 
 
 def activate_head(raw: np.ndarray, variant: str) -> tuple[np.ndarray, ...]:

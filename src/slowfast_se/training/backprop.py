@@ -5,12 +5,13 @@ clips and fully vectorized where the math allows (framing, FC layers,
 overlap-add); only the state recurrences stay sequential. Framing and
 overlap-add are signal_io's ``frame_signal`` and ``overlap_add``, shared with
 the losses, and the GRU stack runs slow_branch's ``_gru_cell``, the cell the
-streaming engine runs; the backward runs it again to rebuild the gates. The
-backward pass is written by hand and retraces every step: overlap-add (whose
-adjoint is framing), f_out, the modulation, packet reuse (gradients from all
-frames sharing a packet accumulate into its slow frame), the GRU stack
-across slow frames, and the learned warm-up packet. Correctness is pinned by
-central-difference checks in the test suite.
+streaming engine runs; the backward runs the cell's gates, ``_gru_gates``,
+again to rebuild them. The backward pass is written by hand and retraces
+every step: overlap-add (whose adjoint is framing), f_out, the modulation,
+packet reuse (gradients from all frames sharing a packet accumulate into
+its slow frame), the GRU stack across slow frames, and the learned warm-up
+packet. Correctness is pinned by central-difference checks in the test
+suite.
 
 The GRU stack runs as a wavefront (``_trunk_forward``): on step t, layer k
 runs slow frame t - k, whose input layer k - 1 made on step t - 1. So the
@@ -53,15 +54,23 @@ frames once ``u`` exists; ``backward`` frames the input again for f_in's
 weight gradient, with the same multiply and so the same bits. ``backward``
 unpacks the cache on entry and drops each array once its last reader
 returns. The trunk forward keeps the wavefront's ``states`` and no gate
-of any step: the reverse wavefront runs ``_gru_cell`` again on each step's
+of any step: the reverse wavefront runs ``_gru_gates`` again on each step's
 stored inputs and states, against the same slices of the stack, so the
 rebuilt z|r, n and U h are the forward's bits, and frees them once that
 step's adjoint returns. So the trunk's backward runs with only ``states``
-and one step's gates alive. The trade is time for memory: the rebuild is
-a second cell per step, about 40 ms of a 2 ms step on 16 one-second clips,
-and that step peaks at 37.0 MiB, against 57.8 MiB with each step's z|r
-cached (``scripts/step_split.py``). A forward alone, as
-``loop.evaluate_sisnr`` runs it, keeps no gates either.
+and one step's gates alive. The trade is time for memory: the rebuild
+costs a second set of gates per step, about 110 us of a 120 us cell at
+L=4, B=16, d=64 on one BLAS thread. ``forward_batch`` keeps only the
+packet of the head's table, and the loss scales its gradient in place.
+The variant's adjoint owns ``u`` and the f_out input as well as the
+gradient it is given (``fast_branch.Variant``) and uses them as scratch,
+so it makes no whole-batch array but the packet's gradient, one table per
+field, which ``backward`` joins once the fast branch's arrays are gone.
+On 16 one-second clips a 2 ms reuse-3 step then peaks at 34.4 MiB, the
+rest of the step past the loss, where ``dy`` and its product with f_out
+are alive together, and 92.9 MiB at sample level (``scripts/step_split.py``).
+A forward alone, as ``loop.evaluate_sisnr`` runs it, keeps no gates either,
+and its cache dies before the score is taken.
 
 No variant code lives here: the modulation and its adjoint come from the
 variant's row of fast_branch.VARIANTS. ``forward_batch`` checks the weights'
@@ -87,7 +96,7 @@ from ..engine import (
 )
 from ..signal_io import frame_signal, make_window, overlap_add
 from ..fast_branch import VARIANTS
-from ..slow_branch import SlowBranchWeights, _gru_cell
+from ..slow_branch import SlowBranchWeights, _gru_cell, _gru_gates
 from .losses import LossWeights, StftParams, total_loss_grad
 
 GradientSet = dict[str, np.ndarray]
@@ -131,11 +140,11 @@ def _gru_backward(
     are (L, B, d) stacks of layers, ``w``, ``u`` and ``b`` the layers' fused
     (L, d, 3d) weights and (L, 1, 3d) biases, and ``grads`` the same layers'
     slices of the gradient stacks, (L, d, 3d), (L, d, 3d) and (L, 3d), added
-    to in place. The forward keeps no gates: the cell runs again here on the
-    step's stored inputs and states against the same weight slices, so its
-    z|r, n and U h are the forward's own bits. That second cell, about
-    160 us per step at L=4, B=16, d=64 on one BLAS thread, is the price of
-    a forward that keeps no gates.
+    to in place. The forward keeps no gates: the cell's gates run again here
+    on the step's stored inputs and states against the same weight slices,
+    so z|r, n and U h are the forward's own bits. That second set of gates,
+    about 110 us per step at L=4, B=16, d=64 on one BLAS thread, is the
+    price of a forward that keeps no gates; the rebuild makes no h'.
     The gate pre-activation gradients stay side by side in the fused z|r|n
     column order, so each fused array takes one product for its gradient
     and one for the gradient it passes back. The gate gradients are built
@@ -143,7 +152,7 @@ def _gru_backward(
     preallocated array measured about 10% slower at B=16, d=64.
     """
     d = dh.shape[-1]
-    _, zr, n, uh = _gru_cell(x, h_prev, w, u, b)
+    zr, n, uh = _gru_gates(x, h_prev, w, u, b)
     z = zr[..., :d]
     da_n = dh * (1.0 - z) * (1.0 - n * n)
     dzr = np.concatenate([dh * (h_prev - n), da_n * uh[..., 2 * d :]], axis=-1)
@@ -189,7 +198,7 @@ def _trunk_forward(xs: np.ndarray, sw: SlowBranchWeights) -> tuple[np.ndarray, n
     for t, lo, hi in _wavefront(n_slow, layers):
         states[t + 1, lo + 1 : hi + 1] = _gru_cell(
             states[t, lo:hi], states[t, lo + 1 : hi + 1], w[lo:hi], u[lo:hi], bias[lo:hi]
-        )[0]
+        )
     return states[layers:, layers], states
 
 
@@ -276,6 +285,7 @@ def forward_batch(
     variant = VARIANTS[cfg.variant]
     # each field contiguous, as the scans read one (B, H) row per frame
     packet = tuple(np.ascontiguousarray(field) for field in variant.head(raw))
+    del raw, head  # the packet is all that modulate and backward read
     groups = np.arange(n_fast) // cfg.reuse
     feat = variant.modulate(u, packet, groups)
     y = feat @ weights.fast.f_out_w
@@ -327,13 +337,16 @@ def backward(
     del d_s_hat
 
     # ---- f_out, then the variant's modulation back to f_in and the packet table;
-    # the adjoint may overwrite its first argument and hand it back as du
+    # the adjoint owns d_feat, u and feat: it may use them as scratch and
+    # hands d_feat back as du
     grads["fast.f_out.w"] += _frame_product(feat, dy)
     grads["fast.f_out.b"] += dy.sum((0, 1))
     d_feat = dy @ weights.fast.f_out_w.T
     del dy
-    du, draw_table = VARIANTS[cfg.variant].adjoint(d_feat, u, packet, groups, feat)
+    du, d_fields = VARIANTS[cfg.variant].adjoint(d_feat, u, packet, groups, feat)
     del d_feat, u, packet, groups, feat
+    draw_table = np.concatenate(d_fields, axis=-1)  # (J + 1, B, raw width)
+    del d_fields
     # f_in's input frames, made again from the input as forward_batch made them
     grads["fast.f_in.w"] += _frame_product(_windowed_frames(noisy, cfg, n_fast, window), du)
     grads["fast.f_in.b"] += du.sum((0, 1))

@@ -25,7 +25,13 @@ from typing import ClassVar
 
 import numpy as np
 
-from ..engine import ModelWeights, SlowFastConfig, init_model_weights, named_arrays
+from ..engine import (
+    ModelWeights,
+    SlowFastConfig,
+    check_integer_fields,
+    init_model_weights,
+    named_arrays,
+)
 from ..fast_branch import VARIANTS
 from .backprop import GradientSet, NonFiniteLossError, backward, forward_batch
 from .data import EVAL_SNRS_DB, TRAIN_SNRS_DB, make_batch
@@ -43,7 +49,8 @@ ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 @dataclass
 class TrainSchedule:
-    """The knobs a caller sets; a value out of range is a ValueError naming its key."""
+    """The knobs a caller sets; a value out of range, or a count that is not
+    an integer, is a ValueError naming its key."""
 
     stage1_epochs: int = 24
     stage2_epochs: int = 4
@@ -60,6 +67,7 @@ class TrainSchedule:
     stft: ClassVar[StftParams] = StftParams(256, 128)
 
     def __post_init__(self):
+        check_integer_fields(self, "schedule")
         # (key, lower bound, bound excluded)
         for key, low, strict in (
             ("stage1_epochs", 0, False), ("stage2_epochs", 0, False),
@@ -125,7 +133,7 @@ def evaluate_sisnr(
     weights: ModelWeights, config: SlowFastConfig, noisy: np.ndarray, clean: np.ndarray
 ) -> float:
     """Mean SI-SNR of the batched forward pass over an evaluation set."""
-    enhanced, _ = forward_batch(noisy, weights, config)
+    enhanced = forward_batch(noisy, weights, config)[0]  # the cache dies here, not after scoring
     vals, _ = sisnr_grad(enhanced, clean)
     return float(vals.mean())
 

@@ -165,17 +165,25 @@ def total_loss_grad(
     if s_hat.ndim != 2:
         raise ValueError("expected (batch, samples)")
     b = s_hat.shape[0]
-    loss = 0.0
-    grad = np.zeros_like(s_hat)
+    loss, grad = 0.0, None
+    # Each term is scaled in its own buffer, and the first becomes the
+    # gradient, with the bits of a sum from +0.0: the spectral gradient holds
+    # no -0.0, and the SI-SNR term is 0 - g, where -g would turn a zero
+    # (a capped clip's) into -0.0.
     if lw.spec_mse > 0:
-        spec_loss, spec_grad = spec_mse_loss_grad(s_hat, s, p)
+        spec_loss, grad = spec_mse_loss_grad(s_hat, s, p)
         loss += lw.spec_mse * spec_loss
-        spec_grad *= lw.spec_mse
-        grad += spec_grad
+        grad *= lw.spec_mse
     if lw.sisnr > 0:
         vals, g = sisnr_grad(s_hat, s)
         loss += lw.sisnr * float(-vals.mean())
-        grad += lw.sisnr * (-g / b)
+        np.subtract(0.0, g, out=g)
+        g /= b
+        g *= lw.sisnr
+        if grad is None:
+            grad = g
+        else:
+            grad += g
     return loss, grad
 
 

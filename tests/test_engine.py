@@ -81,6 +81,22 @@ class TestConfig:
         with pytest.raises(ValueError):
             SlowFastConfig(variant="nope", l_f=32, delta_f=16, reuse=1, h=4)
 
+    @pytest.mark.parametrize("key, value", [
+        ("l_f", 32.0), ("delta_f", 16.0), ("h", 32.5), ("reuse", 3.0), ("reuse", True),
+        ("gru_width", 64.0), ("gru_layers", np.float64(4.0)), ("delta_s", 48.0),
+        ("l_s", 96.0), ("h", "32"),
+    ])
+    def test_integer_field_refuses_other_types_naming_it(self, key, value):
+        fields = dict(variant="ssmm", l_f=32, delta_f=16, reuse=3, h=32)
+        with pytest.raises(ValueError, match=f"key {key} = .*expected an integer"):
+            SlowFastConfig(**{**fields, key: value})
+
+    def test_numpy_integers_are_integers(self):
+        cfg = SlowFastConfig(variant="ssmm", l_f=np.int64(32), delta_f=np.int32(16),
+                             reuse=np.uint8(3), h=np.int16(32))
+        assert cfg == two_ms_config(3)
+        assert init_model_weights(cfg, seed=0).fast.f_in_w.shape == (32, 32)
+
 
 class TestWarmupPacket:
     def test_warmup_packet_reaches_only_the_first_group(self):

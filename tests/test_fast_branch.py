@@ -5,6 +5,7 @@ of its variant's fields in VARIANTS order, (a, g), (alpha, beta) or (e,).
 """
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -287,6 +288,19 @@ REFERENCES = {
 }
 
 
+def adjoint_of_copies(variant, dfeat, u, p, groups, feat):
+    """The variant's adjoint on copies of the three arguments it owns and may
+    overwrite; it returns one (G, B, H) table per packet field and leaves the
+    packet and ``groups`` as they were."""
+    p_before, groups_before = [a.copy() for a in p], groups.copy()
+    du, d_fields = VARIANTS[variant].adjoint(dfeat.copy(), u.copy(), p, groups, feat.copy())
+    assert len(d_fields) == len(VARIANTS[variant].fields)
+    assert all(d.shape == p[0].shape[:-1] + (u.shape[-1],) for d in d_fields)
+    assert all(np.array_equal(a, b) for a, b in zip(p, p_before, strict=True))
+    assert np.array_equal(groups, groups_before)
+    return du, d_fields
+
+
 class TestBatchedModulation:
     @pytest.mark.parametrize("shape", SCAN_SHAPES)
     def test_ssmm_modulate_equals_per_frame_loop(self, shape):
@@ -300,11 +314,10 @@ class TestBatchedModulation:
         b, nf, h, reuse = shape
         u, p, groups, dfeat = scan_inputs(b, nf, h, reuse, seed=nf + 1)
         feat = reference_ssmm_modulate(u, p, groups)
-        # the adjoint owns its first argument and may overwrite it
-        du, d_raw = VARIANTS["ssmm"].adjoint(dfeat.copy(), u, p, groups, feat)
+        du, d_fields = adjoint_of_copies("ssmm", dfeat, u, p, groups, feat)
         want_du, want_raw = reference_ssmm_adjoint(dfeat, u, p, groups, feat)
         assert_close_relative(du, want_du, 1e-12)
-        assert_close_relative(d_raw, want_raw, 1e-12)
+        assert_close_relative(np.concatenate(d_fields, axis=-1), want_raw, 1e-12)
 
     @pytest.mark.parametrize("variant", ["film", "ec"])
     @pytest.mark.parametrize("shape", SCAN_SHAPES)
@@ -321,10 +334,10 @@ class TestBatchedModulation:
         b, nf, h, reuse = shape
         u, p, groups, dfeat = head_inputs(variant, b, nf, h, reuse, seed=nf + 3)
         feat = REFERENCES[variant][0](u, p, groups)
-        du, d_raw = VARIANTS[variant].adjoint(dfeat.copy(), u, p, groups, feat)
+        du, d_fields = adjoint_of_copies(variant, dfeat, u, p, groups, feat)
         want_du, want_raw = REFERENCES[variant][1](dfeat, u, p, groups, feat)
         assert np.array_equal(du, want_du)
-        assert np.array_equal(d_raw, want_raw)
+        assert np.array_equal(np.concatenate(d_fields, axis=-1), want_raw)
 
     @pytest.mark.parametrize("groups", [[0, 0, 0, 1, 1, 1, 2], [0, 1, 2], [0, 0, 1, 1, 2, 2], [0]])
     def test_group_sums_add_each_group_of_frames(self, groups):
@@ -332,3 +345,27 @@ class TestBatchedModulation:
         x = np.random.default_rng(len(groups)).standard_normal((len(groups), 2, 3))
         want = np.stack([x[groups == k].sum(0) for k in range(groups[-1] + 1)])
         assert_close_relative(_group_sums(x, groups), want, 1e-15)
+
+
+def traced_peak(fn, *args):
+    """tracemalloc's peak bytes over ``fn(*args)``, its result dropped."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestAdjointOwnership:
+    """The adjoint uses the arrays it owns, the gradient at the f_out input,
+    ``u`` and the f_out input, as its scratch."""
+
+    def test_ssmm_adjoint_allocates_no_array_the_size_of_u(self):
+        # 2 ms reuse 3: 16 clips, 100 frames; each field's table is a third of u
+        b, nf, h, reuse = 16, 100, 32, 3
+        u, p, groups, dfeat = scan_inputs(b, nf, h, reuse, seed=4)
+        feat = VARIANTS["ssmm"].modulate(u, p, groups)
+        peak = traced_peak(VARIANTS["ssmm"].adjoint, dfeat, u, p, groups, feat)
+        # both field tables are alive at the end: 2/3 of u
+        assert peak < u.nbytes, peak

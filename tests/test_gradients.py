@@ -226,19 +226,24 @@ class TestLifetimes:
         def spy_product(x, dy):
             refs.update({f"product{len(products)}.x": weakref.ref(x),
                          f"product{len(products)}.dy": weakref.ref(dy)})
+            if dy.base is not None:  # the head's rows of backward's packet gradient table
+                refs[f"product{len(products)}.dy.base"] = weakref.ref(dy.base)
             products.append(len(products))
             return frame_product(x, dy)
 
         def spy_adjoint(dfeat, *args):
             refs["d_feat"] = weakref.ref(dfeat)
-            du, draw_table = adjoint(dfeat, *args)
-            refs.update(du=weakref.ref(du), draw_table=weakref.ref(draw_table))
-            return du, draw_table
+            du, d_fields = adjoint(dfeat, *args)
+            assert len(d_fields) == len(backprop.VARIANTS[variant].fields)
+            refs.update(du=weakref.ref(du),
+                        **{f"d_field{i}": weakref.ref(d) for i, d in enumerate(d_fields)})
+            return du, d_fields
 
         def spy_trunk_backward(*args):
             # the products of f_out (feat, dy), f_in (frames, du) and the
             # head (top, its rows of the draw table) have run
-            assert products == [0, 1, 2] and {"du", "d_feat", "draw_table"} <= set(refs)
+            assert products == [0, 1, 2]
+            assert {"du", "d_feat", "d_field0", "product2.dy.base"} <= set(refs)
             alive = sorted(key for key, ref in refs.items() if ref() is not None)
             assert alive == [], alive
             entered.append(True)
@@ -256,47 +261,76 @@ class TestLifetimes:
         backward(batch, weights, config, LossWeights(1.0, 0.3), StftParams(4, 2))
         assert entered == [True]
 
+    @pytest.mark.parametrize("variant", ["ssmm", "film"])
+    def test_head_table_dies_once_the_packet_exists(self, monkeypatch, variant):
+        # ec's packet is the head table itself, so it has no table to drop
+        config = tiny_config(variant)
+        weights = randomized_weights(config, seed=8)
+        x = tiny_batch(n=23, b=3, seed=9)[0]
+        refs, modulated = {}, []
+
+        def spy_head(raw):
+            refs["raw"] = weakref.ref(raw)
+            return row.head(raw)
+
+        def spy_modulate(*args):
+            assert refs["raw"]() is None
+            modulated.append(True)
+            return row.modulate(*args)
+
+        row = backprop.VARIANTS[variant]
+        monkeypatch.setitem(backprop.VARIANTS, variant,
+                            row._replace(head=spy_head, modulate=spy_modulate))
+        forward_batch(x, weights, config)
+        assert modulated == [True]
+
     @pytest.mark.parametrize("variant", ["ssmm", "film", "ec"])
     def test_no_cell_output_but_states_outlives_the_forward(self, monkeypatch, variant):
         # the trunk forward copies each cell's h' into states and keeps no
-        # gate, so every array a forward cell returned is dead on return
+        # gate, so h' and the z|r, n and U h it was made of are dead on return
         config = SlowFastConfig(variant=variant, l_f=4, delta_f=2, reuse=2, h=3,
                                 gru_width=4, gru_layers=3)
         weights = randomized_weights(config, seed=8)
         x = tiny_batch(n=23, b=3, seed=9)[0]
         refs = []
 
-        def spy_cell(*args):
-            out = cell(*args)
+        def spy_gates(*args):
+            out = gates(*args)
             refs.append([weakref.ref(arr) for arr in out])
             return out
 
-        cell = backprop._gru_cell
+        def spy_cell(*args):
+            out = cell(*args)
+            refs[-1].append(weakref.ref(out))
+            return out
+
+        cell, gates = backprop._gru_cell, slow_branch._gru_gates
         monkeypatch.setattr(backprop, "_gru_cell", spy_cell)
+        monkeypatch.setattr(slow_branch, "_gru_gates", spy_gates)
         _, cache = forward_batch(x, weights, config)
         assert len(refs) == cache.xs.shape[1] + config.gru_layers - 1 > config.gru_layers
+        assert all(len(step) == 4 for step in refs)
         alive = [(t, i) for t, step in enumerate(refs) for i, ref in enumerate(step)
                  if ref() is not None]
         assert alive == [], alive
 
     @pytest.mark.parametrize("variant", ["ssmm", "film", "ec"])
     def test_each_steps_gates_die_before_the_step_below_runs(self, monkeypatch, variant):
-        # the reverse wavefront rebuilds a step's gates with the forward's
-        # cell, and frees them before it rebuilds the step below
+        # the reverse wavefront rebuilds a step's gates with the forward
+        # cell's gates, and frees them before it rebuilds the step below
         config = SlowFastConfig(variant=variant, l_f=4, delta_f=2, reuse=2, h=3,
                                 gru_width=4, gru_layers=3)
         weights = randomized_weights(config, seed=8)
         batch = tiny_batch(n=23, b=3, seed=9)
         rebuilds, adjoints = [], []
 
-        def spy_cell(*args):
-            if not adjoints:  # the forward's cells
-                return cell(*args)
+        def spy_gates(*args):
+            assert adjoints, "a rebuild ran outside the reverse wavefront"
             assert len(rebuilds) == len(adjoints) - 1
             alive = [(t, i) for t, step in enumerate(rebuilds)
                      for i, ref in enumerate(step) if ref() is not None]
             assert alive == [], alive
-            out = cell(*args)
+            out = gates(*args)
             rebuilds.append([weakref.ref(arr) for arr in out])
             return out
 
@@ -304,8 +338,8 @@ class TestLifetimes:
             adjoints.append(True)
             return gru_backward(*args)
 
-        cell, gru_backward = backprop._gru_cell, backprop._gru_backward
-        monkeypatch.setattr(backprop, "_gru_cell", spy_cell)
+        gates, gru_backward = backprop._gru_gates, backprop._gru_backward
+        monkeypatch.setattr(backprop, "_gru_gates", spy_gates)
         monkeypatch.setattr(backprop, "_gru_backward", spy_gru_backward)
         backward(batch, weights, config, LossWeights(1.0, 0.3), StftParams(4, 2))
         assert len(rebuilds) == len(adjoints) > config.gru_layers
@@ -315,27 +349,33 @@ class TestLifetimes:
 @functools.cache
 def wavefront_cells(batch, width):
     """Per wavefront step of one ``backward``: (lo, hi), the forward cell's
-    outputs and the outputs of that step's rebuild, at 4 layers and 6 slow
-    frames, so the steps cover both ramps and the full stack."""
+    h' and the gates it was made of, and the gates of that step's rebuild, at
+    4 layers and 6 slow frames, so the steps cover both ramps and the full
+    stack."""
     config = SlowFastConfig(variant="ssmm", l_f=4, delta_f=2, reuse=4, h=3,
                             gru_width=width, gru_layers=4)
     weights = randomized_weights(config, seed=width)
     clips = tiny_batch(n=clip_of_slow_frames(config, 6), b=batch, seed=batch)
-    outputs = []
+    cells, forward_gates, rebuilds = [], [], []
 
-    def spy_cell(*args):
-        out = cell(*args)
-        outputs.append(out)
-        return out
+    def spy(fn, outputs):
+        def spied(*args):
+            out = fn(*args)
+            outputs.append(out)
+            return out
+        return spied
 
-    cell = backprop._gru_cell
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(backprop, "_gru_cell", spy_cell)
+        # the forward's cell makes its gates through slow_branch's name,
+        # the rebuild through backprop's
+        mp.setattr(backprop, "_gru_cell", spy(backprop._gru_cell, cells))
+        mp.setattr(slow_branch, "_gru_gates", spy(slow_branch._gru_gates, forward_gates))
+        mp.setattr(backprop, "_gru_gates", spy(backprop._gru_gates, rebuilds))
         backward(clips, weights, config, LossWeights(1.0, 0.3), StftParams(4, 2))
     steps = list(backprop._wavefront(6, 4))
-    assert len(outputs) == 2 * len(steps)
+    assert len(cells) == len(forward_gates) == len(rebuilds) == len(steps)
     # forward call t pairs with the t-th rebuild counted from the end
-    return [((lo, hi), outputs[t], outputs[-1 - t]) for t, lo, hi in steps]
+    return [((lo, hi), cells[t], forward_gates[t], rebuilds[-1 - t]) for t, lo, hi in steps]
 
 
 class TestRebuiltGates:
@@ -346,12 +386,14 @@ class TestRebuiltGates:
     @pytest.mark.parametrize("lo, hi", [(0, 4), (0, 2), (1, 4), (3, 4)],
                              ids=["full", "ramp_up", "ramp_down", "top_only"])
     def test_rebuilt_n_and_uh_n_equal_the_cells_bit_for_bit(self, batch, width, lo, hi):
-        matched = [(fwd, rebuilt) for span, fwd, rebuilt in wavefront_cells(batch, width)
+        matched = [(h_new, fwd, rebuilt)
+                   for span, h_new, fwd, rebuilt in wavefront_cells(batch, width)
                    if span == (lo, hi)]
         assert matched
-        for fwd, rebuilt in matched:
-            # h', z|r, n and U h of the active layers
-            assert rebuilt[0].shape == (hi - lo, batch, width)
+        for h_new, fwd, rebuilt in matched:
+            # z|r, n and U h of the active layers; the rebuild makes no h'
+            assert h_new.shape == rebuilt[1].shape == (hi - lo, batch, width)
+            assert len(rebuilt) == 3
             for want, got in zip(fwd, rebuilt, strict=True):
                 assert got.shape == want.shape and np.array_equal(got, want)
 
@@ -420,7 +462,7 @@ class TestWavefront:
     def test_one_stacked_cell_and_adjoint_per_step(self, monkeypatch, layers, n_slow):
         config = stack_config(layers)
         weights = randomized_weights(config, seed=5)
-        calls = {"cell": 0, "adjoint": 0}
+        calls = {"cell": 0, "gates": 0, "adjoint": 0}
 
         def counted(key, fn):
             def wrapper(*args, **kwargs):
@@ -432,16 +474,17 @@ class TestWavefront:
             raise AssertionError("training called the streaming gru_cell_step")
 
         monkeypatch.setattr(backprop, "_gru_cell", counted("cell", backprop._gru_cell))
+        monkeypatch.setattr(backprop, "_gru_gates", counted("gates", backprop._gru_gates))
         monkeypatch.setattr(backprop, "_gru_backward", counted("adjoint", backprop._gru_backward))
         monkeypatch.setattr(slow_branch, "gru_cell_step", streaming_cell)
         batch = tiny_batch(n=clip_of_slow_frames(config, n_slow), seed=23)
         _, cache = forward_batch(batch[0], weights, config)
         assert cache.xs.shape[1] == n_slow
         steps = n_slow + layers - 1 if n_slow else 0
-        assert calls == {"cell": steps, "adjoint": 0}
+        assert calls == {"cell": steps, "gates": 0, "adjoint": 0}
         backward(batch, weights, config, LossWeights(1.0, 0.3), StftParams(4, 2))
         # backward's own forward, then one rebuild inside each adjoint
-        assert calls == {"cell": 3 * steps, "adjoint": steps}
+        assert calls == {"cell": 2 * steps, "gates": steps, "adjoint": steps}
 
     def test_wavefront_reads_and_writes_the_stored_stacks(self, monkeypatch):
         # every cell's and adjoint's weight operands are slices of the
@@ -452,30 +495,35 @@ class TestWavefront:
         config = stack_config(4)
         weights = randomized_weights(config, seed=5)
         sw = weights.slow
-        cells, adjoints = [], []
+        cells, rebuilds, adjoints = [], [], []
 
         def spy_cell(*args):
             cells.append(args)
             return cell(*args)
 
+        def spy_gates(*args):
+            rebuilds.append(args)
+            return gates(*args)
+
         def spy_adjoint(x, h_prev, dh, w, u, b, grads):
             adjoints.append(((x, h_prev, w, u, b), grads))
             return adjoint(x, h_prev, dh, w, u, b, grads)
 
-        cell, adjoint = backprop._gru_cell, backprop._gru_backward
+        cell, gates, adjoint = backprop._gru_cell, backprop._gru_gates, backprop._gru_backward
         monkeypatch.setattr(backprop, "_gru_cell", spy_cell)
+        monkeypatch.setattr(backprop, "_gru_gates", spy_gates)
         monkeypatch.setattr(backprop, "_gru_backward", spy_adjoint)
         batch = tiny_batch(n=clip_of_slow_frames(config, 6), seed=23)
         _, grads = backward(batch, weights, config, LossWeights(1.0, 0.3), StftParams(4, 2))
         steps = 6 + 4 - 1
-        assert len(adjoints) == steps and len(cells) == 2 * steps
-        for i, (rebuild, (operands, _)) in enumerate(zip(cells[steps:], adjoints, strict=True)):
+        assert len(adjoints) == len(cells) == len(rebuilds) == steps
+        for i, (rebuild, (operands, _)) in enumerate(zip(rebuilds, adjoints, strict=True)):
             assert all(a is b for a, b in zip(rebuild, operands, strict=True)), i
             # the reverse wavefront's step i reads the forward's own states row
             forward = cells[steps - 1 - i]
             for a, b in zip(rebuild[:2], forward[:2]):
                 assert np.shares_memory(a, b) and np.array_equal(a, b), i
-        for x, h, w, u, b in cells:
+        for x, h, w, u, b in cells + rebuilds:
             assert np.shares_memory(w, sw.gru_w) and np.shares_memory(u, sw.gru_u)
             assert np.shares_memory(b, sw.gru_b)
         full = adjoints[len(adjoints) // 2][1]  # a step of every layer

@@ -1,5 +1,7 @@
 """Spectral MSE, SI-SNR, and combined loss, checked against naive oracles."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -300,3 +302,42 @@ class TestTotalLoss:
             bumped[b, n] -= 2 * eps
             lm, _ = total_loss_grad(bumped, s, lw, p)
             assert grad[b, n] == pytest.approx((lp - lm) / (2 * eps), rel=1e-4, abs=1e-9)
+
+    @pytest.mark.parametrize("lw", [LossWeights(1.0, 0.0), LossWeights(10.0, 0.5),
+                                    LossWeights(0.0, 2.0)])
+    def test_grad_has_the_bits_of_a_sum_from_zero(self, lw):
+        # row 0 is a perfect estimate, whose capped SI-SNR has a zero gradient
+        rng = np.random.default_rng(13)
+        s = rng.standard_normal((2, 300))
+        s_hat = s + np.array([[0.0], [0.4]]) * rng.standard_normal((2, 300))
+        p = StftParams(64, 32)
+        want = np.zeros_like(s_hat)
+        if lw.spec_mse > 0:
+            want += lw.spec_mse * spec_mse_loss_grad(s_hat, s, p)[1]
+        if lw.sisnr > 0:
+            want += lw.sisnr * (-sisnr_grad(s_hat, s)[1] / len(s))
+        grad = total_loss_grad(s_hat, s, lw, p)[1]
+        # int64 views: a -0.0 where the sum reads +0.0 is a difference
+        assert np.array_equal(grad.view(np.int64), want.view(np.int64))
+        if lw.spec_mse == 0:
+            assert np.all(grad[0] == 0.0) and not np.any(np.signbit(grad[0]))
+
+    def test_spectral_gradient_is_scaled_in_its_own_buffer(self):
+        # the spectral term's gradient is the returned one, so the call
+        # holds no second (B, N) array beside it
+        rng = np.random.default_rng(14)
+        s = rng.standard_normal((4, 8000))
+        s_hat = s + 0.3 * rng.standard_normal((4, 8000))
+        p, lw = StftParams(256, 128), LossWeights(1.0, 0.0)
+        peaks = []
+        for fn, args in ((spec_mse_loss_grad, (s_hat, s, p)),
+                         (total_loss_grad, (s_hat, s, lw, p))):
+            fn(*args)  # warm-up, untraced
+            tracemalloc.start()
+            try:
+                fn(*args)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        spec_peak, total_peak = peaks
+        assert total_peak < spec_peak + s_hat.nbytes / 2, (spec_peak, total_peak, s_hat.nbytes)

@@ -1,5 +1,6 @@
 """The repository's scripts: argument checks that run nothing, the summaries
-of bench_pairs and bit_identity, and a seconds-long run of step_split."""
+of bench_pairs and bit_identity, bench_pairs' per-run record of a stand-in
+benchmark, and a seconds-long run of step_split."""
 
 import importlib.util
 import subprocess
@@ -31,6 +32,26 @@ def test_bench_pairs_refuses_trees_at_paths_of_unequal_length(tmp_path, capsys):
     assert exc.value.code == 2
     assert "differ in length" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_bench_pairs_records_each_runs_faults_and_kernel_seconds(tmp_path):
+    bench_pairs = load_script("bench_pairs")
+    (tmp_path / "bench").mkdir()
+    # writes 32 MiB, about 8,200 fresh pages, then reports one metric
+    (tmp_path / "bench" / "run.py").write_text(
+        "import json\n"
+        "block = b'x' * (32 << 20)\n"
+        "print(json.dumps({'correct': True, 'metrics': {'peak_mib': {'value': 32.0}}}))\n")
+    run = bench_pairs.run_once(tmp_path, "train_2ms_d3", 1, 0.1)
+    assert run["ok"] and run["metrics"] == {"peak_mib": 32.0}
+    assert isinstance(run["minflt"], int) and run["minflt"] > (32 << 20) // 4096 * 0.9
+    assert isinstance(run["sys_s"], float) and run["sys_s"] >= 0.0
+    other = bench_pairs.run_once(tmp_path, "train_2ms_d3", 1, 0.1)
+    [entry] = bench_pairs.run_entries([{"seed": 1, "first": "parent",
+                                        "parent": run, "change": other}])
+    assert entry == {"seed": 1, "first": "parent",
+                     **{f"{side}_{key}": r[key] for side, r in (("parent", run), ("change", other))
+                        for key in ("wall_s", "minflt", "sys_s")}}
 
 
 class TestBenchPairsSummarize:

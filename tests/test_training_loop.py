@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import weakref
 
 import numpy as np
 import pytest
@@ -121,6 +122,19 @@ class TestSchedule:
         with pytest.raises(ValueError, match=key):
             TrainSchedule(**{key: value})
 
+    @pytest.mark.parametrize("key, value", [
+        ("stage1_epochs", 1.5), ("stage2_epochs", 2.0), ("batch_size", 2.5),
+        ("train_pairs", 3.0), ("eval_pairs", True), ("seed", 1.5), ("seed", False),
+    ])
+    def test_count_that_is_not_an_integer_names_its_key(self, key, value):
+        with pytest.raises(ValueError, match=f"key {key} = .*expected an integer"):
+            TrainSchedule(**{key: value})
+
+    def test_numpy_integers_and_float_rates_accepted(self):
+        sched = TrainSchedule(batch_size=np.int64(4), seed=np.uint32(7), lr_stage1=1,
+                              grad_clip=np.float32(2.0))
+        assert (sched.batch_size, sched.seed) == (4, 7)
+
     def test_boundary_values_accepted(self):
         sched = TrainSchedule(stage1_epochs=0, stage2_epochs=0, batch_size=1, train_pairs=1,
                               eval_pairs=1, grad_clip=0.0, lr_stage1=1e-12)
@@ -209,3 +223,26 @@ class TestTrain:
         assert rows[0] == ["epoch", "loss", "eval_sisnr", "lr"]
         assert len(rows) == 6
         assert float(rows[1][1]) == pytest.approx(log[0].loss, rel=1e-9)
+
+
+def test_evaluation_scores_with_the_forward_cache_freed(monkeypatch):
+    config = tiny_config()
+    weights = passthrough_start(config, seed=0)
+    noisy, clean = make_batch([1, 3], [5.0, 10.0])
+    refs, scored = [], []
+
+    def spy_forward(*args):
+        out, cache = forward_batch(*args)
+        refs.extend(weakref.ref(arr) for arr in cache if isinstance(arr, np.ndarray))
+        return out, cache
+
+    def spy_sisnr_grad(*args):
+        assert [ref() for ref in refs if ref() is not None] == []
+        scored.append(True)
+        return sisnr_grad(*args)
+
+    sisnr_grad = loop.sisnr_grad
+    monkeypatch.setattr(loop, "forward_batch", spy_forward)
+    monkeypatch.setattr(loop, "sisnr_grad", spy_sisnr_grad)
+    score = loop.evaluate_sisnr(weights, config, noisy, clean)
+    assert scored == [True] and len(refs) == 6 and np.isfinite(score)
