@@ -39,6 +39,12 @@ The third table gives, per preset, tracemalloc's peak MiB over one
 scores a model once per epoch in ``train`` and in ``compare``. A warm-up call
 runs first, untraced. It runs before the phase wrappers go in, since they
 reset tracemalloc's peak at every boundary.
+
+The fourth table gives, per preset, the MiB of each field of the cache
+that ``backprop.forward_batch`` keeps for ``backward`` (``backprop._Cache``;
+the packet's arrays are summed) on the same clips and start, and their
+total: what a step holds from its forward to its backward, the trunk's
+checkpoints among it.
 """
 
 from __future__ import annotations
@@ -149,6 +155,16 @@ def eval_peak(config) -> float:
         tracemalloc.stop()
 
 
+def cache_mib(config) -> dict[str, float]:
+    """MiB of each ``backprop._Cache`` field, and their total, after one
+    ``forward_batch`` on ``start``'s batch and weights."""
+    (noisy, _), weights = start(config)
+    _, cache = backprop.forward_batch(noisy, weights, config)
+    sizes = {name: sum(arr.nbytes for arr in (field if isinstance(field, tuple) else (field,)))
+             / MIB for name, field in zip(cache._fields, cache)}
+    return {**sizes, "total": sum(sizes.values())}
+
+
 def trainer(config):
     """A callable that runs one training step, as the benchmark's trainer
     does, on ``start``'s batch and weights, and returns its gradients. Like
@@ -224,6 +240,7 @@ def main(argv=None) -> int:
         ap.error("--steps must be at least 1")
     os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
     eval_peaks = {name: eval_peak(config) for name, config in PRESETS.items()}
+    caches = {name: cache_mib(config) for name, config in PRESETS.items()}
     meter = Meter()
     install(meter)
     rows = [report(name, measure(config, args.steps, meter))
@@ -242,6 +259,12 @@ def main(argv=None) -> int:
     print("| preset | peak MiB |")
     print("|---|---|")
     print("\n".join(f"| {name} | {peak:.1f} |" for name, peak in eval_peaks.items()))
+    print(f"\nbackprop._Cache, {CLIPS} clips: MiB per field after one forward_batch")
+    fields = list(next(iter(caches.values())))
+    print("| preset | " + " | ".join(fields) + " |")
+    print("|---" * (len(fields) + 1) + "|")
+    print("\n".join("| " + " | ".join([name, *(f"{mib:.2f}" for mib in sizes.values())]) + " |"
+                    for name, sizes in caches.items()))
     return 0
 
 

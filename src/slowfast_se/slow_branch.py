@@ -12,8 +12,10 @@ matrix/vector ops broadcast over leading batch axes, so the one cell
 layer's (d, 3d) slice of the stack. Batched training (training.backprop)
 calls it directly, once per step of a wavefront over the whole stack:
 (L, B, d) inputs and states against slices of the stack itself. The cell
-is its gates, ``_gru_gates``, and the update h' made of them; training's
-backward runs ``_gru_gates`` alone to rebuild a step's gates, so it makes
+is its gates, ``_gru_gates``, and the update h' made of them,
+``_gru_update``. Training's backward runs the two apart: it rebuilds a
+segment of wavefront steps from a checkpoint, keeping each step's gates
+for its adjoint and writing each h' into the next step's row, and makes
 no h' it would throw away.
 
 The GRU stack is stored as three gate-fused arrays: ``gru_w`` and ``gru_u``
@@ -74,8 +76,8 @@ def _gru_gates(
 
     ``w``, ``u`` and ``b`` are one layer's slices of the stack, or a run of
     layers' (w, u (L, d, 3d), b (L, 1, 3d)) on (L, ..., d) inputs and states.
-    ``_gru_cell`` makes h' of them; the training backward calls this alone
-    to rebuild a step's gates from the step's stored inputs and states.
+    ``_gru_cell`` makes h' of them; the training backward calls this and
+    ``_gru_update`` apart to rebuild a segment's steps from a checkpoint.
     """
     # Numpy's per-call overhead, not arithmetic, sets a slow frame's time, so
     # the gates take as few calls as the math allows: the bias joins the input
@@ -94,13 +96,24 @@ def _gru_gates(
     return zr, n, uh
 
 
+def _gru_update(
+    zr: np.ndarray, n: np.ndarray, h: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
+    """h' = (1-z)n + z h from ``_gru_gates``' z|r and n and the state ``h``
+    they were made of, in ``out`` if given (which must not overlap ``h``);
+    h' = n + z (h - n) takes three calls, not four."""
+    out = np.subtract(h, n, out=out)
+    out *= zr[..., : h.shape[-1]]
+    out += n
+    return out
+
+
 def _gru_cell(
     x: np.ndarray, h: np.ndarray, w: np.ndarray, u: np.ndarray, b: np.ndarray
 ) -> np.ndarray:
-    """h' = (1-z)n + z h of ``_gru_gates``' z and n, on the same operands;
-    h' = n + z (h - n) takes three calls, not four."""
+    """h' of ``_gru_gates`` and ``_gru_update`` on the same operands."""
     zr, n, _ = _gru_gates(x, h, w, u, b)
-    return n + zr[..., : h.shape[-1]] * (h - n)
+    return _gru_update(zr, n, h)
 
 
 def gru_cell_step(

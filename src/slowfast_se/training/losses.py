@@ -28,6 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..engine import check_integer_fields
 from ..signal_io import frame_signal, make_window, overlap_add
 
 SISNR_CAP_DB = 60.0
@@ -57,6 +58,7 @@ class StftParams:
     hop: int
 
     def __post_init__(self):
+        check_integer_fields(self, "STFT")
         if self.fft_size < 2 or self.fft_size & (self.fft_size - 1) != 0:
             raise ValueError(f"fft_size must be a power of two, got {self.fft_size}")
         if not (1 <= self.hop <= self.fft_size):

@@ -9,6 +9,7 @@ import pytest
 from slowfast_se import slow_branch
 from slowfast_se.engine import (
     SlowFastConfig,
+    _model,
     enhance_offline,
     init_model_weights,
     named_arrays,
@@ -188,10 +189,11 @@ class TestTimeMajorLayout:
         # slice of its f_out gradient
         (feat, dy), (frames, du) = products[:2]
         width = {"ssmm": 1, "film": 1, "ec": 2}[variant] * config.h
+        n_slow = (n_fast - 1) // config.reuse
         for arr, shape in ((frames, (n_fast, 3, config.l_f)),
-                           (cache.u, (n_fast, 3, config.h)), (cache.feat, (n_fast, 3, width))):
+                           (cache.u, (n_fast, 3, config.h)), (cache.feat, (n_fast, 3, width)),
+                           (cache.top, (n_slow, 3, config.gru_width))):
             assert arr.shape == shape and arr.flags.c_contiguous
-        assert cache.top.shape == (cache.xs.shape[1], 3, config.gru_width)
         window = make_window(config.l_f)
         want = frame_signal(batch[0], config.l_f, config.delta_f, config.fast_pad, n_fast)
         assert feat is cache.feat and np.array_equal(frames, want.swapaxes(0, 1) * window)
@@ -202,7 +204,7 @@ class TestTimeMajorLayout:
 class TestLifetimes:
     """``backward`` drops each array once its last reader returns: the trunk's
     backward runs with only the trunk's cache alive, which holds no gates,
-    and frees each step's rebuilt gates as it goes."""
+    and frees each segment's rebuilt gates before it rebuilds the next."""
 
     @pytest.mark.parametrize("variant", ["ssmm", "film", "ec"])
     def test_trunk_backward_starts_with_the_fast_branch_freed(self, monkeypatch, variant):
@@ -286,8 +288,9 @@ class TestLifetimes:
 
     @pytest.mark.parametrize("variant", ["ssmm", "film", "ec"])
     def test_no_cell_output_but_states_outlives_the_forward(self, monkeypatch, variant):
-        # the trunk forward copies each cell's h' into states and keeps no
-        # gate, so h' and the z|r, n and U h it was made of are dead on return
+        # the trunk forward copies each cell's h' into its rolling row (the
+        # top layer's also into top) and keeps no gate, so h' and the z|r, n
+        # and U h it was made of are dead on return
         config = SlowFastConfig(variant=variant, l_f=4, delta_f=2, reuse=2, h=3,
                                 gru_width=4, gru_layers=3)
         weights = randomized_weights(config, seed=8)
@@ -308,7 +311,7 @@ class TestLifetimes:
         monkeypatch.setattr(backprop, "_gru_cell", spy_cell)
         monkeypatch.setattr(slow_branch, "_gru_gates", spy_gates)
         _, cache = forward_batch(x, weights, config)
-        assert len(refs) == cache.xs.shape[1] + config.gru_layers - 1 > config.gru_layers
+        assert len(refs) == len(cache.top) + config.gru_layers - 1 > config.gru_layers
         assert all(len(step) == 4 for step in refs)
         alive = [(t, i) for t, step in enumerate(refs) for i, ref in enumerate(step)
                  if ref() is not None]
@@ -316,86 +319,127 @@ class TestLifetimes:
 
     @pytest.mark.parametrize("variant", ["ssmm", "film", "ec"])
     def test_each_steps_gates_die_before_the_step_below_runs(self, monkeypatch, variant):
-        # the reverse wavefront rebuilds a step's gates with the forward
-        # cell's gates, and frees them before it rebuilds the step below
+        # the reverse wavefront rebuilds one segment's gates, runs that
+        # segment's adjoints, and frees the gates before it rebuilds the
+        # segment below; no rebuild runs outside it
         config = SlowFastConfig(variant=variant, l_f=4, delta_f=2, reuse=2, h=3,
                                 gru_width=4, gru_layers=3)
         weights = randomized_weights(config, seed=8)
         batch = tiny_batch(n=23, b=3, seed=9)
-        rebuilds, adjoints = [], []
+        entered, events, segments = [], [], []
 
         def spy_gates(*args):
-            assert adjoints, "a rebuild ran outside the reverse wavefront"
-            assert len(rebuilds) == len(adjoints) - 1
-            alive = [(t, i) for t, step in enumerate(rebuilds)
-                     for i, ref in enumerate(step) if ref() is not None]
-            assert alive == [], alive
+            assert entered, "a rebuild ran outside the reverse wavefront"
+            if not events or events[-1] != "gates":  # the first rebuild of a segment
+                assert events.count("gates") == events.count("adjoint")
+                alive = [(i, t, k) for i, segment in enumerate(segments)
+                         for t, step in enumerate(segment)
+                         for k, ref in enumerate(step) if ref() is not None]
+                assert alive == [], alive
+                segments.append([])
+            events.append("gates")
             out = gates(*args)
-            rebuilds.append([weakref.ref(arr) for arr in out])
+            segments[-1].append([weakref.ref(arr) for arr in out])
             return out
 
+        def spy_trunk_backward(*args):
+            entered.append(True)
+            return trunk_backward(*args)
+
         def spy_gru_backward(*args):
-            adjoints.append(True)
+            events.append("adjoint")
             return gru_backward(*args)
 
         gates, gru_backward = backprop._gru_gates, backprop._gru_backward
+        trunk_backward = backprop._trunk_backward
         monkeypatch.setattr(backprop, "_gru_gates", spy_gates)
         monkeypatch.setattr(backprop, "_gru_backward", spy_gru_backward)
+        monkeypatch.setattr(backprop, "_trunk_backward", spy_trunk_backward)
         backward(batch, weights, config, LossWeights(1.0, 0.3), StftParams(4, 2))
-        assert len(rebuilds) == len(adjoints) > config.gru_layers
-        assert all(ref() is None for step in rebuilds for ref in step)
+        steps = events.count("gates")
+        sizes = [min(SEGMENT, steps - first) for first in reversed(range(0, steps, SEGMENT))]
+        assert steps > config.gru_layers and len(sizes) > 1
+        assert [len(segment) for segment in segments] == sizes
+        assert events == [e for n in sizes for e in ["gates"] * n + ["adjoint"] * n]
+        assert all(ref() is None for segment in segments for step in segment for ref in step)
+
+
+SEGMENT = backprop.SEGMENT_STEPS
+
+
+def rebuild_order(steps):
+    """The wavefront step of each rebuild, in the order the backward runs
+    them: the last segment first, each segment's steps in forward order."""
+    return [t for first in reversed(range(0, steps, SEGMENT))
+            for t in range(first, min(first + SEGMENT, steps))]
 
 
 @functools.cache
 def wavefront_cells(batch, width):
     """Per wavefront step of one ``backward``: (lo, hi), the forward cell's
-    h' and the gates it was made of, and the gates of that step's rebuild, at
-    4 layers and 6 slow frames, so the steps cover both ramps and the full
-    stack."""
+    h' and the gates it was made of, the gates of that step's rebuild, and
+    the h' the rebuild wrote into the next row (None for a segment's last
+    step, whose h' the next checkpoint holds), at 4 layers and 7 slow
+    frames, so the steps cover both ramps, the full stack and a segment cut
+    short."""
     config = SlowFastConfig(variant="ssmm", l_f=4, delta_f=2, reuse=4, h=3,
                             gru_width=width, gru_layers=4)
     weights = randomized_weights(config, seed=width)
-    clips = tiny_batch(n=clip_of_slow_frames(config, 6), b=batch, seed=batch)
-    cells, forward_gates, rebuilds = [], [], []
+    clips = tiny_batch(n=clip_of_slow_frames(config, 7), b=batch, seed=batch)
+    cells, forward_gates, rebuilds, updates = [], [], [], []
 
     def spy(fn, outputs):
-        def spied(*args):
-            out = fn(*args)
+        def spied(*args, **kwargs):
+            out = fn(*args, **kwargs)
             outputs.append(out)
             return out
         return spied
 
+    def spy_update(*args, out):
+        # the rebuild writes h' into a row it overwrites later: copy it
+        updates.append((len(rebuilds), backprop_update(*args, out=out).copy()))
+        return out
+
+    backprop_update = backprop._gru_update
     with pytest.MonkeyPatch.context() as mp:
         # the forward's cell makes its gates through slow_branch's name,
         # the rebuild through backprop's
         mp.setattr(backprop, "_gru_cell", spy(backprop._gru_cell, cells))
         mp.setattr(slow_branch, "_gru_gates", spy(slow_branch._gru_gates, forward_gates))
         mp.setattr(backprop, "_gru_gates", spy(backprop._gru_gates, rebuilds))
+        mp.setattr(backprop, "_gru_update", spy_update)
         backward(clips, weights, config, LossWeights(1.0, 0.3), StftParams(4, 2))
-    steps = list(backprop._wavefront(6, 4))
-    assert len(cells) == len(forward_gates) == len(rebuilds) == len(steps)
-    # forward call t pairs with the t-th rebuild counted from the end
-    return [((lo, hi), cells[t], forward_gates[t], rebuilds[-1 - t]) for t, lo, hi in steps]
+    steps = list(backprop._wavefront(7, 4))
+    assert len(cells) == len(forward_gates) == len(rebuilds) == len(steps) == 10
+    order = rebuild_order(len(steps))
+    # each update follows its step's rebuild
+    rebuilt_h = dict((order[i - 1], h) for i, h in updates)
+    assert len(rebuilt_h) == len(steps) - len(range(0, len(steps), SEGMENT))
+    rebuilt = {t: rebuilds[i] for i, t in enumerate(order)}
+    return [((lo, hi), cells[t], forward_gates[t], rebuilt[t], rebuilt_h.get(t))
+            for t, lo, hi in steps]
 
 
 class TestRebuiltGates:
-    """The trunk forward keeps no gates; each step of the reverse wavefront
-    runs the forward's cell again on the step's stored inputs and states."""
+    """The trunk forward keeps no gates; the reverse wavefront rebuilds each
+    segment's steps from its checkpoint with the forward cell's gates and
+    update."""
 
     @pytest.mark.parametrize("batch, width", [(16, 64), (3, 4)], ids=["B16-d64", "tiny"])
     @pytest.mark.parametrize("lo, hi", [(0, 4), (0, 2), (1, 4), (3, 4)],
                              ids=["full", "ramp_up", "ramp_down", "top_only"])
     def test_rebuilt_n_and_uh_n_equal_the_cells_bit_for_bit(self, batch, width, lo, hi):
-        matched = [(h_new, fwd, rebuilt)
-                   for span, h_new, fwd, rebuilt in wavefront_cells(batch, width)
-                   if span == (lo, hi)]
+        matched = [step[1:] for step in wavefront_cells(batch, width) if step[0] == (lo, hi)]
         assert matched
-        for h_new, fwd, rebuilt in matched:
-            # z|r, n and U h of the active layers; the rebuild makes no h'
+        for h_new, fwd, rebuilt, rebuilt_h in matched:
+            # z|r, n and U h of the active layers, and h' where the rebuild made it
             assert h_new.shape == rebuilt[1].shape == (hi - lo, batch, width)
             assert len(rebuilt) == 3
             for want, got in zip(fwd, rebuilt, strict=True):
                 assert got.shape == want.shape and np.array_equal(got, want)
+            assert rebuilt_h is None or np.array_equal(rebuilt_h, h_new)
+        if (lo, hi) == (0, 4):  # 4 full steps, one of them a segment's last
+            assert sum(h is None for *_, h in matched) == 1 < len(matched)
 
 
 def clip_of_slow_frames(config, n_slow):
@@ -412,6 +456,57 @@ def stack_config(layers, variant="ssmm"):
                           gru_width=4, gru_layers=layers)
 
 
+def rebuilt_rows(xs, config, sw):
+    """``_trunk_forward`` of (B, J, LS) slow frames, and every row the
+    reverse wavefront rebuilt: (top, checkpoints, rows), where rows[t] maps
+    each entry step t read (0 the FC-in output, k + 1 layer k's state) to a
+    copy of it. The backward runs on a random top-layer gradient."""
+    top, checkpoints = backprop._trunk_forward(xs, sw)
+    rows = {}
+
+    def spy_adjoint(x, h_prev, dh, step_gates, w, u, grads):
+        t, lo, _ = next(steps)
+        rows[t] = {**{lo + i: a.copy() for i, a in enumerate(x)},
+                   **{lo + 1 + i: a.copy() for i, a in enumerate(h_prev)}}
+        return adjoint(x, h_prev, dh, step_gates, w, u, grads)
+
+    steps = reversed(list(backprop._wavefront(xs.shape[1], config.gru_layers)))
+    d_top = np.random.default_rng(0).standard_normal(top.shape)
+    grad = _model(config, np.zeros).slow
+    adjoint = backprop._gru_backward
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(backprop, "_gru_backward", spy_adjoint)
+        backprop._trunk_backward(d_top, xs, checkpoints, sw, grad)
+    return top, checkpoints, rows
+
+
+def assert_trunk_equals_trunk_step(xs, config, sw):
+    """The trunk's outputs, and every state at every frame in the rows the
+    reverse wavefront rebuilt, equal ``trunk_step`` run frame by frame, bit
+    for bit, and each segment starts from its checkpoint."""
+    top, checkpoints, rows = rebuilt_rows(xs, config, sw)
+    b, n_slow, _ = xs.shape
+    layers, width = config.gru_layers, config.gru_width
+    assert top.shape == (n_slow, b, width) and top.flags.c_contiguous
+    steps = n_slow + layers - 1 if n_slow else 0
+    assert checkpoints.shape == (-(-steps // SEGMENT), layers, b, width)
+    assert sorted(rows) == list(range(steps))
+    hidden = [np.zeros((b, width)) for _ in range(layers)]
+    for j in range(n_slow):
+        assert np.array_equal(rows[j][0], xs[:, j].dot(sw.fc_in_w) + sw.fc_in_b), j
+        want, hidden = trunk_step(xs[:, j], hidden, sw)
+        assert np.array_equal(top[j], want), j
+        for k, h in enumerate(hidden):
+            # layer k ran frame j on step j + k and handed its state to
+            # step j + k + 1, which reads it unless that step is past the end
+            if j + k + 1 < steps:
+                assert np.array_equal(rows[j + k + 1][k + 1], h), (j, k)
+    for t in range(0, steps, SEGMENT):  # each segment starts from its checkpoint
+        for e, entry in rows[t].items():
+            if e:
+                assert np.array_equal(checkpoints[t // SEGMENT][e - 1], entry), (t, e)
+
+
 class TestWavefront:
     """The GRU stack runs as a wavefront: step t runs layer k on slow frame t - k."""
 
@@ -422,15 +517,50 @@ class TestWavefront:
         config = stack_config(layers)
         sw = randomized_weights(config, seed=layers).slow
         xs = np.random.default_rng(n_slow).standard_normal((3, n_slow, config.l_s))
-        top, states = backprop._trunk_forward(xs, sw)
-        assert top.shape == (n_slow, 3, config.gru_width)
-        hidden = [np.zeros((3, config.gru_width)) for _ in range(layers)]
-        for j in range(n_slow):
-            want, hidden = trunk_step(xs[:, j], hidden, sw)
-            assert np.array_equal(top[j], want), j
-            for k, h in enumerate(hidden):
-                # layer k ran frame j on step j + k and handed its state to step j + k + 1
-                assert np.array_equal(states[j + k + 1, k + 1], h), (j, k)
+        assert_trunk_equals_trunk_step(xs, config, sw)
+
+    # the checkpointed trunk's edges: (layers, slow frames) and the wavefront steps
+    EDGES = {
+        "no_slow_frames": (2, 0),            # no step
+        "fewer_frames_than_layers": (4, 2),  # 5 steps, the last segment cut short
+        "steps_not_a_multiple": (2, 6),      # 7 steps, a last segment of one
+        "one_full_segment": (2, 2),          # 3 steps
+        "one_short_segment": (1, 2),         # 2 steps
+    }
+
+    @pytest.mark.parametrize("layers, n_slow", EDGES.values(), ids=EDGES)
+    def test_checkpointed_trunk_edges_match_trunk_step_and_finite_differences(
+            self, layers, n_slow):
+        # the objective sum(top * d_top) has the trunk backward's gradients
+        config = stack_config(layers)
+        sw = randomized_weights(config, seed=31).slow
+        rng = np.random.default_rng(10 * layers + n_slow)
+        xs = rng.standard_normal((2, n_slow, config.l_s))
+        assert_trunk_equals_trunk_step(xs, config, sw)
+        d_top = rng.standard_normal((n_slow, 2, config.gru_width))
+        grad = _model(config, np.zeros).slow
+        d_in = backprop._trunk_backward(d_top, xs, backprop._trunk_forward(xs, sw)[1], sw, grad)
+        assert d_in.shape == d_top.shape
+        analytic = {"fc_in_w": backprop._frame_product(xs.swapaxes(0, 1), d_in),
+                    "fc_in_b": d_in.sum((0, 1)),
+                    **{name: getattr(grad, name) for name in ("gru_w", "gru_u", "gru_b")}}
+        for name, want in analytic.items():
+            arr = getattr(sw, name)
+            numeric = np.zeros_like(arr)
+            for idx in np.ndindex(arr.shape):
+                orig = arr[idx]
+                sides = []
+                for value in (orig + FD_STEP, orig - FD_STEP):
+                    arr[idx] = value
+                    sides.append(np.sum(backprop._trunk_forward(xs, sw)[0] * d_top))
+                arr[idx] = orig
+                numeric[idx] = (sides[0] - sides[1]) / (2.0 * FD_STEP)
+            assert want.shape == arr.shape
+            if n_slow == 0:
+                assert not np.any(want) and not np.any(numeric), name
+                continue
+            rel = np.max(np.abs(want - numeric)) / max(np.max(np.abs(numeric)), 1e-6)
+            assert rel < TOLERANCE, f"{name}: rel err {rel:.3e}"
 
     @pytest.mark.parametrize("n_slow", [1, 3])
     def test_gru_arrays_match_finite_differences_below_the_stack_depth(self, n_slow):
@@ -462,7 +592,7 @@ class TestWavefront:
     def test_one_stacked_cell_and_adjoint_per_step(self, monkeypatch, layers, n_slow):
         config = stack_config(layers)
         weights = randomized_weights(config, seed=5)
-        calls = {"cell": 0, "gates": 0, "adjoint": 0}
+        calls = {"cell": 0, "gates": 0, "adjoint": 0, "update": 0}
 
         def counted(key, fn):
             def wrapper(*args, **kwargs):
@@ -477,37 +607,45 @@ class TestWavefront:
         monkeypatch.setattr(backprop, "_gru_gates", counted("gates", backprop._gru_gates))
         monkeypatch.setattr(backprop, "_gru_backward", counted("adjoint", backprop._gru_backward))
         monkeypatch.setattr(slow_branch, "gru_cell_step", streaming_cell)
+        monkeypatch.setattr(backprop, "_gru_update", counted("update", backprop._gru_update))
         batch = tiny_batch(n=clip_of_slow_frames(config, n_slow), seed=23)
         _, cache = forward_batch(batch[0], weights, config)
-        assert cache.xs.shape[1] == n_slow
+        assert len(cache.top) == n_slow
         steps = n_slow + layers - 1 if n_slow else 0
-        assert calls == {"cell": steps, "gates": 0, "adjoint": 0}
+        assert calls == {"cell": steps, "gates": 0, "adjoint": 0, "update": 0}
         backward(batch, weights, config, LossWeights(1.0, 0.3), StftParams(4, 2))
-        # backward's own forward, then one rebuild inside each adjoint
-        assert calls == {"cell": 2 * steps, "gates": steps, "adjoint": steps}
+        # backward's own forward, then one rebuild per adjoint, and an h'
+        # for every rebuilt step but a segment's last
+        segments = len(range(0, steps, SEGMENT))
+        assert calls == {"cell": 2 * steps, "gates": steps, "adjoint": steps,
+                         "update": steps - segments}
 
     def test_wavefront_reads_and_writes_the_stored_stacks(self, monkeypatch):
-        # every cell's and adjoint's weight operands are slices of the
-        # weights' own stacks, each adjoint's rebuild runs on that adjoint's
-        # own inputs, states and weight slices, and every adjoint adds into
-        # the gradient set's stacks, whose per-gate entries are the
-        # gradients backward returns
+        # every cell's, rebuild's and adjoint's weight operands are slices of
+        # the weights' own stacks; each adjoint runs on its step's rebuilt
+        # gates and on the rows they were rebuilt from, whose values are the
+        # forward cell's; and every adjoint adds into the gradient set's
+        # stacks, whose per-gate entries are the gradients backward returns
         config = stack_config(4)
         weights = randomized_weights(config, seed=5)
         sw = weights.slow
         cells, rebuilds, adjoints = [], [], []
 
+        def copies(arrays):  # the rows roll and are rebuilt, so keep their values
+            return [a.copy() for a in arrays]
+
         def spy_cell(*args):
-            cells.append(args)
+            cells.append((args, copies(args[:2])))
             return cell(*args)
 
         def spy_gates(*args):
-            rebuilds.append(args)
-            return gates(*args)
+            out = gates(*args)
+            rebuilds.append((args, copies(args[:2]), out))
+            return out
 
-        def spy_adjoint(x, h_prev, dh, w, u, b, grads):
-            adjoints.append(((x, h_prev, w, u, b), grads))
-            return adjoint(x, h_prev, dh, w, u, b, grads)
+        def spy_adjoint(x, h_prev, dh, step_gates, w, u, grads):
+            adjoints.append(((x, h_prev, w, u), copies((x, h_prev)), step_gates, grads))
+            return adjoint(x, h_prev, dh, step_gates, w, u, grads)
 
         cell, gates, adjoint = backprop._gru_cell, backprop._gru_gates, backprop._gru_backward
         monkeypatch.setattr(backprop, "_gru_cell", spy_cell)
@@ -517,18 +655,21 @@ class TestWavefront:
         _, grads = backward(batch, weights, config, LossWeights(1.0, 0.3), StftParams(4, 2))
         steps = 6 + 4 - 1
         assert len(adjoints) == len(cells) == len(rebuilds) == steps
-        for i, (rebuild, (operands, _)) in enumerate(zip(rebuilds, adjoints, strict=True)):
-            assert all(a is b for a, b in zip(rebuild, operands, strict=True)), i
-            # the reverse wavefront's step i reads the forward's own states row
-            forward = cells[steps - 1 - i]
-            for a, b in zip(rebuild[:2], forward[:2]):
-                assert np.shares_memory(a, b) and np.array_equal(a, b), i
-        for x, h, w, u, b in cells + rebuilds:
+        rebuilt = dict(zip(rebuild_order(steps), rebuilds, strict=True))
+        for i, (operands, values, step_gates, _) in enumerate(adjoints):
+            t = steps - 1 - i  # the reverse wavefront's step i is step t
+            args, rebuilt_values, out = rebuilt[t]
+            assert step_gates is out, t
+            for a, b in zip(operands, args[:4], strict=True):
+                assert np.shares_memory(a, b) and a.shape == b.shape, t
+            for a, b, c in zip(values, rebuilt_values, cells[t][1], strict=True):
+                assert np.array_equal(a, b) and np.array_equal(a, c), t
+        for x, h, w, u, b in [args for args, _ in cells] + [args for args, *_ in rebuilds]:
             assert np.shares_memory(w, sw.gru_w) and np.shares_memory(u, sw.gru_u)
             assert np.shares_memory(b, sw.gru_b)
-        full = adjoints[len(adjoints) // 2][1]  # a step of every layer
+        full = adjoints[len(adjoints) // 2][3]  # a step of every layer
         assert full[0].shape == sw.gru_w.shape and full[2].shape == sw.gru_b.shape
-        for _, step in adjoints:
+        for *_, step in adjoints:
             assert all(np.shares_memory(g, stack) for g, stack in zip(step, full))
         for k in range(4):
             for f in slow_branch.GRU_FIELDS:

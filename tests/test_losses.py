@@ -79,6 +79,18 @@ class TestStft:
         with pytest.raises(ValueError):
             StftParams(fft_size=48, hop=16)
 
+    @pytest.mark.parametrize("fft_size, hop, key", [
+        (256.0, 128, "fft_size"), (256, 128.0, "hop"), (256, True, "hop"), (True, 1, "fft_size"),
+    ])
+    def test_field_that_is_not_an_integer_names_its_key(self, fft_size, hop, key):
+        with pytest.raises(ValueError, match=f"key {key} = .*expected an integer"):
+            StftParams(fft_size, hop)
+
+    def test_numpy_integers_accepted(self):
+        p = StftParams(np.int64(32), np.uint16(16))
+        x = np.random.default_rng(3).standard_normal(96)
+        assert np.array_equal(stft(x, p), stft(x, StftParams(32, 16)))
+
     def test_short_signal_rejected(self):
         with pytest.raises(ValueError):
             stft(np.zeros(16), StftParams(fft_size=32, hop=16))

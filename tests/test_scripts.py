@@ -10,6 +10,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from slowfast_se.training.backprop import SEGMENT_STEPS, _Cache
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -101,25 +103,26 @@ def run_step_split(*args):
 
 @pytest.fixture(scope="module")
 def step_split_tables():
-    """One run of step_split: its time table, its memory table and its
-    evaluation table, each the header followed by one row per preset, every
-    row split into its cells."""
+    """One run of step_split: its time table, its memory table, its
+    evaluation table and its cache table, each the header followed by one
+    row per preset, every row split into its cells."""
     proc = run_step_split("--steps", "1")
     assert proc.returncode == 0, proc.stderr
-    # three tables, each a title, a header, a rule and one row per preset
+    # four tables, each a title, a header, a rule and one row per preset
     tables = [[line.strip("| ").split(" | ") for line in block.splitlines()[1:]]
               for block in proc.stdout.split("\n\n")]
-    assert len(tables) == 3
+    assert len(tables) == 4
     for header, _, *rows in tables[:2]:
         assert header[1:7] == ["trunk fwd", "rest fwd", "loss", "adjoint", "trunk bwd", "rest"]
     assert tables[2][0] == ["preset", "peak MiB"]
+    assert tables[3][0] == ["preset", *_Cache._fields, "total"]
     for _, _, *rows in tables:
         assert [row[0] for row in rows] == ["2ms-d3", "sample"]
     return [rows for _, _, *rows in tables]
 
 
 def test_step_split_prints_every_phase_of_both_presets(step_split_tables):
-    time_rows, _, _ = step_split_tables
+    time_rows, *_ = step_split_tables
     for row in time_rows:
         phases = [[float(v) for v in cell.split(" / ")] for cell in row[1:7]]
         step_ms, step_faults, sys_ms = (float(v) for v in row[7].split(" / "))
@@ -130,7 +133,7 @@ def test_step_split_prints_every_phase_of_both_presets(step_split_tables):
 
 
 def test_step_memory_prints_every_phase_of_both_presets(step_split_tables):
-    _, memory_rows, _ = step_split_tables
+    _, memory_rows, *_ = step_split_tables
     for row in memory_rows:
         cells = [[float(v) for v in cell.split(" / ")] for cell in row[1:7]]
         # a phase's live memory at its last boundary is within its peak,
@@ -140,8 +143,23 @@ def test_step_memory_prints_every_phase_of_both_presets(step_split_tables):
 
 
 def test_step_split_prints_the_evaluation_peak_of_both_presets(step_split_tables):
-    *_, eval_rows = step_split_tables
+    *_, eval_rows, _ = step_split_tables
     assert all(len(row) == 2 and float(row[1]) > 0 for row in eval_rows)
+
+
+def test_step_split_prints_what_the_cache_holds_at_both_presets(step_split_tables):
+    *_, memory_rows, _, cache_rows = step_split_tables
+    for cache_row, memory_row in zip(cache_rows, memory_rows, strict=True):
+        sizes = dict(zip([*_Cache._fields, "total"], map(float, cache_row[1:]), strict=True))
+        assert sizes.pop("total") == pytest.approx(sum(sizes.values()), abs=0.01 * len(sizes))
+        assert min(sizes.values()) >= 0 and sizes["checkpoints"] > 0 and sizes["top"] > 0
+        # the checkpoints hold the states of every SEGMENT_STEPS-th of the
+        # J + L - 1 wavefront rows, L = 4 layers each at both presets, and
+        # top one layer's state per slow frame
+        rows = sizes["checkpoints"] / sizes["top"] * SEGMENT_STEPS / 4
+        assert 0.95 < rows < 1.15
+        # the cache lives from the forward's end to the trunk's backward
+        assert sum(sizes.values()) < float(memory_row[7])
 
 
 def test_step_split_refuses_zero_steps():
@@ -184,3 +202,23 @@ class TestBitIdentityCompare:
                                      {"a": np.array([1.5, -4.0, 1.75])})
         assert key == "a" and "2 elements differ" in what
         assert rel == 0.5 / 4.0
+
+
+def test_step_ab_of_the_tree_against_itself_reads_a_ratio_near_one():
+    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "step_ab.py"),
+                           "--parent", str(ROOT), "--steps", "3"],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    lines = dict(line.split(": ", 1) for line in proc.stdout.splitlines())
+    # the parent's package is a second import of the same files
+    assert lines["parent"] == lines["change"] == str(ROOT / "src" / "slowfast_se")
+    losses = lines["first-step loss"].replace(",", "").split()
+    assert losses[0] == "parent" and losses[2] == "change" and losses[1] == losses[3]
+    assert float(lines["parent median step ms"]) > 0 < float(lines["change median step ms"])
+    assert 0.5 < float(lines["median per-step ratio change/parent"]) < 2.0
+
+
+def test_step_ab_refuses_a_tree_without_the_package(tmp_path):
+    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "step_ab.py"),
+                           "--parent", str(tmp_path)], capture_output=True, text=True)
+    assert proc.returncode == 2 and "no src/slowfast_se" in proc.stderr

@@ -1,6 +1,7 @@
 """GRU cell, stacked gate-fused storage, slow trunk, head activations, warm-up packet."""
 
 import copy
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +27,7 @@ from slowfast_se.slow_branch import (
     warmup_packet,
 )
 from slowfast_se.persistence import load_model
-from slowfast_se.training.backprop import _Cache, backward, forward_batch
+from slowfast_se.training.backprop import SEGMENT_STEPS, _Cache, backward, forward_batch
 from slowfast_se.training.losses import LossWeights, StftParams
 
 TINY_MODEL = Path(__file__).parent / "data" / "tiny_ssmm.sfse"
@@ -248,24 +249,47 @@ class TestFusedStorage:
 
     def test_training_caches_hold_no_wider_views(self):
         # the cache holds whole-batch arrays alone, no field per wavefront
-        # step: the backward rebuilds each step's gates from the states.
-        # Of the arrays it holds, only top views another, the states
+        # step: the trunk keeps the layers' states of every SEGMENT_STEPS-th
+        # wavefront row and its top outputs, each in an array of its own,
+        # and the backward rebuilds the rest. No array it holds views a
+        # wider one, and none views the input's padded copy
         cfg = two_ms_config(3, "ssmm")
         weights = init_model_weights(cfg, seed=6)
         x = np.random.default_rng(7).standard_normal((2, 400)) * 0.3
         _, cache = forward_batch(x, weights, cfg)
-        n_slow, layers = cache.xs.shape[1], cfg.gru_layers
-        assert n_slow > layers
-        assert _Cache._fields == ("u", "groups", "xs", "states", "top", "packet", "feat")
+        n_slow, layers = len(cache.top), cfg.gru_layers
+        assert n_slow == (cfg.num_fast_frames(400) - 1) // cfg.reuse > layers
+        assert _Cache._fields == ("u", "groups", "checkpoints", "top", "packet", "feat")
         assert not any(isinstance(field, list) for field in cache)
-        assert cache.states.shape == (n_slow + layers, layers + 1, 2, cfg.gru_width)
-        assert cache.top.base is cache.states
-        for name in ("u", "groups", "states", "feat"):
+        steps = n_slow + layers - 1
+        assert cache.checkpoints.shape == (-(-steps // SEGMENT_STEPS), layers, 2, cfg.gru_width)
+        assert cache.top.shape == (n_slow, 2, cfg.gru_width)
+        assert cache.checkpoints.base is None and cache.top.base is None
+        for name in ("u", "groups", "feat"):
             arr = getattr(cache, name)
             assert arr.base is None or arr.base.nbytes <= arr.nbytes, name
         for arr in cache.packet:
             assert len(arr) == n_slow + 1
             assert arr.base is None or arr.base.nbytes <= arr.nbytes
+
+    def test_training_cache_holds_no_array_the_size_of_the_state_history(self):
+        # the trunk's whole state history, (J + L, L + 1, B, d), is no
+        # longer kept: tracemalloc sees no live block that large once the
+        # forward returns, and the trunk's two arrays take under half of it
+        cfg = two_ms_config(3, "ssmm")
+        weights = init_model_weights(cfg, seed=6)
+        x = np.random.default_rng(8).standard_normal((2, 1600)) * 0.3
+        forward_batch(x, weights, cfg)  # warm-up: first-call caches stay out of the trace
+        tracemalloc.start()
+        try:
+            _, cache = forward_batch(x, weights, cfg)
+            blocks = [trace.size for trace in tracemalloc.take_snapshot().traces]
+        finally:
+            tracemalloc.stop()
+        n_slow, layers = len(cache.top), cfg.gru_layers
+        history = (n_slow + layers) * (layers + 1) * 2 * cfg.gru_width * 8
+        assert n_slow > 8 * layers and max(blocks) < history
+        assert cache.checkpoints.nbytes + cache.top.nbytes < history / 2
 
 
 class TestActivateHead:

@@ -229,11 +229,14 @@ def test_evaluation_scores_with_the_forward_cache_freed(monkeypatch):
     config = tiny_config()
     weights = passthrough_start(config, seed=0)
     noisy, clean = make_batch([1, 3], [5.0, 10.0])
-    refs, scored = [], []
+    refs, scored, held = [], [], []
 
     def spy_forward(*args):
         out, cache = forward_batch(*args)
-        refs.extend(weakref.ref(arr) for arr in cache if isinstance(arr, np.ndarray))
+        # every array the cache holds, the packet's fields among them
+        refs.extend(weakref.ref(arr) for field in cache
+                    for arr in (field if isinstance(field, tuple) else (field,)))
+        held.append(len(cache) - 1 + len(cache.packet))
         return out, cache
 
     def spy_sisnr_grad(*args):
@@ -245,4 +248,4 @@ def test_evaluation_scores_with_the_forward_cache_freed(monkeypatch):
     monkeypatch.setattr(loop, "forward_batch", spy_forward)
     monkeypatch.setattr(loop, "sisnr_grad", spy_sisnr_grad)
     score = loop.evaluate_sisnr(weights, config, noisy, clean)
-    assert scored == [True] and len(refs) == 6 and np.isfinite(score)
+    assert scored == [True] and held == [len(refs)] and len(refs) >= 6 and np.isfinite(score)
